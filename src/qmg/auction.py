@@ -515,12 +515,16 @@ def _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples, risk):
 
 
 def auction_from_spec(
-    doc: dict, base_dir=None, default_seed: int | None = None
+    doc: dict,
+    base_dir=None,
+    default_seed: int | None = None,
+    risk: RiskParams = UNIT_RISK,
 ) -> AuctionInstance:
     """Build an instance from the JSON auction document.
 
     Expected fields: buyers (list of strategy literals), seller
-    (literal), pricing, weight (mixed only), samples, seed.  Validation
+    (literal), pricing, weight (mixed only), samples, seed.  Literals
+    are parsed, and the instance run, under ``risk``.  Validation
     errors carry the offending field name.
     """
     from .strategy import parse_strategy
@@ -537,10 +541,10 @@ def auction_from_spec(
     for i, lit in enumerate(raw_buyers):
         if not isinstance(lit, str):
             raise ContractViolationError(f"auction.buyers[{i}]: must be a string literal")
-        buyers.append(parse_strategy(lit, Representation.DEMAND, base_dir))
+        buyers.append(parse_strategy(lit, Representation.DEMAND, base_dir, risk))
     if not isinstance(doc["seller"], str):
         raise ContractViolationError("auction.seller: must be a string literal")
-    seller = parse_strategy(doc["seller"], Representation.SUPPLY, base_dir)
+    seller = parse_strategy(doc["seller"], Representation.SUPPLY, base_dir, risk)
     pricing = doc["pricing"]
     if pricing not in PRICINGS:
         raise ContractViolationError(
@@ -562,6 +566,7 @@ def auction_from_spec(
         weight=float(weight),
         mc_samples=samples,
         rng=RandomSource(seed),
+        risk=risk,
     )
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .numerics import Grid, RandomSource
 from .risk import spectrum, thermal_energy
 from .strategy import Representation, RiskParams, Strategy, UNIT_RISK, parse_strategy
 from .wigner import (
+    EXCITED_MAX_LEVEL,
     CoherentParams,
     coherent_wigner,
     dominant_curves,
@@ -117,6 +119,20 @@ def _parse_literal(text, path: str, rep: Representation, base_dir: Path, risk: R
         raise _fail(path, str(exc))
 
 
+# a JSON string, or a constant Python's json accepts but JSON does not
+_CONSTANT_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+
+
+def _refuse_constant(text: str):
+    """parse_constant hook: NaN and Infinity are not JSON numbers.
+
+    The hook is not told where the token sits.  Everything before the
+    first such token parsed, so the first one outside a string is it.
+    """
+    match = next(m for m in _CONSTANT_TOKEN.finditer(text) if m.group(1))
+    raise json.JSONDecodeError(f"{match.group(1)} is not a JSON value", text, match.start(1))
+
+
 class Emitter:
     """Collects output files under one directory for the manifest."""
 
@@ -166,11 +182,15 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
         density = thermal_wigner(beta, risk)
     elif family == "excited":
         n = _get(params, "n", int, path)
+        if not 0 <= n <= EXCITED_MAX_LEVEL:
+            raise _fail(f"{path}.n", f"must lie in 0..{EXCITED_MAX_LEVEL}, got {n}")
         density = excited_wigner(n, risk)
     elif family == "strategy":
         s = _parse_literal(
             params.get("strategy"), f"{path}.strategy", Representation.DEMAND, base_dir, risk
         )
+        if s.is_improper:
+            raise _fail(f"{path}.strategy", "point strategies have no Wigner density")
         density = wigner_transform(s, hbar=risk.hbar_eff)
     else:
         raise _fail(f"{path}.family", f"unknown family {family!r}")
@@ -195,8 +215,9 @@ def _run_fixed_point(params: dict, seed: int, emit: Emitter, base_dir: Path) -> 
 
 
 def _run_auction(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
+    risk = _parse_risk(params, "parameters")
     try:
-        inst = auction_from_spec(params, base_dir=base_dir, default_seed=seed)
+        inst = auction_from_spec(params, base_dir=base_dir, default_seed=seed, risk=risk)
     except MarketModelError as exc:
         raise _fail("parameters", str(exc))
     outcome = run_auction(inst)
@@ -336,7 +357,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=lambda token: _refuse_constant(text))
     except json.JSONDecodeError as exc:
         print(
             f"error: scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -40,6 +40,8 @@ from .strategy import (
 )
 
 TWO_PI = 2.0 * math.pi
+# highest level excited_wigner evaluates by default
+EXCITED_MAX_LEVEL = 512
 
 
 @dataclass(frozen=True)
@@ -133,15 +135,12 @@ class PhaseSpaceDensity:
 
     def to_csv(self, path: str | Path) -> None:
         """Write rows p,q,w in row-major order (p outer, q inner)."""
-        p = self.p_grid.points
-        q = self.q_grid.points
+        q_text = [repr(x) for x in self.q_grid.points.tolist()]
         with open(path, "w", newline="\n") as fh:
             fh.write("p,q,w\n")
-            for i in range(self.p_grid.n):
-                row = self.values[i]
-                pi = repr(float(p[i]))
-                for j in range(self.q_grid.n):
-                    fh.write(f"{pi},{float(q[j])!r},{float(row[j])!r}\n")
+            for p, row in zip(self.p_grid.points.tolist(), self.values.tolist()):
+                lead = repr(p) + ","
+                fh.write("".join(f"{lead}{q},{w!r}\n" for q, w in zip(q_text, row)))
 
     @staticmethod
     def mixture(
@@ -210,6 +209,14 @@ def wigner_transform(
     241 points.  The chord integral is done by trapezoid quadrature
     with the x step chosen against the Nyquist limit of the kernel, so
     oscillatory (sloped or superposed) strategies stay resolved.
+
+    The step is rounded down to dx = 2h/r (h the q spacing, r an
+    integer), so every chord end q_j +- x_m/2 lies on the half-step
+    grid q_lo + l h/r and psi is evaluated once, there.  The chord
+    C(x) = psi(q + x/2) psi*(q - x/2) obeys C(-x) = conj C(x), so only
+    x >= 0 is summed and the real part doubled.  The sum over x at
+    every p is a chirp-z transform (Bluestein): O(N log N) per q column,
+    done in column blocks whose FFT buffer stays near 4 MB.
     """
     if not isinstance(s, Strategy):
         raise ContractViolationError("wigner_transform expects a Strategy")
@@ -229,22 +236,40 @@ def wigner_transform(
     p_abs = max(abs(p_grid.lo), abs(p_grid.hi))
     freq = p_abs / hb + _slope_bound(s.form)
     dx_nyquist = math.pi / freq if freq > 0 else math.inf
-    dx = min(q_grid.spacing, 0.5 * dx_nyquist, _sample_spacing(s.form))
-    half_span = q_grid.hi - q_grid.lo
-    n_side = max(int(math.ceil(half_span / dx)), 8)
-    n_side = min(n_side, 60000)
-    x = np.linspace(-half_span, half_span, 2 * n_side + 1)
-    dx = x[1] - x[0]
+    dx_max = min(q_grid.spacing, 0.5 * dx_nyquist, _sample_spacing(s.form))
+    h, nq, n_p = q_grid.spacing, q_grid.n, p_grid.n
+    r = math.ceil(2.0 * h / dx_max)
+    dx = 2.0 * h / r
+    # chords reach x = +-(q_hi - q_lo); x_m = m dx, m = 0..m_top
+    m_top = math.ceil((nq - 1) * r / 2)
+    half_grid = q_grid.lo + np.arange(-m_top, (nq - 1) * r + m_top + 1) * (h / r)
+    windows = np.lib.stride_tricks.sliding_window_view(s.evaluate(half_grid), m_top + 1)
+    plus = windows[m_top::r]  # row j: psi(q_j + x_m / 2), m ascending
+    minus = windows[::r][:nq, ::-1]  # row j: psi(q_j - x_m / 2)
 
-    q = q_grid.points
-    plus = s.evaluate((q[None, :] + 0.5 * x[:, None]).ravel()).reshape(len(x), len(q))
-    minus = s.evaluate((q[None, :] - 0.5 * x[:, None]).ravel()).reshape(len(x), len(q))
-    chord = plus * np.conj(minus)
+    # Bluestein: p_i x_m / hb = (p_lo x_m + alpha (i^2 + m^2 - (i - m)^2) / 2) / hb
+    m = np.arange(m_top + 1)
+    alpha = p_grid.spacing * dx
+    pre = np.exp(-1j * (p_grid.lo * dx * m + 0.5 * alpha * m * m) / hb)
+    pre[0] *= 0.5  # the x = 0 chord is real and counted once after doubling
+    k = np.arange(n_p)
+    post = np.exp(-0.5j * alpha * k * k / hb)
+    n_fft = 1 << (m_top + n_p - 1).bit_length()
+    chirp = np.zeros(n_fft, dtype=complex)
+    lags = np.arange(-m_top, n_p)  # negative lags wrap: a circular convolution
+    chirp[lags] = np.exp(0.5j * alpha * lags * lags / hb)
+    chirp_f = np.fft.fft(chirp)
 
-    wx = np.full(len(x), dx)
-    wx[0] = wx[-1] = 0.5 * dx
-    kernel = np.exp(-1j * np.outer(p_grid.points, x) / hb) * wx
-    values = (kernel @ chord).real / (TWO_PI * hb)
+    values = np.empty((n_p, nq))
+    block = max(1, 2**18 // n_fft)  # 4 MB of complex FFT buffer per block
+    for j0 in range(0, nq, block):
+        chord = plus[j0 : j0 + block] * np.conj(minus[j0 : j0 + block])
+        chord *= pre
+        buf = np.fft.fft(chord, n_fft)
+        buf *= chirp_f
+        np.fft.ifft(buf, out=buf)
+        values[:, j0 : j0 + block] = (buf[:, :n_p] * post).real.T
+    values *= dx / (math.pi * hb)  # 2 Re(...) dx / (2 pi hb)
     return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="pure")
 
 
@@ -357,7 +382,7 @@ def excited_wigner(
     risk: RiskParams,
     p_grid: Grid | None = None,
     q_grid: Grid | None = None,
-    n_max: int = 512,
+    n_max: int = EXCITED_MAX_LEVEL,
 ) -> PhaseSpaceDensity:
     """Closed-form Wigner density of the n-th risk eigenstate.
 

@@ -169,10 +169,12 @@ def survival_probability(run: ZenoRun) -> float:
     S = |amp|^(2n).  Unitarity keeps every weight fixed, so the result
     is deterministic and lies in [0, 1].
     """
-    coeffs = _captured_coefficients(run)
-    weights = np.abs(coeffs) ** 2
-    omega_t = TWO_PI * run.total_time
-    n = run.n_measurements
+    weights = np.abs(_captured_coefficients(run)) ** 2
+    return _survival(weights, run.total_time, run.n_measurements)
+
+
+def _survival(weights: np.ndarray, total_time: float, n: int) -> float:
+    omega_t = TWO_PI * total_time
     phases = np.exp(-1j * (np.arange(len(weights)) + 0.5) * omega_t / n)
     amp = complex(np.dot(weights, phases))
     overlap_sq = min(abs(amp) ** 2, 1.0)
@@ -201,18 +203,9 @@ def freeze_experiment(run: ZenoRun, n_values: Sequence[int]) -> list[FreezeRow]:
         raise ContractViolationError("n_values must be strictly ascending")
     if values[0] < 1:
         raise ParameterRangeError("measurement counts must be >= 1")
-    rows = []
-    for n in values:
-        sub = ZenoRun(
-            initial=run.initial,
-            total_time=run.total_time,
-            n_measurements=n,
-            risk=run.risk,
-            basis_size=run.basis_size,
-            max_basis_size=run.max_basis_size,
-        )
-        rows.append(FreezeRow(n, survival_probability(sub)))
-    return rows
+    # level weights do not depend on n: expand the initial strategy once
+    weights = np.abs(_captured_coefficients(run)) ** 2
+    return [FreezeRow(n, _survival(weights, run.total_time, n)) for n in values]
 
 
 def freeze_table_to_csv(rows: Sequence[FreezeRow], path: str | Path) -> None:

@@ -115,6 +115,22 @@ def test_auction_delta_fixture_second_price(tmp_path):
     assert results["revenue_mean"] == math.exp(-0.3)
 
 
+def test_auction_honours_risk(tmp_path):
+    params = {
+        "buyers": ["hermite(1)", "hermite(2)"],
+        "seller": "hermite(0)",
+        "pricing": "first",
+        "samples": 2000,
+    }
+    plain = run_ok(tmp_path, {"kind": "auction", "seed": 3, "parameters": params})
+    risk = {"hbar_e": 4, "theta": 6.283185307179586}
+    doc = {"kind": "auction", "seed": 3, "parameters": {**params, "risk": risk}}
+    path = write_scenario(tmp_path, doc, name="risky.json")
+    risky = tmp_path / "risky"
+    assert main(["run", str(path), "--out", str(risky)]) == 0
+    assert (plain / "results.json").read_bytes() != (risky / "results.json").read_bytes()
+
+
 def test_zeno_eigenstate_all_ones(tmp_path):
     out = run_ok(
         tmp_path,
@@ -251,6 +267,14 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_non_json_constant_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "fixed-point", "note": "NaN",\n  "parameters": {"sigmas": [NaN]}}')
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, column 29" in err and "NaN" in err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -275,6 +299,20 @@ def test_bad_literal_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["run", str(path)]) == 3
     assert "parameters.initial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"family": "excited", "n": 600}, "parameters.n"),
+        ({"family": "strategy", "strategy": "delta(0)"}, "parameters.strategy"),
+        ({"family": "strategy", "strategy": "discrete(0:1, 1:1)"}, "parameters.strategy"),
+    ],
+)
+def test_curves_out_of_range_exits_3(tmp_path, capsys, params, field):
+    path = write_scenario(tmp_path, {"kind": "curves", "parameters": params})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert field in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):

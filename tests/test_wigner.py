@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,27 @@ def test_wigner_mass_and_marginals():
     assert d.mass() == pytest.approx(1.0, abs=1e-9)
     dens_q = np.abs(s.amplitudes_on(d.q_grid)) ** 2
     assert np.max(np.abs(d.marginal_q() - dens_q)) < 1e-10
+
+
+def test_steep_slope_keeps_the_nyquist_step():
+    # the Nyquist step needs ~143k chord points per side: the transform
+    # must take them all, in bounded memory
+    s = Strategy.gaussian(0.0, 1.0, slope=7000.0)
+    q_grid = Grid(-8.0, 8.0, 121)
+    p_grid = Grid(7000.0 - 4.0, 7000.0 + 4.0, 121)
+    tracemalloc.start()
+    try:
+        d = wigner_transform(s, p_grid, q_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
+    q, p = q_grid.points, p_grid.points
+    dens_q = np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
+    # p spread hbar / (2 width) = 1/2 around hbar * slope
+    dens_p = np.exp(-2.0 * (p - 7000.0) ** 2) * math.sqrt(2.0 / math.pi)
+    assert np.max(np.abs(d.marginal_q() - dens_q)) < 1e-10
+    assert np.max(np.abs(d.marginal_p() - dens_p)) < 1e-10
 
 
 def test_wigner_is_real_even_for_complex_states():
@@ -189,6 +211,19 @@ def test_density_csv_round_trip(tmp_path):
     p, q, w = (float(c) for c in rows[1 + 17 * 8 + 8].split(","))
     assert (p, q) == (0.0, 0.0)
     assert w == pytest.approx(INV_PI, rel=1e-12)
+
+
+def test_density_csv_bytes_match_the_row_by_row_writer(tmp_path):
+    d = wigner_transform(Strategy.hermite(3))
+    assert (d.p_grid.n, d.q_grid.n) == (241, 241)
+    path = tmp_path / "density.csv"
+    d.to_csv(path)
+    p, q = d.p_grid.points, d.q_grid.points
+    lines = ["p,q,w\n"]
+    for i in range(d.p_grid.n):
+        for j in range(d.q_grid.n):
+            lines.append(f"{float(p[i])!r},{float(q[j])!r},{float(d.values[i, j])!r}\n")
+    assert path.read_bytes() == "".join(lines).encode()
 
 
 def test_moments_reject_zero_mass():
