@@ -12,7 +12,6 @@ from qmg import (
     RiskParams,
     Strategy,
     UNIT_RISK,
-    effective_planck,
     risk_expectation,
     spectrum,
     thermal_energy,
@@ -31,7 +30,7 @@ def main() -> None:
           f" vs h_E = {h_e:.12f}")
 
     nc = RiskParams(hbar_e=1.0, theta=2.0, theta_nc=0.75)
-    print(f"noncommutative market Theta=0.75: hbar_eff = {effective_planck(nc)}")
+    print(f"noncommutative market Theta=0.75: hbar_eff = {nc.hbar_eff}")
 
     tight = Strategy.gaussian(0.0, 0.4)
     wide = Strategy.gaussian(0.0, 1.8)

@@ -24,7 +24,7 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import Grid, RandomSource, cumulative_integral, integrate
+from .numerics import Grid, RandomSource, integrate
 from .strategy import (
     DeltaForm,
     DiscreteForm,
@@ -42,31 +42,6 @@ PRICINGS = ("first", "second", "mixed")
 def rationality(q: float, p: float) -> bool:
     """Iverson bracket [q + p <= 0]: the pair can trade at all."""
     return q + p <= 0.0
-
-
-@dataclass(frozen=True)
-class Polarization:
-    """Amplitudes over the two role assignments of a pair.
-
-    alpha weighs the assignment where buyers propose prices (first
-    price); beta the reversed one where the seller reveals the
-    withdrawal price (second price).  |alpha|^2 + |beta|^2 must be 1.
-    """
-
-    alpha: complex = 1.0 + 0.0j
-    beta: complex = 0.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-12:
-            raise ContractViolationError(
-                f"polarization amplitudes must have unit norm, got {n!r}"
-            )
-
-    @property
-    def weight(self) -> float:
-        """Probability of the buyers-propose (first price) assignment."""
-        return abs(self.alpha) ** 2
 
 
 @dataclass(frozen=True)
@@ -107,33 +82,6 @@ class AuctionInstance:
             raise ContractViolationError("rng must be a RandomSource")
 
 
-# ---------------------------------------------------------------------------
-# CDF helpers (vectorized over the evaluation points)
-
-
-def _cdf_on(s: Strategy, xs: np.ndarray, inclusive: bool = True) -> np.ndarray:
-    """P(variable <= x) of the strategy's own representation, vectorized.
-
-    inclusive=False gives P(variable < x); the two differ only on atoms.
-    """
-    form = s.form
-    if isinstance(form, DeltaForm):
-        hit = xs >= form.location if inclusive else xs > form.location
-        return hit.astype(float)
-    if isinstance(form, DiscreteForm):
-        out = np.zeros_like(xs, dtype=float)
-        for a, w in zip(form.atoms, form.weights):
-            out += w * ((xs >= a) if inclusive else (xs > a))
-        return out
-    g = s.default_grid(8192)
-    dens = np.abs(s.amplitudes_on(g)) ** 2
-    cum = cumulative_integral(dens, g)
-    if cum[-1] <= 0:
-        raise ImproperStateError("strategy has zero norm")
-    cum /= cum[-1]
-    return np.interp(xs, g.points, cum, left=0.0, right=1.0)
-
-
 def _survival_product(
     inst: AuctionInstance, k: int, xs: np.ndarray
 ) -> np.ndarray:
@@ -147,8 +95,8 @@ def _survival_product(
     for m, b in enumerate(inst.buyers):
         if m == k:
             continue
-        out *= 1.0 - _cdf_on(b, xs, inclusive=m < k)
-    out *= _cdf_on(inst.seller, -xs)
+        out *= 1.0 - b.cdf(xs, inclusive=m < k)
+    out *= inst.seller.cdf(-xs)
     return out
 
 
@@ -174,11 +122,7 @@ def transaction_density(
     xs = np.asarray(q, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    g = buyer.default_grid(8192)
-    dens = np.abs(buyer.amplitudes_on(g)) ** 2
-    total = float(integrate(dens, g))
-    own = np.interp(xs, g.points, dens / total, left=0.0, right=0.0)
-    vals = own * _survival_product(inst, k, xs)
+    vals = buyer.table.pdf(xs) * _survival_product(inst, k, xs)
     return float(vals[0]) if scalar else vals
 
 
@@ -250,24 +194,18 @@ def _draws(inst: AuctionInstance) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def _prices(q: np.ndarray, p: np.ndarray, pricing: str) -> np.ndarray:
-    q_min = np.min(q, axis=1)
-    if pricing == "first":
-        return np.exp(-q_min)
-    # second in decreasing price order among bids and the seller reserve
-    pool = np.concatenate([q, -p[:, None]], axis=1)
-    second = np.partition(pool, 1, axis=1)[:, 1]
-    return np.exp(-second)
-
-
-def _histogram(prices: np.ndarray, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    if prices.size == 0:
+def _histogram(
+    branches: list[tuple[float, np.ndarray]], bins: int = 50
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sum of the branch price histograms on edges spanning all of them."""
+    pooled = np.concatenate([prices for _, prices in branches])
+    if pooled.size == 0:
         return np.linspace(0.0, 1.0, bins + 1), np.zeros(bins)
-    lo, hi = float(np.min(prices)), float(np.max(prices))
+    lo, hi = float(np.min(pooled)), float(np.max(pooled))
     if lo == hi:
         hi = lo + max(abs(lo), 1.0) * 1e-9
-    counts, edges = np.histogram(prices, bins=bins, range=(lo, hi))
-    return edges, counts.astype(float)
+    edges = np.linspace(lo, hi, bins + 1)
+    return edges, sum(w * np.histogram(prices, bins=edges)[0] for w, prices in branches)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -279,26 +217,31 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
-def run_auction(inst: AuctionInstance) -> AuctionOutcome:
-    """Monte Carlo the auction: winners, revenue, and price histogram.
+def _simulate(inst: AuctionInstance, pricing: str, weight: float) -> AuctionOutcome:
+    """Monte Carlo one pricing rule; ``weight`` is the first-price share.
 
-    Winner is argmin q (ties to the lowest buyer index); the trade
-    executes iff q_min + p <= 0; the clearing price follows the pricing
-    rule.  Revenue means use compensated summation.  Mixed pricing
-    delegates to :func:`mixed_polarization_auction`.
+    Winner is argmin q (ties to the lowest buyer index) and the trade
+    executes iff q_min + p <= 0.  A pure rule prices only its own branch;
+    mixed pricing prices both on the same draws and blends them.
     """
-    if inst.pricing == "mixed":
-        return mixed_polarization_auction(inst, inst.weight)
     q, p = _draws(inst)
     winner = np.argmin(q, axis=1)
-    executed = q[np.arange(len(p)), winner] + p <= 0.0
-    prices = np.where(executed, _prices(q, p, inst.pricing), 0.0)
-    mean, se = _mean_se(prices)
+    q_min = q[np.arange(len(p)), winner]
+    executed = q_min + p <= 0.0
+    branches = []
+    if pricing != "second":
+        branches.append((weight, np.where(executed, np.exp(-q_min), 0.0)))
+    if pricing != "first":
+        # second in decreasing price order among bids and the seller reserve
+        pool = np.concatenate([q, -p[:, None]], axis=1)
+        second = np.partition(pool, 1, axis=1)[:, 1]
+        branches.append((1.0 - weight, np.where(executed, np.exp(-second), 0.0)))
+    mean, se = _mean_se(sum(w * prices for w, prices in branches))
     counts = np.bincount(winner[executed], minlength=len(inst.buyers))
-    edges, hist = _histogram(prices[executed])
+    edges, hist = _histogram([(w, prices[executed]) for w, prices in branches])
     return AuctionOutcome(
-        pricing=inst.pricing,
-        weight=1.0 if inst.pricing == "first" else 0.0,
+        pricing=pricing,
+        weight=weight,
         n_samples=inst.mc_samples,
         winner_freq=tuple(float(c) / inst.mc_samples for c in counts),
         revenue_mean=mean,
@@ -307,6 +250,18 @@ def run_auction(inst: AuctionInstance) -> AuctionOutcome:
         price_bin_edges=edges,
         price_counts=hist,
     )
+
+
+def run_auction(inst: AuctionInstance) -> AuctionOutcome:
+    """Monte Carlo the auction: winners, revenue, and price histogram.
+
+    The clearing price follows the instance's pricing rule; revenue
+    means use compensated summation.  Mixed pricing blends the two
+    rules with the instance's weight, as :func:`mixed_polarization_auction`.
+    """
+    if inst.pricing == "mixed":
+        return mixed_polarization_auction(inst, inst.weight)
+    return _simulate(inst, inst.pricing, 1.0 if inst.pricing == "first" else 0.0)
 
 
 def mixed_polarization_auction(
@@ -317,41 +272,12 @@ def mixed_polarization_auction(
     With probability ``weight`` the buyers propose (first price), else
     the seller reveals the withdrawal price (second price).  Both
     branches share the same sampled q and p, so the blend is exactly
-    convex: weight 1 or 0 reproduces the pure branches bit for bit.
+    convex: weight 1 or 0 reproduces the pure revenues bit for bit.  The
+    price histogram blends the branch histograms on common edges.
     """
     if not (0.0 <= weight <= 1.0):
         raise ParameterRangeError(f"weight must lie in [0,1], got {weight}")
-    q, p = _draws(inst)
-    winner = np.argmin(q, axis=1)
-    executed = q[np.arange(len(p)), winner] + p <= 0.0
-    first = np.where(executed, _prices(q, p, "first"), 0.0)
-    second = np.where(executed, _prices(q, p, "second"), 0.0)
-    blended = weight * first + (1.0 - weight) * second
-    mean, se = _mean_se(blended)
-    counts = np.bincount(winner[executed], minlength=len(inst.buyers))
-    # histogram of the mixture distribution: convex blend of branch histograms
-    both = np.concatenate([first[executed], second[executed]])
-    if both.size:
-        lo, hi = float(np.min(both)), float(np.max(both))
-        if lo == hi:
-            hi = lo + max(abs(lo), 1.0) * 1e-9
-        edges = np.linspace(lo, hi, 51)
-        h_first, _ = np.histogram(first[executed], bins=edges)
-        h_second, _ = np.histogram(second[executed], bins=edges)
-        hist = weight * h_first + (1.0 - weight) * h_second
-    else:
-        edges, hist = _histogram(both)
-    return AuctionOutcome(
-        pricing="mixed",
-        weight=weight,
-        n_samples=inst.mc_samples,
-        winner_freq=tuple(float(c) / inst.mc_samples for c in counts),
-        revenue_mean=mean,
-        revenue_se=se,
-        p_no_trade=1.0 - float(np.count_nonzero(executed)) / inst.mc_samples,
-        price_bin_edges=edges,
-        price_counts=hist,
-    )
+    return _simulate(inst, "mixed", weight)
 
 
 # ---------------------------------------------------------------------------

@@ -30,63 +30,9 @@ from .strategy import (
     UNIT_RISK,
     sample as sample_strategy,
 )
-from .wigner import PhaseSpaceDensity, coherent_wigner, thermal_wigner, CoherentParams
 from .risk import thermal_energy
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class RWModel:
-    """Rest-of-World: everything the trader bargains against.
-
-    Carries a phase-space density with unit mass and an optional
-    inverse-temperature label when the density is thermal.
-    """
-
-    density: PhaseSpaceDensity
-    beta: float | None = None
-
-    def __post_init__(self) -> None:
-        mass = self.density.mass()
-        if abs(mass - 1.0) > 1e-6:
-            raise ContractViolationError(
-                f"RW density mass must be 1 within 1e-6, got {mass!r}"
-            )
-        if self.beta is not None and self.beta <= 0:
-            raise ParameterRangeError(f"beta must be positive, got {self.beta}")
-
-    @staticmethod
-    def gaussian(
-        sigma_p: float, sigma_q: float, p0: float = 0.0, q0: float = 0.0,
-        hbar: float = 1.0,
-    ) -> "RWModel":
-        """Uncorrelated Gaussian RW with the given spreads."""
-        if sigma_p <= 0 or sigma_q <= 0:
-            raise ParameterRangeError("RW spreads must be positive")
-        # reuse the coherent builder at r=0 by matching eta to the spreads;
-        # works whenever sigma_p * sigma_q = hbar/2, otherwise build directly
-        if abs(sigma_p * sigma_q - 0.5 * hbar) < 1e-12 * hbar:
-            return RWModel(
-                coherent_wigner(
-                    CoherentParams(r=0.0, eta=0.5 * hbar / sigma_p, p0=p0, q0=q0),
-                    hbar=hbar,
-                )
-            )
-        from .numerics import Grid
-
-        pg = Grid(p0 - 8 * sigma_p, p0 + 8 * sigma_p, 241)
-        qg = Grid(q0 - 8 * sigma_q, q0 + 8 * sigma_q, 241)
-        u = (pg.points[:, None] - p0) / sigma_p
-        v = (qg.points[None, :] - q0) / sigma_q
-        vals = np.exp(-0.5 * (u * u + v * v)) / (
-            2.0 * math.pi * sigma_p * sigma_q
-        )
-        return RWModel(PhaseSpaceDensity(vals, pg, qg, hbar, kind="mixture"))
-
-    @staticmethod
-    def thermal(beta: float, risk: RiskParams) -> "RWModel":
-        return RWModel(thermal_wigner(beta, risk), beta=beta)
 
 
 @dataclass(frozen=True)
@@ -247,9 +193,11 @@ def profit_intensity(a: float | np.ndarray, rw_sigma: float = 1.0):
     The supply-side game is the mirror image, so the same function (and
     fixed point) applies to threshold strategies in p.
     """
-    if rw_sigma <= 0:
-        raise ParameterRangeError(f"rw_sigma must be positive, got {rw_sigma}")
+    if not 0 < rw_sigma < math.inf:
+        raise ParameterRangeError(f"rw_sigma must be positive and finite, got {rw_sigma}")
     u = np.asarray(a, dtype=float) / rw_sigma
+    if not np.all(np.isfinite(u)):
+        raise ParameterRangeError("threshold a must be finite")
     phi = np.exp(-0.5 * u * u) / _SQRT_TWO_PI
     value = rw_sigma * (phi - u * (1.0 - ndtr(u)))
     if np.ndim(a) == 0:

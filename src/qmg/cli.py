@@ -119,18 +119,28 @@ def _parse_literal(text, path: str, rep: Representation, base_dir: Path, risk: R
         raise _fail(path, str(exc))
 
 
-# a JSON string, or a constant Python's json accepts but JSON does not
-_CONSTANT_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+# a JSON string, or a bare token outside strings: a number, or a constant
+# Python's json accepts but JSON does not
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
 
-def _refuse_constant(text: str):
-    """parse_constant hook: NaN and Infinity are not JSON numbers.
+def _refuse_token(text: str, token: str, reason: str):
+    """Raise a decode error at the first place ``token`` stands outside a string.
 
-    The hook is not told where the token sits.  Everything before the
-    first such token parsed, so the first one outside a string is it.
+    json's parse hooks are not told where their token sits.  Everything
+    before the first offending token parsed, so its first bare occurrence
+    is it.
     """
-    match = next(m for m in _CONSTANT_TOKEN.finditer(text) if m.group(1))
-    raise json.JSONDecodeError(f"{match.group(1)} is not a JSON value", text, match.start(1))
+    match = next(m for m in _TOKEN.finditer(text) if m.group(1) == token)
+    raise json.JSONDecodeError(reason, text, match.start(1))
+
+
+def _parse_int(text: str, token: str) -> int:
+    """parse_int hook: an integer too long for int() is a parse error, not a crash."""
+    try:
+        return int(token)
+    except ValueError:
+        _refuse_token(text, token, f"integer literal of {len(token.lstrip('-'))} digits is too long")
 
 
 class Emitter:
@@ -357,7 +367,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:
-        doc = json.loads(text, parse_constant=lambda token: _refuse_constant(text))
+        doc = json.loads(
+            text,
+            parse_constant=lambda token: _refuse_token(text, token, f"{token} is not a JSON value"),
+            parse_int=lambda token: _parse_int(text, token),
+        )
     except json.JSONDecodeError as exc:
         print(
             f"error: scenario parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -68,20 +68,6 @@ def integrate(samples: Sequence[float] | np.ndarray, grid: Grid) -> float | comp
     return float(total)
 
 
-def cumulative_integral(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Running trapezoid integral; entry k integrates up to grid point k."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.shape != (grid.n,):
-        raise ContractViolationError(
-            f"expected {grid.n} samples matching the grid, got shape {arr.shape}"
-        )
-    steps = 0.5 * (arr[1:] + arr[:-1]) * grid.spacing
-    out = np.empty(grid.n)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return out
-
-
 def reciprocal_grid(grid: Grid, hbar: float = 1.0) -> Grid:
     """Conjugate-variable grid with dp chosen so dp * dq * n = 2 pi hbar.
 

@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ImproperStateError, ParameterRangeError
-from .numerics import Grid, integrate
+from .numerics import Grid
 from .strategy import (
     Representation,
     RiskParams,
@@ -32,20 +30,10 @@ from .strategy import (
 __all__ = [
     "RiskParams",
     "RiskSpectrum",
-    "effective_planck",
     "spectrum",
     "risk_expectation",
     "thermal_energy",
 ]
-
-
-def effective_planck(risk: RiskParams) -> float:
-    """Effective dispersion constant sqrt(hbar_e^2 + Theta^2).
-
-    Monotone in the deformation parameter and exactly hbar_e at
-    Theta = 0.
-    """
-    return math.hypot(risk.hbar_e, risk.theta_nc)
 
 
 @dataclass(frozen=True)
@@ -62,14 +50,14 @@ class RiskSpectrum:
     @property
     def gap(self) -> float:
         """Level spacing hbar_eff * omega."""
-        return effective_planck(self.risk) * self.risk.omega
+        return self.risk.hbar_eff * self.risk.omega
 
 
 def spectrum(risk: RiskParams, n_levels: int) -> RiskSpectrum:
     """First ``n_levels`` eigenvalues (n + 1/2) hbar_eff omega."""
     if n_levels < 1:
         raise ParameterRangeError(f"need at least one level, got {n_levels}")
-    gap = effective_planck(risk) * risk.omega
+    gap = risk.hbar_eff * risk.omega
     return RiskSpectrum(
         tuple((n + 0.5) * gap for n in range(n_levels)), risk
     )
@@ -114,5 +102,5 @@ def thermal_energy(beta: float, risk: RiskParams) -> float:
     """
     if beta <= 0:
         raise ParameterRangeError(f"beta must be positive, got {beta}")
-    half_gap = 0.5 * effective_planck(risk) * risk.omega
+    half_gap = 0.5 * risk.hbar_eff * risk.omega
     return half_gap / math.tanh(beta * half_gap)

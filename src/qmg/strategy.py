@@ -15,7 +15,8 @@ import csv
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -33,7 +34,6 @@ from .numerics import (
     Grid,
     RandomSource,
     as_generator,
-    cumulative_integral,
     fourier_p_to_q,
     fourier_q_to_p,
     integrate,
@@ -68,6 +68,10 @@ class RiskParams:
     theta_nc: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("hbar_e", "theta", "m", "theta_nc"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterRangeError(f"{name} must be finite, got {value}")
         if self.hbar_e <= 0:
             raise ParameterRangeError(f"hbar_e must be positive, got {self.hbar_e}")
         if self.theta <= 0:
@@ -348,6 +352,78 @@ class Strategy:
     def amplitudes_on(self, grid: Grid) -> np.ndarray:
         return self.evaluate(grid.points)
 
+    # -- derived once per instance --------------------------------------
+
+    @cached_property
+    def table(self) -> DistributionTable:
+        """The squared-modulus distribution on :meth:`default_grid`."""
+        return DistributionTable(self)
+
+    @cached_property
+    def _duals(self) -> dict[RiskParams, "Strategy"]:
+        return {}
+
+    def dual(self, risk: RiskParams = UNIT_RISK) -> "Strategy":
+        """This strategy in the other representation, transformed once per risk."""
+        if risk not in self._duals:
+            convert = to_supply_rep if self.rep is Representation.DEMAND else to_demand_rep
+            self._duals[risk] = convert(self, risk)
+        return self._duals[risk]
+
+    def cdf(self, x: float | np.ndarray, inclusive: bool = True) -> np.ndarray:
+        """P(variable <= x) in this strategy's own representation.
+
+        inclusive=False gives P(variable < x); the two differ only on
+        the atoms of delta and discrete strategies.
+        """
+        x = np.asarray(x, dtype=float)
+        form = self.form
+        if isinstance(form, DeltaForm):
+            pairs = [(form.location, 1.0)]
+        elif isinstance(form, DiscreteForm):
+            pairs = sorted(zip(form.atoms, form.weights))
+        else:
+            return self.table.cdf(x)
+        atoms, weights = zip(*pairs)
+        below = np.concatenate([[0.0], np.cumsum(weights)])
+        return below[np.searchsorted(atoms, x, side="right" if inclusive else "left")]
+
+
+class DistributionTable:
+    """Squared-modulus distribution of a proper strategy, tabulated once.
+
+    A cubic spline through |psi|^2 at the nodes of the strategy's default
+    grid, and its antiderivative: the CDF error stays O(dx^4) between the
+    nodes too.  The CDF at the nodes is made non-decreasing so that it
+    inverts into quantiles.
+    """
+
+    def __init__(self, s: Strategy) -> None:
+        self.grid = s.default_grid()
+        self._spline = CubicSpline(self.grid.points, np.abs(s.amplitudes_on(self.grid)) ** 2)
+        self._antiderivative = self._spline.antiderivative()
+        self._mass = float(self._antiderivative(self.grid.hi))
+        if not self._mass > 0:
+            raise DegenerateStateError("strategy has zero norm")
+        self._cdf_nodes = np.maximum.accumulate(self.cdf(self.grid.points))
+
+    def _clip(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(np.asarray(x, dtype=float), self.grid.lo, self.grid.hi)
+
+    def pdf(self, x: float | np.ndarray) -> np.ndarray:
+        """Normalised density at x; zero outside the grid."""
+        x = np.asarray(x, dtype=float)
+        inside = (x >= self.grid.lo) & (x <= self.grid.hi)
+        return np.where(inside, self._spline(self._clip(x)) / self._mass, 0.0)
+
+    def cdf(self, x: float | np.ndarray) -> np.ndarray:
+        """P(variable <= x): 0 below the grid, 1 above it."""
+        return np.clip(self._antiderivative(self._clip(x)) / self._mass, 0.0, 1.0)
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF, linear between the nodes."""
+        return np.interp(u, self._cdf_nodes, self.grid.points)
+
 
 def _bounds(form: Form, n_sigma: float) -> tuple[float, float]:
     if isinstance(form, GaussianForm):
@@ -374,6 +450,8 @@ def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
         return hermite_function(form.n, x, form.length_scale).astype(complex)
     if isinstance(form, SampledForm):
         pts = form.grid.points
+        if np.array_equal(x, pts):
+            return form.amplitudes.copy()
         # cubic off-node interpolation: linear costs O(dx^2) and visibly
         # distorts densities queried between nodes
         inside = (x >= pts[0]) & (x <= pts[-1])
@@ -499,30 +577,6 @@ def to_demand_rep(
     return Strategy(SampledForm(amps_q, gq), Representation.DEMAND)
 
 
-def _density_cdf(s: Strategy, x: float) -> float:
-    """P(variable <= x) for the squared-modulus distribution of s's rep."""
-    if isinstance(s.form, DeltaForm):
-        return 1.0 if x >= s.form.location else 0.0
-    if isinstance(s.form, DiscreteForm):
-        return math.fsum(
-            w for a, w in zip(s.form.atoms, s.form.weights) if a <= x
-        )
-    # spline antiderivative keeps the CDF error at O(dx^4), which holds
-    # below 1e-6 even on the coarser native grids of sampled strategies
-    g = s.default_grid(8192)
-    pts = g.points
-    dens = np.abs(s.amplitudes_on(g)) ** 2
-    cdf = CubicSpline(pts, dens).antiderivative()
-    total = float(cdf(pts[-1]))
-    if total <= 0:
-        raise DegenerateStateError("strategy has zero norm")
-    if x <= pts[0]:
-        return 0.0
-    if x >= pts[-1]:
-        return 1.0
-    return min(max(float(cdf(x)) / total, 0.0), 1.0)
-
-
 def buy_probability(s: Strategy, log_price: float) -> float:
     """Chance the trader accepts to buy at the quoted log-price.
 
@@ -533,7 +587,7 @@ def buy_probability(s: Strategy, log_price: float) -> float:
         raise RepresentationError("buy_probability needs the demand representation")
     if not math.isfinite(log_price):
         raise ParameterRangeError("log_price must be finite")
-    return _density_cdf(s, float(log_price))
+    return float(s.cdf(log_price))
 
 
 def sell_probability(
@@ -548,8 +602,8 @@ def sell_probability(
     if not math.isfinite(log_price):
         raise ParameterRangeError("log_price must be finite")
     if s.rep is Representation.DEMAND:
-        s = to_supply_rep(s, risk)
-    return _density_cdf(s, -float(log_price))
+        s = s.dual(risk)
+    return float(s.cdf(-log_price))
 
 
 def moments(s: Strategy, grid: Grid | None = None) -> tuple[float, float]:
@@ -593,11 +647,7 @@ def sample(
             raise ImproperStateError(
                 "improper strategies cannot be sampled in the dual representation"
             )
-        s = (
-            to_supply_rep(s, risk)
-            if target is Representation.SUPPLY
-            else to_demand_rep(s, risk)
-        )
+        s = s.dual(risk)
     form = s.form
     if isinstance(form, DeltaForm):
         return np.full(size, form.location)
@@ -605,14 +655,7 @@ def sample(
         return rng.choice(np.array(form.atoms), size=size, p=np.array(form.weights))
     if isinstance(form, GaussianForm):
         return rng.normal(form.center, form.width, size)
-    g = s.default_grid()
-    dens = np.abs(s.amplitudes_on(g)) ** 2
-    cum = cumulative_integral(dens, g)
-    if cum[-1] <= 0:
-        raise DegenerateStateError("strategy has zero norm")
-    cum /= cum[-1]
-    u = rng.uniform(0.0, 1.0, size)
-    return np.interp(u, cum, g.points)
+    return s.table.quantile(rng.uniform(0.0, 1.0, size))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,10 @@ class ZenoRun:
             raise ParameterRangeError(
                 f"total_time must be finite and >= 0, got {self.total_time}"
             )
+        if not isinstance(self.n_measurements, (int, np.integer)) or isinstance(
+            self.n_measurements, bool
+        ):
+            raise ContractViolationError("n_measurements must be an integer")
         if self.n_measurements < 1:
             raise ParameterRangeError(
                 f"n_measurements must be >= 1, got {self.n_measurements}"

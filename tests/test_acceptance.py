@@ -25,7 +25,6 @@ from qmg import (
     CoherentParams,
     Representation,
     coherent_wigner,
-    effective_planck,
     excited_wigner,
     fixed_point,
     fourier_p_to_q,
@@ -216,7 +215,7 @@ def test_criterion_09_risk_spectrum(verdict):
             ground = spectrum(risk, 1).eigenvalues[0]
             h_e = 2.0 * math.pi * risk.hbar_e
             assert abs(ground * 2.0 * theta - h_e) < 1e-12
-        assert effective_planck(RiskParams(hbar_e=1.0, theta=1.0, theta_nc=0.75)) == 1.25
+        assert RiskParams(hbar_e=1.0, theta=1.0, theta_nc=0.75).hbar_eff == 1.25
         gen = RandomSource(909).rng
         bound = 0.5 * UNIT_RISK.hbar_eff * UNIT_RISK.omega
         levels = [Strategy.hermite(k) for k in range(4)]

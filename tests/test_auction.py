@@ -6,7 +6,6 @@ import pytest
 
 from qmg.auction import (
     AuctionInstance,
-    Polarization,
     auction_from_spec,
     mixed_polarization_auction,
     outcome_to_dict,
@@ -49,13 +48,6 @@ def gaussian_instance(samples, seed=0, pricing="first"):
         mc_samples=samples,
         rng=RandomSource(seed),
     )
-
-
-def test_polarization_unit_norm():
-    pol = Polarization(alpha=3 / 5, beta=4j / 5)
-    assert pol.weight == pytest.approx(0.36)
-    with pytest.raises(ContractViolationError):
-        Polarization(alpha=1.0, beta=0.5)
 
 
 def test_instance_validation():

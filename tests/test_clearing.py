@@ -6,7 +6,6 @@ from scipy.special import ndtr
 
 from qmg.clearing import (
     Division,
-    RWModel,
     clear_round,
     cooling_experiment,
     fixed_division,
@@ -19,7 +18,7 @@ from qmg.clearing import (
 )
 from qmg.errors import ContractViolationError, ParameterRangeError
 from qmg.numerics import RandomSource
-from qmg.strategy import MarketState, Representation, Strategy, UNIT_RISK
+from qmg.strategy import MarketState, Representation, RiskParams, Strategy, UNIT_RISK, normalize
 
 # independently frozen: root of rho(a) = a for the standard normal RW
 A_STAR = 0.27602980479814
@@ -34,6 +33,9 @@ def test_profit_intensity_values():
     phi = math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
     expect = sigma * (phi - u * (1.0 - float(ndtr(u))))
     assert profit_intensity(a, sigma) == pytest.approx(expect, abs=1e-12)
+    for bad in ((math.nan, 1.0), (math.inf, 1.0), (np.array([0.0, math.nan]), 1.0), (0.5, math.inf)):
+        with pytest.raises(ParameterRangeError):
+            profit_intensity(*bad)
 
 
 def test_profit_intensity_is_decreasing_and_positive():
@@ -83,14 +85,6 @@ def test_market_temperature():
     t, energy = market_temperature(2.0, UNIT_RISK)
     assert t == 0.5
     assert energy == pytest.approx(0.6565176427496657, abs=1e-12)
-
-
-def test_rw_model_gaussian_and_thermal():
-    m = RWModel.gaussian(sigma_p=1.0 / math.sqrt(2), sigma_q=1.0 / math.sqrt(2))
-    assert m.density.mass() == pytest.approx(1.0, abs=1e-6)
-    th = RWModel.thermal(1.5, UNIT_RISK)
-    assert th.beta == 1.5
-    assert th.density.mass() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_division_validation():
@@ -166,6 +160,31 @@ def test_clear_round_pairs_best_bid_with_best_ask():
     # ascending q paired with ascending p
     assert out.pairs == ((0, 2), (1, 3))
     assert out.executed == (True, False)
+
+
+def test_clear_rounds_transform_each_trader_once_per_risk(monkeypatch):
+    import qmg.strategy as strategy_module
+
+    calls = []
+    original = strategy_module.to_supply_rep
+
+    def counting(s, risk=UNIT_RISK, grid=None):
+        calls.append((id(s), risk))
+        return original(s, risk, grid)
+
+    monkeypatch.setattr(strategy_module, "to_supply_rep", counting)
+    market = MarketState(
+        tuple(
+            normalize(Strategy.superpose([Strategy.hermite(k), Strategy.hermite(k + 1)], [1.0, 0.5j]))
+            for k in range(6)
+        )
+    )
+    other = RiskParams(hbar_e=0.7, theta=3.0)
+    gen = RandomSource(21).rng
+    for i in range(20):
+        clear_round(market, gen, risk=UNIT_RISK if i % 2 else other)
+    assert calls and len(calls) == len(set(calls))
+    assert len(calls) <= 2 * len(market.traders)
 
 
 def test_pair_execution_frequency_matches_analytic():

@@ -275,6 +275,14 @@ def test_non_json_constant_exits_2(tmp_path, capsys):
     assert "line 2, column 29" in err and "NaN" in err
 
 
+def test_overlong_integer_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "fixed-point", "seed": 3,\n  "parameters": {"sigmas": [' + "7" * 5000 + "]}}")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, column 29" in err and "5000 digits" in err and "Traceback" not in err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 

@@ -7,7 +7,6 @@ from qmg.errors import BracketingError, ContractViolationError, ParameterRangeEr
 from qmg.numerics import (
     Grid,
     RandomSource,
-    cumulative_integral,
     find_root,
     fourier_p_to_q,
     fourier_q_to_p,
@@ -48,13 +47,6 @@ def test_integrate_shape_mismatch():
     g = Grid(0.0, 1.0, 16)
     with pytest.raises(ContractViolationError):
         integrate(np.ones(15), g)
-
-
-def test_cumulative_integral_endpoints():
-    g = Grid(0.0, 2.0, 4001)
-    c = cumulative_integral(np.exp(g.points), g)
-    assert c[0] == 0.0
-    assert c[-1] == pytest.approx(math.expm1(2.0), rel=1e-7)
 
 
 def test_reciprocal_grid_pairing():

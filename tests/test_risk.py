@@ -7,7 +7,6 @@ from qmg.errors import ParameterRangeError
 from qmg.numerics import RandomSource
 from qmg.risk import (
     RiskParams,
-    effective_planck,
     risk_expectation,
     spectrum,
     thermal_energy,
@@ -17,9 +16,9 @@ from qmg.strategy import Strategy, UNIT_RISK
 COTH_1_HALF = 0.6565176427496657  # coth(1) / 2
 
 
-def test_effective_planck_pythagorean():
-    assert effective_planck(RiskParams(hbar_e=1.0, theta=1.0, theta_nc=0.75)) == 1.25
-    assert effective_planck(UNIT_RISK) == 1.0
+def test_hbar_eff_pythagorean():
+    assert RiskParams(hbar_e=1.0, theta=1.0, theta_nc=0.75).hbar_eff == 1.25
+    assert UNIT_RISK.hbar_eff == 1.0
 
 
 def test_ground_energy_times_two_theta_is_h():

@@ -47,6 +47,9 @@ def test_risk_params_validation():
         RiskParams(hbar_e=1.0, theta=-1.0)
     with pytest.raises(ParameterRangeError):
         RiskParams(hbar_e=1.0, theta=1.0, theta_nc=-0.1)
+    for bad in ({"hbar_e": math.nan}, {"theta": math.inf}, {"m": math.inf}, {"theta_nc": math.nan}):
+        with pytest.raises(ParameterRangeError):
+            RiskParams(**{"hbar_e": 1.0, "theta": 1.0, **bad})
 
 
 def test_gaussian_is_normalized_with_width_as_std():
@@ -178,6 +181,44 @@ def test_sampling_hermite_inverse_cdf():
     # level 1 densities are symmetric with variance 3/2
     assert draws.mean() == pytest.approx(0.0, abs=0.02)
     assert draws.var() == pytest.approx(1.5, abs=0.03)
+
+
+def test_sampling_agrees_with_buy_and_sell_probability():
+    s = normalize(Strategy.superpose([Strategy.hermite(0), Strategy.hermite(2)], [1.0, 0.8j]))
+    n = 40_000
+    q = sample(s, RandomSource(3), n)
+    p = sample(s, RandomSource(4), n, rep=Representation.SUPPLY)
+    # selling at ln c means p <= -ln c, so P(-p <= x) = 1 - sell_probability
+    for x in (-1.2, 0.0, 0.5, 1.7):
+        for draws, prob in ((q, buy_probability(s, x)), (-p, 1.0 - sell_probability(s, x))):
+            se = math.sqrt(prob * (1.0 - prob) / n)
+            assert abs(np.mean(draws <= x) - prob) <= 4.0 * se
+
+
+def test_distribution_table_is_built_once(monkeypatch):
+    import qmg.strategy as strategy_module
+
+    built = []
+
+    class CountingTable(strategy_module.DistributionTable):
+        def __init__(self, s):
+            built.append(s)
+            super().__init__(s)
+
+    monkeypatch.setattr(strategy_module, "DistributionTable", CountingTable)
+    s = Strategy.hermite(3)
+    values = [buy_probability(s, x) for x in np.linspace(-2.0, 2.0, 25)]
+    sample(s, RandomSource(0), 10)
+    assert built == [s]
+    assert np.all(np.diff(values) >= 0)
+
+
+def test_sampled_form_on_its_own_nodes_is_its_table():
+    g = Grid(-3.0, 3.0, 101)
+    amps = np.exp(-g.points**2) * np.exp(0.3j * g.points) + 1e-3 * np.sin(7 * g.points)
+    s = Strategy.sampled(amps, g)
+    assert np.array_equal(s.evaluate(g.points), s.form.amplitudes)
+    assert np.array_equal(s.evaluate(np.linspace(-3.0, 3.0, 101)), s.form.amplitudes)
 
 
 def test_sampling_delta_and_discrete():

@@ -149,6 +149,8 @@ def test_run_validation():
         ZenoRun(s, -0.1, 1)
     with pytest.raises(ParameterRangeError):
         ZenoRun(s, 0.5, 0)
+    with pytest.raises(ContractViolationError):
+        ZenoRun(s, 0.5, 2.5)
     with pytest.raises(ParameterRangeError):
         ZenoRun(s, 0.5, 1, basis_size=256, max_basis_size=128)
 
