@@ -10,7 +10,6 @@ needs opposite polarizations and the rationality condition q + p <= 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -179,19 +178,19 @@ class AuctionOutcome:
     price_counts: np.ndarray
 
 
-def _draws(inst: AuctionInstance) -> tuple[np.ndarray, np.ndarray]:
+def _draws(inst: AuctionInstance) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each buyer's q as one row, then the seller's p, from one generator."""
     # fresh generator per call: run_auction(inst) is idempotent for a seed
     gen = RandomSource(inst.rng.seed, inst.rng.stream).rng
     m = inst.mc_samples
-    q_cols = [
+    rows = [
         sample_strategy(b, gen, m, rep=Representation.DEMAND, risk=inst.risk)
         for b in inst.buyers
     ]
-    q = np.column_stack(q_cols)
     p = sample_strategy(
         inst.seller, gen, m, rep=Representation.SUPPLY, risk=inst.risk
     )
-    return q, p
+    return rows, p
 
 
 def _histogram(
@@ -210,31 +209,40 @@ def _histogram(
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     m = len(values)
-    mean = math.fsum(values) / m
+    mean = math.fsum(values.tolist()) / m
     if m < 2:
         return mean, 0.0
-    var = math.fsum((values - mean) ** 2) / (m - 1)
+    var = math.fsum(((values - mean) ** 2).tolist()) / (m - 1)
     return mean, math.sqrt(var / m)
 
 
 def _simulate(inst: AuctionInstance, pricing: str, weight: float) -> AuctionOutcome:
     """Monte Carlo one pricing rule; ``weight`` is the first-price share.
 
-    Winner is argmin q (ties to the lowest buyer index) and the trade
-    executes iff q_min + p <= 0.  A pure rule prices only its own branch;
-    mixed pricing prices both on the same draws and blends them.
+    Winner is the minimal q, ties to the lowest buyer index, and the
+    trade executes iff q_min + p <= 0.  A pure rule prices only its own
+    branch; mixed pricing prices both on the same draws and blends them.
+    One pass over the buyers keeps the running minimum, its owner and,
+    when needed, the second-smallest value.
     """
-    q, p = _draws(inst)
-    winner = np.argmin(q, axis=1)
-    q_min = q[np.arange(len(p)), winner]
+    rows, p = _draws(inst)
+    second_needed = pricing != "first"
+    q_min = rows[0]
+    winner = np.zeros(len(p), dtype=np.intp)
+    second = np.full(len(p), np.inf) if second_needed else None
+    for k, row in enumerate(rows[1:], start=1):
+        if second_needed:
+            second = np.minimum(second, np.maximum(q_min, row))
+        beats = row < q_min
+        winner[beats] = k
+        q_min = np.where(beats, row, q_min)
     executed = q_min + p <= 0.0
     branches = []
     if pricing != "second":
         branches.append((weight, np.where(executed, np.exp(-q_min), 0.0)))
-    if pricing != "first":
+    if second_needed:
         # second in decreasing price order among bids and the seller reserve
-        pool = np.concatenate([q, -p[:, None]], axis=1)
-        second = np.partition(pool, 1, axis=1)[:, 1]
+        second = np.minimum(second, np.maximum(q_min, -p))
         branches.append((1.0 - weight, np.where(executed, np.exp(-second), 0.0)))
     mean, se = _mean_se(sum(w * prices for w, prices in branches))
     counts = np.bincount(winner[executed], minlength=len(inst.buyers))
@@ -383,54 +391,69 @@ def vickrey_truthfulness_check(
     )
 
 
+def _minimum_law(opp_atoms) -> list[tuple[float, float]]:
+    """Atoms and weights of the minimum M of independent discrete opponents.
+
+    P(M >= x) = prod_m P(q_m >= x), so the mass at each atom is the drop
+    of that product across it: one pass over the atoms per opponent, not
+    a walk over every combination.  With no opponent M is +inf.
+    """
+    if not opp_atoms:
+        return [(math.inf, 1.0)]
+    values = np.array(sorted({a for atoms in opp_atoms for a, _ in atoms}))
+    at_or_above = np.ones(len(values))
+    above = np.ones(len(values))
+    for atoms in opp_atoms:
+        atoms = sorted(atoms)
+        a = np.array([x for x, _ in atoms])
+        tail = np.append(np.cumsum([w for _, w in reversed(atoms)])[::-1], 0.0)
+        at_or_above *= tail[np.searchsorted(a, values, side="left")]
+        above *= tail[np.searchsorted(a, values, side="right")]
+    return list(zip(values.tolist(), (at_or_above - above).tolist()))
+
+
 def _enumerate_payoffs(valuation, bids, opp_atoms, seller_atoms):
+    """Exact payoffs: bidding q wins iff q <= M (ties go to the bidder),
+    trades iff q + p <= 0, and pays e^{-min(M, -p)}, e^{p} unopposed."""
+    law = _minimum_law(opp_atoms)
     payoffs = []
     for b in bids:
         q_me = -math.log(b)
         total = 0.0
-        for combo in itertools.product(*opp_atoms, seller_atoms):
-            opp = combo[:-1]
-            p_at, p_w = combo[-1]
-            weight = p_w
-            for _, w in opp:
-                weight *= w
-            qs = [a for a, _ in opp]
-            if qs and min(qs) < q_me:
-                continue  # an opponent outbids us (ties go to us, index 0)
+        for p_at, p_w in seller_atoms:
             if q_me + p_at > 0:
                 continue  # seller walks away
-            price = math.exp(-min(qs + [-p_at])) if qs else math.exp(p_at)
-            total += weight * (valuation - price)
+            for m_at, m_w in law:
+                if m_at >= q_me:
+                    total += p_w * m_w * (valuation - math.exp(-min(m_at, -p_at)))
         payoffs.append(total)
     return payoffs
 
 
 def _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples, risk):
     gen = RandomSource(rng.seed, rng.stream).rng
-    cols = [
-        sample_strategy(o, gen, mc_samples, rep=Representation.DEMAND, risk=risk)
-        for o in opponents
-    ]
+    min_opp = None
+    for o in opponents:
+        q = sample_strategy(o, gen, mc_samples, rep=Representation.DEMAND, risk=risk)
+        min_opp = q if min_opp is None else np.minimum(min_opp, q)
     p = sample_strategy(
         seller, gen, mc_samples, rep=Representation.SUPPLY, risk=risk
     )
-    min_opp = np.min(np.column_stack(cols), axis=1) if cols else None
-    matrix = np.empty((mc_samples, len(bids)))
+    rest = -p if min_opp is None else np.minimum(min_opp, -p)
+    price = np.exp(-rest)
+    # one contiguous row of payoffs per bid
+    matrix = np.empty((len(bids), mc_samples))
     for j, b in enumerate(bids):
         q_me = -math.log(b)
+        ok = q_me + p <= 0.0
         if min_opp is not None:
-            win = q_me <= min_opp
-            rest = np.minimum(min_opp, -p)
-        else:
-            win = np.ones(mc_samples, dtype=bool)
-            rest = -p
-        ok = win & (q_me + p <= 0.0)
-        matrix[:, j] = np.where(ok, valuation - np.exp(-rest), 0.0)
-    means = [math.fsum(matrix[:, j]) / mc_samples for j in range(len(bids))]
+            ok &= q_me <= min_opp
+        matrix[j] = np.where(ok, valuation - price, 0.0)
+    means = [math.fsum(row.tolist()) / mc_samples for row in matrix]
     t_idx = min(range(len(bids)), key=lambda i: abs(bids[i] - valuation))
     ses = []
-    for j in range(len(bids)):
-        diff = matrix[:, t_idx] - matrix[:, j]
+    for row in matrix:
+        diff = matrix[t_idx] - row
         var = float(np.var(diff, ddof=1)) if mc_samples > 1 else 0.0
         ses.append(math.sqrt(var / mc_samples))
     return means, ses

@@ -216,8 +216,8 @@ def fixed_point(
     ``intensity`` may swap in an alternative profit model with the same
     (a, sigma) signature; the default is :func:`profit_intensity`.
     """
-    if rw_sigma <= 0:
-        raise ParameterRangeError(f"rw_sigma must be positive, got {rw_sigma}")
+    if not (math.isfinite(rw_sigma) and rw_sigma > 0):
+        raise ParameterRangeError(f"rw_sigma must be positive and finite, got {rw_sigma}")
     rho = intensity if intensity is not None else profit_intensity
     return find_root(
         lambda a: rho(a, rw_sigma) - a,

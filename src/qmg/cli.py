@@ -77,6 +77,13 @@ def _get(params: dict, field: str, kinds, path: str, required: bool = True, defa
     return value
 
 
+def _refuse_unknown(doc: dict, known, path: str) -> None:
+    """Refuse the first field of ``doc`` that is not in ``known``: nothing is ignored."""
+    for field in doc:
+        if field not in known:
+            raise _fail(f"{path}.{field}", f"unknown field; expected {', '.join(known)}")
+
+
 def _number(params: dict, field: str, path: str, required: bool = True, default=None, positive: bool = False):
     value = _get(params, field, (int, float), path, required, default)
     if value is None:
@@ -94,6 +101,7 @@ def _parse_risk(params: dict, path: str) -> RiskParams:
     if doc is None:
         return UNIT_RISK
     rpath = f"{path}.risk"
+    _refuse_unknown(doc, ("hbar_e", "theta", "omega", "m", "theta_nc"), rpath)
     hbar_e = _number(doc, "hbar_e", rpath, positive=True)
     m = _number(doc, "m", rpath, required=False, default=1.0, positive=True)
     theta_nc = _number(doc, "theta_nc", rpath, required=False, default=0.0)
@@ -143,6 +151,14 @@ def _parse_int(text: str, token: str) -> int:
         _refuse_token(text, token, f"integer literal of {len(token.lstrip('-'))} digits is too long")
 
 
+def _parse_float(text: str, token: str) -> float:
+    """parse_float hook: a literal that overflows to inf is a parse error."""
+    value = float(token)
+    if not math.isfinite(value):
+        _refuse_token(text, token, f"number {token} overflows a double")
+    return value
+
+
 class Emitter:
     """Collects output files under one directory for the manifest."""
 
@@ -175,10 +191,21 @@ def _cell(value) -> str:
 # kind handlers
 
 
+_CURVE_FIELDS = {
+    "coherent": ("r", "eta", "p0", "q0"),
+    "thermal": ("beta",),
+    "excited": ("n",),
+    "strategy": ("strategy",),
+}
+
+
 def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     path = "parameters"
-    risk = _parse_risk(params, path)
     family = _get(params, "family", str, path)
+    if family not in _CURVE_FIELDS:
+        raise _fail(f"{path}.family", f"unknown family {family!r}")
+    _refuse_unknown(params, ("family", "risk") + _CURVE_FIELDS[family], path)
+    risk = _parse_risk(params, path)
     if family == "coherent":
         cp = CoherentParams(
             r=_number(params, "r", path),
@@ -202,14 +229,14 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
         if s.is_improper:
             raise _fail(f"{path}.strategy", "point strategies have no Wigner density")
         density = wigner_transform(s, hbar=risk.hbar_eff)
-    else:
-        raise _fail(f"{path}.family", f"unknown family {family!r}")
     curves = dominant_curves(density)
     density.to_csv(emit.path("density.csv"))
     curves.to_csv(emit.path("curves.csv"))
 
 
 def _run_fixed_point(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
+    # the profit-intensity fixed point does not involve the risk operator
+    _refuse_unknown(params, ("sigmas",), "parameters")
     sigmas = _get(params, "sigmas", list, "parameters")
     if len(sigmas) == 0:
         raise _fail("parameters.sigmas", "must be a nonempty list")
@@ -225,6 +252,9 @@ def _run_fixed_point(params: dict, seed: int, emit: Emitter, base_dir: Path) -> 
 
 
 def _run_auction(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
+    _refuse_unknown(
+        params, ("buyers", "seller", "pricing", "weight", "samples", "seed", "risk"), "parameters"
+    )
     risk = _parse_risk(params, "parameters")
     try:
         inst = auction_from_spec(params, base_dir=base_dir, default_seed=seed, risk=risk)
@@ -248,6 +278,7 @@ def _run_auction(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None
 
 def _run_zeno(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     path = "parameters"
+    _refuse_unknown(params, ("initial", "total_time", "n_values", "risk"), path)
     risk = _parse_risk(params, path)
     raw = params.get("initial")
     if isinstance(raw, str):
@@ -278,6 +309,7 @@ def _run_zeno(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
 
 def _run_thermal(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     path = "parameters"
+    _refuse_unknown(params, ("betas", "series_terms", "risk"), path)
     risk = _parse_risk(params, path)
     betas = _get(params, "betas", list, path)
     if len(betas) == 0:
@@ -306,6 +338,7 @@ def _run_thermal(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None
 
 def _run_risk_spectrum(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     path = "parameters"
+    _refuse_unknown(params, ("levels", "risk"), path)
     risk = _parse_risk(params, path)
     levels = _get(params, "levels", int, path)
     if levels < 1:
@@ -320,6 +353,7 @@ def _run_risk_spectrum(params: dict, seed: int, emit: Emitter, base_dir: Path) -
 
 def _run_clearing(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     path = "parameters"
+    _refuse_unknown(params, ("traders", "rounds", "risk"), path)
     risk = _parse_risk(params, path)
     raw = _get(params, "traders", list, path)
     if len(raw) < 2:
@@ -329,6 +363,7 @@ def _run_clearing(params: dict, seed: int, emit: Emitter, base_dir: Path) -> Non
         epath = f"{path}.traders[{i}]"
         rep = Representation.DEMAND
         if isinstance(entry, dict):
+            _refuse_unknown(entry, ("strategy", "rep"), epath)
             rep_name = _get(entry, "rep", str, epath, required=False, default="demand")
             if rep_name not in ("demand", "supply"):
                 raise _fail(f"{epath}.rep", f"must be demand or supply, got {rep_name!r}")
@@ -371,6 +406,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             text,
             parse_constant=lambda token: _refuse_token(text, token, f"{token} is not a JSON value"),
             parse_int=lambda token: _parse_int(text, token),
+            parse_float=lambda token: _parse_float(text, token),
         )
     except json.JSONDecodeError as exc:
         print(
@@ -382,6 +418,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         if not isinstance(doc, dict):
             raise _fail("$", "scenario must be a JSON object")
+        _refuse_unknown(doc, ("kind", "seed", "parameters", "output"), "scenario")
         kind = _get(doc, "kind", str, "scenario")
         if kind not in KINDS:
             raise _fail("scenario.kind", f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")

@@ -420,9 +420,50 @@ class DistributionTable:
         """P(variable <= x): 0 below the grid, 1 above it."""
         return np.clip(self._antiderivative(self._clip(x)) / self._mass, 0.0, 1.0)
 
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Guide table, slopes and bracket tops for constant-time quantiles.
+
+        With M = 4 x the node count, ``guide[b]`` is the last node j with
+        c[j] <= b/M (Chen & Asau's indexed search), clipped to a segment
+        index, so the segment holding u starts at or after
+        ``guide[int(u*M)]``.  Built by counting, O(n + M), without a binary
+        search.  ``top[j]`` is c[j+1], or -inf where the segment's slope
+        overflows, so that a bracket test sends such draws elsewhere.
+        """
+        c = self._cdf_nodes
+        m = 4 * len(c)
+        first_bucket = np.ceil(c * m).astype(np.intp)
+        guide = np.cumsum(np.bincount(first_bucket, minlength=m + 1)) - 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            slope = np.diff(self.grid.points) / np.diff(c)
+        top = np.where(np.isfinite(slope), c[1:], -np.inf)
+        return guide.clip(0, len(c) - 2), slope, top
+
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF, linear between the nodes."""
-        return np.interp(u, self._cdf_nodes, self.grid.points)
+        """Inverse CDF, linear between the nodes: bit for bit ``np.interp``.
+
+        A batch of u >= 0 looks each segment up in the guide table and
+        repeats interp's arithmetic; draws whose bucket does not settle the
+        segment (plateaus, several nodes in one bucket, u beyond the last
+        node) go to ``np.interp``, as do batches with fewer draws than
+        nodes, where the guide cannot pay for itself, and batches holding
+        a negative or NaN u.
+        """
+        c, x = self._cdf_nodes, self.grid.points
+        u = np.asarray(u, dtype=float)
+        if u.size < len(c) or not u.min() >= 0.0:
+            return np.interp(u, c, x)
+        guide, slope, top = self._guide
+        m = len(guide) - 1
+        j = guide[np.minimum(u * m, m).astype(np.intp)]
+        lo = c[j]
+        with np.errstate(invalid="ignore"):  # inf * 0 on plateaus, which miss below
+            out = slope[j] * (u - lo) + x[j]
+        miss = (u < lo) | (u >= top[j])
+        if miss.any():
+            out[miss] = np.interp(u[miss], c, x)
+        return out
 
 
 def _bounds(form: Form, n_sigma: float) -> tuple[float, float]:

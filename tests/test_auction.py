@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,9 @@ import pytest
 
 from qmg.auction import (
     AuctionInstance,
+    _draws,
+    _enumerate_payoffs,
+    _mean_se,
     auction_from_spec,
     mixed_polarization_auction,
     outcome_to_dict,
@@ -101,6 +105,71 @@ def test_ties_go_to_the_lowest_index():
     )
     out = run_auction(inst)
     assert out.winner_freq == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("pricing", ["first", "second", "mixed"])
+def test_single_pass_matches_argmin_and_partition(pricing):
+    # discrete buyers on shared atoms tie in most draws; -p ties them too
+    atoms = [-0.5, 0.0, 0.5]
+    inst = AuctionInstance(
+        buyers=(
+            Strategy.discrete(atoms, [1, 2, 1]),
+            Strategy.discrete(atoms, [1, 1, 1]),
+            Strategy.discrete(atoms[1:], [3, 1]),
+            Strategy.discrete(atoms, [2, 1, 2]),
+        ),
+        seller=Strategy.discrete(atoms, rep=Representation.SUPPLY),
+        pricing=pricing,
+        weight=0.3 if pricing == "mixed" else 1.0,
+        mc_samples=5_000,
+        rng=RandomSource(8),
+    )
+    out = run_auction(inst)
+    rows, p = _draws(inst)
+    q = np.column_stack(rows)
+    winner = np.argmin(q, axis=1)
+    q_min = q[np.arange(len(p)), winner]
+    executed = q_min + p <= 0.0
+    second = np.partition(np.concatenate([q, -p[:, None]], axis=1), 1, axis=1)[:, 1]
+    counts = np.bincount(winner[executed], minlength=4)
+    assert out.winner_freq == tuple(float(c) / inst.mc_samples for c in counts)
+    first = np.where(executed, np.exp(-q_min), 0.0)
+    second = np.where(executed, np.exp(-second), 0.0)
+    prices = {"first": first, "second": second, "mixed": 0.3 * first + (1.0 - 0.3) * second}
+    assert (out.revenue_mean, out.revenue_se) == _mean_se(prices[pricing])
+
+
+def test_exact_vickrey_agrees_with_enumerating_every_combination():
+    def brute_force(valuation, bids, opp_atoms, seller_atoms):
+        payoffs = []
+        for b in bids:
+            q_me = -math.log(b)
+            total = 0.0
+            for combo in itertools.product(*opp_atoms, seller_atoms):
+                (p_at, p_w), opp = combo[-1], combo[:-1]
+                qs = [a for a, _ in opp]
+                if min(qs) < q_me or q_me + p_at > 0:
+                    continue
+                total += p_w * math.prod(w for _, w in opp) * (valuation - math.exp(-min(qs + [-p_at])))
+            payoffs.append(total)
+        return payoffs
+
+    rng = np.random.default_rng(4)
+    bids = [0.6, 0.8, 1.0, math.exp(0.25), 1.5]
+    shared = [-math.log(b) for b in bids[:3]] + [0.25]  # ties with bids and between opponents
+    opp_atoms = []
+    for _ in range(4):
+        a = np.concatenate([rng.choice(shared, 2, replace=False), rng.normal(size=3)])
+        w = rng.uniform(0.1, 1.0, size=5)
+        opp_atoms.append(list(zip(a.tolist(), (w / w.sum()).tolist())))
+    seller_atoms = [(-0.25, 0.3), (-1.0, 0.5), (0.3, 0.2)]
+    got = _enumerate_payoffs(1.0, bids, opp_atoms, seller_atoms)
+    want = brute_force(1.0, bids, opp_atoms, seller_atoms)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    assert any(abs(x) > 1e-3 for x in want)
+    # unopposed, the bidder pays the seller's reserve e^p
+    alone = _enumerate_payoffs(1.0, [1.0], [], [(-0.25, 1.0)])
+    assert alone == [pytest.approx(1.0 - math.exp(-0.25), abs=1e-15)]
 
 
 def test_gaussian_total_probability_quadrature():

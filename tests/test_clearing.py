@@ -56,6 +56,12 @@ def test_fixed_point_value_and_speed():
     assert profit_intensity(a) == pytest.approx(a, abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+def test_fixed_point_refuses_invalid_spread(sigma):
+    with pytest.raises(ParameterRangeError):
+        fixed_point(sigma)
+
+
 def test_fixed_point_homogeneity():
     base = fixed_point(1.0)
     for sigma in (0.5, 2.0, 7.3):

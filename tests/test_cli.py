@@ -283,6 +283,14 @@ def test_overlong_integer_exits_2(tmp_path, capsys):
     assert "line 2, column 29" in err and "5000 digits" in err and "Traceback" not in err
 
 
+def test_overflowing_float_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "fixed-point", "seed": 3,\n  "parameters": {"sigmas": [0.5, 1e999]}}')
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, column 34" in err and "1e999" in err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -297,6 +305,55 @@ def test_missing_field_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, {"kind": "fixed-point", "parameters": {}})
     assert main(["run", str(path)]) == 3
     assert "parameters.sigmas" in capsys.readouterr().err
+
+
+MINIMAL_PARAMETERS = {
+    "curves": {"family": "excited", "n": 1},
+    "fixed-point": {"sigmas": [1.0]},
+    "auction": {"buyers": ["gaussian(0, 1)"], "seller": "gaussian(0, 1)", "pricing": "first", "samples": 10},
+    "zeno": {"initial": "hermite(0)", "total_time": 0.5, "n_values": [1]},
+    "thermal": {"betas": [1.0], "series_terms": 5},
+    "risk-spectrum": {"levels": 3},
+    "clearing": {"traders": ["gaussian(0, 1)", "gaussian(0, 1)"], "rounds": 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MINIMAL_PARAMETERS))
+def test_unknown_fields_exit_3(tmp_path, capsys, kind):
+    params = MINIMAL_PARAMETERS[kind]
+    run_ok(tmp_path, {"kind": kind, "parameters": params})
+    cases = [
+        ({"kind": kind, "parameters": params, "sede": 1}, "scenario.sede"),
+        ({"kind": kind, "parameters": {**params, "totl_time": 3}}, "parameters.totl_time"),
+    ]
+    risk = {"hbar_e": 1.0, "theta": 6.0, "thetanc": 0.1}
+    # the fixed point does not involve the risk operator, so it takes no risk record
+    field = "parameters.risk" if kind == "fixed-point" else "parameters.risk.thetanc"
+    cases.append(({"kind": kind, "parameters": {**params, "risk": risk}}, field))
+    for doc, field in cases:
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "refused")]) == 3
+        assert f"invalid scenario at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"family": "excited", "n": 1, "beta": 2.0}, "parameters.beta"),
+        ({"family": "coherent", "r": 0.5, "eta": 1.0, "strategy": "hermite(0)"}, "parameters.strategy"),
+    ],
+)
+def test_curves_fields_of_another_family_exit_3(tmp_path, capsys, params, field):
+    path = write_scenario(tmp_path, {"kind": "curves", "parameters": params})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"at {field}:" in capsys.readouterr().err
+
+
+def test_unknown_trader_field_exits_3(tmp_path, capsys):
+    traders = ["gaussian(0, 1)", {"strategy": "hermite(1)", "rep": "supply", "side": "ask"}]
+    path = write_scenario(tmp_path, {"kind": "clearing", "parameters": {"traders": traders, "rounds": 1}})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "parameters.traders[1].side" in capsys.readouterr().err
 
 
 def test_bad_literal_exits_3(tmp_path, capsys):

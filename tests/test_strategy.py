@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmg.errors import (
     ContractViolationError,
@@ -12,6 +14,7 @@ from qmg.errors import (
 )
 from qmg.numerics import Grid, RandomSource, integrate
 from qmg.strategy import (
+    DistributionTable,
     Representation,
     RiskParams,
     Strategy,
@@ -211,6 +214,38 @@ def test_distribution_table_is_built_once(monkeypatch):
     sample(s, RandomSource(0), 10)
     assert built == [s]
     assert np.all(np.diff(values) >= 0)
+
+
+@given(
+    n=st.integers(8, 300),
+    zero_runs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.4)), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantile_is_interp_bit_for_bit(n, zero_runs, seed):
+    rng = np.random.default_rng(seed)
+    g = Grid(-3.0, 3.0, n)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for start, length in zero_runs:  # flat stretches of the CDF
+        i = int(start * n)
+        amps[i : i + max(1, int(length * n))] = 0.0
+    amps[rng.integers(n)] = 1.0
+    table = DistributionTable(Strategy.sampled(amps, g))
+    c, x = table._cdf_nodes, g.points
+    special = np.concatenate([c, [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.5]])
+    for size in (n // 2, 4 * n):  # below and above one draw per node
+        u = np.where(rng.random(size) < 0.5, rng.uniform(0.0, 1.0, size), rng.choice(special, size))
+        got = table.quantile(u)
+        assert np.array_equal(got.view(np.uint64), np.interp(u, c, x).view(np.uint64))
+
+
+def test_quantile_is_interp_where_a_slope_overflows():
+    table = DistributionTable(Strategy.hermite(0))
+    c = table._cdf_nodes.copy()
+    c[:4] = [0.0, 5e-324, 1e-323, 1.5e-323]  # node gaps far below dx / DBL_MAX
+    table._cdf_nodes = c
+    u = np.resize(c[:6], 4 * len(c))
+    got = table.quantile(u)
+    assert np.array_equal(got.view(np.uint64), np.interp(u, c, table.grid.points).view(np.uint64))
 
 
 def test_sampled_form_on_its_own_nodes_is_its_table():
