@@ -27,13 +27,13 @@ def main() -> None:
     print(f"  P(withdraw above ln c=0) = {sell_probability(buyer, 0.0):.6f}")
 
     dual = to_supply_rep(buyer)
-    mu, sd = moments(dual, dual.default_grid())
+    mu, sd = moments(dual)
     print("same trader seen from the supply side:")
     print(f"  mean selling log-price {mu:+.6f}, spread {sd:.6f}")
 
     tilted = Strategy.gaussian(0.0, 1.0, slope=-0.8)
     dual2 = to_supply_rep(tilted)
-    mu2, _ = moments(dual2, dual2.default_grid())
+    mu2, _ = moments(dual2)
     print("a bid-center shift only rephases the dual; a phase slope moves it:")
     print(f"  slope -0.8 puts the ask center at {mu2:+.6f}")
 

@@ -23,7 +23,7 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import Grid, RandomSource, integrate
+from .numerics import Grid, RandomSource, check_count, integrate
 from .strategy import (
     DeltaForm,
     DiscreteForm,
@@ -36,11 +36,8 @@ from .strategy import (
 )
 
 PRICINGS = ("first", "second", "mixed")
-
-
-def rationality(q: float, p: float) -> bool:
-    """Iverson bracket [q + p <= 0]: the pair can trade at all."""
-    return q + p <= 0.0
+# nodes of each buyer's transaction-density quadrature
+_QUADRATURE_N = 4096
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,7 @@ class AuctionInstance:
             )
         if not (0.0 <= self.weight <= 1.0):
             raise ParameterRangeError(f"weight must lie in [0,1], got {self.weight}")
-        if self.mc_samples < 1:
-            raise ParameterRangeError(
-                f"mc_samples must be >= 1, got {self.mc_samples}"
-            )
+        check_count(self.mc_samples, "mc_samples", 1)
         if not isinstance(self.rng, RandomSource):
             raise ContractViolationError("rng must be a RandomSource")
 
@@ -134,9 +128,7 @@ class TransactionReport:
     p_no_trade: float
 
 
-def transaction_probabilities(
-    inst: AuctionInstance, grid_n: int = 4096
-) -> TransactionReport:
+def transaction_probabilities(inst: AuctionInstance) -> TransactionReport:
     """Integrate the transaction density per buyer; atoms handled exactly.
 
     Sums to the total transaction probability; its complement is the
@@ -153,7 +145,7 @@ def transaction_probabilities(
             per.append(float(np.dot(form.weights, surv)))
         else:
             lo, hi = buyer.support_bounds()
-            g = Grid(lo, hi, grid_n)
+            g = Grid(lo, hi, _QUADRATURE_N)
             per.append(float(integrate(transaction_density(inst, k, g.points), g)))
     total = math.fsum(per)
     return TransactionReport(tuple(per), total, 1.0 - total)
@@ -342,11 +334,12 @@ def vickrey_truthfulness_check(
     density) are refused: the property is only claimed for positive
     measures.
     """
-    if valuation <= 0:
-        raise ParameterRangeError(f"valuation must be positive, got {valuation}")
+    if not (valuation > 0 and math.isfinite(valuation)):
+        raise ParameterRangeError(f"valuation must be positive and finite, got {valuation}")
+    check_count(mc_samples, "mc_samples", 1)
     bids = tuple(float(b) for b in bid_grid)
-    if len(bids) < 1 or any(b <= 0 for b in bids):
-        raise ParameterRangeError("bid grid must contain positive prices")
+    if len(bids) < 1 or not all(0 < b < math.inf for b in bids):
+        raise ParameterRangeError("bid grid must contain positive finite prices")
     if not any(math.isclose(b, valuation, rel_tol=0, abs_tol=1e-12) for b in bids):
         raise ContractViolationError("bid grid must contain the valuation")
     if seller.rep is not Representation.SUPPLY:

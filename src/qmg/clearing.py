@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ContractViolationError, ParameterRangeError
-from .numerics import RandomSource, as_generator, find_root
+from .numerics import RandomSource, as_generator, check_count, find_root
 from .strategy import (
     MarketState,
     Representation,
@@ -172,8 +172,7 @@ def pair_execution_frequency(
     two-trader division ``rounds`` times, but draws all samples in one
     shot so million-round estimates stay cheap.
     """
-    if rounds < 1:
-        raise ParameterRangeError(f"rounds must be positive, got {rounds}")
+    check_count(rounds, "rounds", 1)
     gen = as_generator(rng)
     q = sample_strategy(buyer, gen, rounds, rep=Representation.DEMAND, risk=risk)
     p = sample_strategy(seller, gen, rounds, rep=Representation.SUPPLY, risk=risk)
@@ -205,22 +204,12 @@ def profit_intensity(a: float | np.ndarray, rw_sigma: float = 1.0):
     return value
 
 
-IntensityFunction = Callable[[float, float], float]
-
-
-def fixed_point(
-    rw_sigma: float = 1.0, intensity: IntensityFunction | None = None
-) -> float:
-    """Solve rho(a) = a on (0, 5 sigma) by bisection.
-
-    ``intensity`` may swap in an alternative profit model with the same
-    (a, sigma) signature; the default is :func:`profit_intensity`.
-    """
+def fixed_point(rw_sigma: float = 1.0) -> float:
+    """Solve rho(a) = a on (0, 5 sigma) by bisection, rho the :func:`profit_intensity`."""
     if not (math.isfinite(rw_sigma) and rw_sigma > 0):
         raise ParameterRangeError(f"rw_sigma must be positive and finite, got {rw_sigma}")
-    rho = intensity if intensity is not None else profit_intensity
     return find_root(
-        lambda a: rho(a, rw_sigma) - a,
+        lambda a: profit_intensity(a, rw_sigma) - a,
         (1e-12 * rw_sigma, 5.0 * rw_sigma),
         tol=1e-13 * max(rw_sigma, 1.0),
     )
@@ -253,8 +242,8 @@ def cooling_experiment(sigmas: Sequence[float]) -> list[CoolingRow]:
 
 def market_temperature(beta: float, risk: RiskParams) -> tuple[float, float]:
     """Temperature T = 1/beta and the mean thermal risk at that beta."""
-    if beta <= 0:
-        raise ParameterRangeError(f"beta must be positive, got {beta}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
     return 1.0 / beta, thermal_energy(beta, risk)
 
 

@@ -23,6 +23,20 @@ from .errors import BracketingError, ContractViolationError, ParameterRangeError
 TWO_PI = 2.0 * math.pi
 
 
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int, refused unless it is an integer >= ``minimum``.
+
+    Bools, floats (2.5, or 3.0 alike) and other non-integers raise
+    ContractViolationError; an integer below ``minimum`` raises
+    ParameterRangeError.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterRangeError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``n`` points spanning ``[lo, hi]`` inclusive."""
@@ -32,10 +46,7 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ContractViolationError("grid size n must be an integer")
-        if self.n < 8:
-            raise ParameterRangeError(f"grid needs at least 8 points, got n={self.n}")
+        check_count(self.n, "grid size n", 8)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ParameterRangeError("grid endpoints must be finite")
         if not self.lo < self.hi:
@@ -195,16 +206,10 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise ContractViolationError("seed must be an integer")
-        if not isinstance(stream, (int, np.integer)) or isinstance(stream, bool):
-            raise ContractViolationError("stream must be an integer")
-        if seed < 0 or seed > 2**64 - 1:
+        self.seed = check_count(seed, "seed", 0)
+        self.stream = check_count(stream, "stream", 0)
+        if self.seed > 2**64 - 1:
             raise ParameterRangeError(f"seed must fit in 64 unsigned bits, got {seed}")
-        if stream < 0:
-            raise ParameterRangeError(f"stream must be non-negative, got {stream}")
-        self.seed = int(seed)
-        self.stream = int(stream)
         self._rng: np.random.Generator | None = None
 
     @property
@@ -213,10 +218,6 @@ class RandomSource:
             seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
             self._rng = np.random.Generator(np.random.PCG64(seq))
         return self._rng
-
-    def spawn(self, stream: int) -> "RandomSource":
-        """Fresh source on another stream of the same seed."""
-        return RandomSource(self.seed, stream)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"

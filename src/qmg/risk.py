@@ -17,14 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import ImproperStateError, ParameterRangeError
-from .numerics import Grid
+from .numerics import check_count
 from .strategy import (
     Representation,
     RiskParams,
     Strategy,
     moments as strategy_moments,
-    to_demand_rep,
-    to_supply_rep,
 )
 
 __all__ = [
@@ -55,17 +53,14 @@ class RiskSpectrum:
 
 def spectrum(risk: RiskParams, n_levels: int) -> RiskSpectrum:
     """First ``n_levels`` eigenvalues (n + 1/2) hbar_eff omega."""
-    if n_levels < 1:
-        raise ParameterRangeError(f"need at least one level, got {n_levels}")
+    check_count(n_levels, "n_levels", 1)
     gap = risk.hbar_eff * risk.omega
     return RiskSpectrum(
         tuple((n + 0.5) * gap for n in range(n_levels)), risk
     )
 
 
-def risk_expectation(
-    s: Strategy, risk: RiskParams, grid: Grid | None = None
-) -> float:
+def risk_expectation(s: Strategy, risk: RiskParams) -> float:
     """Expected risk <H> of a normalizable strategy.
 
     The operator centers (p0, q0) are the state's own means, so the
@@ -73,7 +68,8 @@ def risk_expectation(
     <H> = Var(p) / (2m) + m omega^2 Var(q) / 2.  A displaced or
     phase-tilted packet therefore carries the same risk as the centered
     one, and every normalized strategy satisfies
-    <H> >= hbar_eff omega / 2 (the uncertainty bound).
+    <H> >= hbar_eff omega / 2 (the uncertainty bound).  The other
+    quadrature is the strategy's cached dual, :meth:`Strategy.dual`.
     """
     if not isinstance(s, Strategy):
         raise ImproperStateError("risk_expectation expects a Strategy")
@@ -82,9 +78,9 @@ def risk_expectation(
             "point strategies have divergent risk (infinite dual spread)"
         )
     if s.rep is Representation.DEMAND:
-        demand, supply = s, to_supply_rep(s, risk, grid=grid)
+        demand, supply = s, s.dual(risk)
     else:
-        demand, supply = to_demand_rep(s, risk), s
+        demand, supply = s.dual(risk), s
     _, q_std = strategy_moments(demand)
     _, p_std = strategy_moments(supply)
     return (
@@ -100,7 +96,7 @@ def thermal_energy(beta: float, risk: RiskParams) -> float:
     high-temperature limit is the equipartition value 1/beta, the zero
     temperature limit is the ground energy.
     """
-    if beta <= 0:
-        raise ParameterRangeError(f"beta must be positive, got {beta}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
     half_gap = 0.5 * risk.hbar_eff * risk.omega
     return half_gap / math.tanh(beta * half_gap)

@@ -34,12 +34,16 @@ from .numerics import (
     Grid,
     RandomSource,
     as_generator,
+    check_count,
     fourier_p_to_q,
     fourier_q_to_p,
     integrate,
 )
 
 TWO_PI = 2.0 * math.pi
+# support half-width in standard deviations, and the default grid's node count
+_SUPPORT_SIGMAS = 8.0
+_DEFAULT_GRID_N = 2048
 
 
 class Representation(enum.Enum):
@@ -144,10 +148,7 @@ class HermiteForm:
     risk: RiskParams = UNIT_RISK
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ContractViolationError("hermite order n must be an integer")
-        if self.n < 0:
-            raise ParameterRangeError(f"hermite order must be >= 0, got {self.n}")
+        check_count(self.n, "hermite order n", 0)
 
     @property
     def length_scale(self) -> float:
@@ -238,10 +239,9 @@ def hermite_function(n: int, x: np.ndarray, length_scale: float = 1.0) -> np.nda
     u = x / length_scale, which is stable for large n where the raw
     Hermite polynomial would overflow.
     """
-    if n < 0:
-        raise ParameterRangeError(f"order must be >= 0, got {n}")
-    if length_scale <= 0:
-        raise ParameterRangeError("length_scale must be positive")
+    check_count(n, "order n", 0)
+    if not (length_scale > 0 and math.isfinite(length_scale)):
+        raise ParameterRangeError(f"length_scale must be positive and finite, got {length_scale}")
     u = np.asarray(x, dtype=float) / length_scale
     phi_prev = np.zeros_like(u)
     phi = math.pi ** (-0.25) * np.exp(-0.5 * u * u)
@@ -272,7 +272,7 @@ class Strategy:
 
     @staticmethod
     def hermite(n: int, risk: RiskParams = UNIT_RISK) -> "Strategy":
-        return Strategy(HermiteForm(int(n), risk), Representation.DEMAND)
+        return Strategy(HermiteForm(n, risk), Representation.DEMAND)
 
     @staticmethod
     def delta(
@@ -329,17 +329,17 @@ class Strategy:
     def is_improper(self) -> bool:
         return isinstance(self.form, (DeltaForm, DiscreteForm))
 
-    def support_bounds(self, n_sigma: float = 8.0) -> tuple[float, float]:
+    def support_bounds(self) -> tuple[float, float]:
         """Interval outside which the amplitudes are numerically negligible."""
-        return _bounds(self.form, n_sigma)
+        return _bounds(self.form)
 
-    def default_grid(self, n: int = 2048) -> Grid:
+    def default_grid(self) -> Grid:
         # sampled amplitudes carry no information between their own
-        # nodes, so their native grid beats any requested resolution
+        # nodes, so their native grid beats any finer resampling
         if isinstance(self.form, SampledForm):
             return self.form.grid
         lo, hi = self.support_bounds()
-        return Grid(lo, hi, n)
+        return Grid(lo, hi, _DEFAULT_GRID_N)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Complex amplitudes at the given points of this representation."""
@@ -466,16 +466,17 @@ class DistributionTable:
         return out
 
 
-def _bounds(form: Form, n_sigma: float) -> tuple[float, float]:
+def _bounds(form: Form) -> tuple[float, float]:
     if isinstance(form, GaussianForm):
-        return form.center - n_sigma * form.width, form.center + n_sigma * form.width
+        half = _SUPPORT_SIGMAS * form.width
+        return form.center - half, form.center + half
     if isinstance(form, HermiteForm):
-        half = n_sigma * math.sqrt(form.n + 0.5) * form.length_scale
+        half = _SUPPORT_SIGMAS * math.sqrt(form.n + 0.5) * form.length_scale
         return -half, half
     if isinstance(form, SampledForm):
         return form.grid.lo, form.grid.hi
     if isinstance(form, SuperposedForm):
-        lows, highs = zip(*(_bounds(p.form, n_sigma) for p in form.parts))
+        lows, highs = zip(*(_bounds(p.form) for p in form.parts))
         return min(lows), max(highs)
     raise ImproperStateError(f"{type(form).__name__} has no L2 support interval")
 
@@ -515,11 +516,11 @@ def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
 # operations
 
 
-def norm(s: Strategy, grid: Grid | None = None) -> float:
-    """L2 norm by quadrature (analytic forms included, for cross-checks)."""
+def norm(s: Strategy) -> float:
+    """L2 norm by quadrature on the default grid (analytic forms too, for cross-checks)."""
     if s.is_improper:
         raise ImproperStateError("improper strategies have no finite norm")
-    g = grid if grid is not None else s.default_grid()
+    g = s.default_grid()
     amps = s.amplitudes_on(g)
     return math.sqrt(max(float(integrate(np.abs(amps) ** 2, g)), 0.0))
 
@@ -557,14 +558,10 @@ def _balanced_grid(s: Strategy, hbar: float, forward) -> Grid:
     dx <= sigma/16 on each side, spans >= mean +- 12 sigma on each side.
     """
     g0 = s.default_grid()
-    mu_s, sd_s = moments(s, g0)
+    mu_s, sd_s = moments(s)
     amps_d, g_d = forward(s.amplitudes_on(g0), g0, hbar)
-    dens = np.abs(amps_d) ** 2
-    total = float(integrate(dens, g_d))
-    mu_d = float(integrate(g_d.points * dens, g_d)) / total
-    sd_d = math.sqrt(
-        max(float(integrate((g_d.points - mu_d) ** 2 * dens, g_d)) / total, 1e-30)
-    )
+    mu_d, var_d = _density_moments(np.abs(amps_d) ** 2, g_d)
+    sd_d = math.sqrt(max(var_d, 1e-30))
     lo, hi = s.support_bounds()
     span_dual = 2.0 * (abs(mu_d) + 12.0 * sd_d)
     dx = min(sd_s / 16.0, TWO_PI * hbar / span_dual)
@@ -575,9 +572,7 @@ def _balanced_grid(s: Strategy, hbar: float, forward) -> Grid:
     return Grid(lo2, lo2 + (n - 1) * dx, n)
 
 
-def to_supply_rep(
-    s: Strategy, risk: RiskParams = UNIT_RISK, grid: Grid | None = None
-) -> Strategy:
+def to_supply_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
     """Fourier transform a demand strategy into its supply representation.
 
     The dispersion scale is risk.hbar_eff, which equals hbar_e in the
@@ -590,9 +585,7 @@ def to_supply_rep(
         raise ImproperStateError(
             "the Fourier image of a point strategy is a plane wave, not normalizable"
         )
-    if grid is not None:
-        g = grid
-    elif isinstance(s.form, SampledForm):
+    if isinstance(s.form, SampledForm):
         g = s.form.grid
     else:
         g = _balanced_grid(s, risk.hbar_eff, fourier_q_to_p)
@@ -600,9 +593,7 @@ def to_supply_rep(
     return Strategy(SampledForm(amps_p, grid_p), Representation.SUPPLY)
 
 
-def to_demand_rep(
-    s: Strategy, risk: RiskParams = UNIT_RISK, grid_q: Grid | None = None
-) -> Strategy:
+def to_demand_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
     """Inverse of :func:`to_supply_rep`."""
     if s.rep is Representation.DEMAND:
         raise RepresentationError("strategy is already in the demand representation")
@@ -614,7 +605,7 @@ def to_demand_rep(
         g = s.form.grid
     else:
         g = _balanced_grid(s, risk.hbar_eff, fourier_p_to_q)
-    amps_q, gq = fourier_p_to_q(s.amplitudes_on(g), g, risk.hbar_eff, grid_q)
+    amps_q, gq = fourier_p_to_q(s.amplitudes_on(g), g, risk.hbar_eff)
     return Strategy(SampledForm(amps_q, gq), Representation.DEMAND)
 
 
@@ -647,19 +638,24 @@ def sell_probability(
     return float(s.cdf(-log_price))
 
 
-def moments(s: Strategy, grid: Grid | None = None) -> tuple[float, float]:
+def moments(s: Strategy) -> tuple[float, float]:
     """Mean and standard deviation of the squared-modulus distribution."""
     if s.is_improper:
         raise ImproperStateError("improper strategies have no quadrature moments")
-    g = grid if grid is not None else s.default_grid()
-    dens = np.abs(s.amplitudes_on(g)) ** 2
+    g = s.default_grid()
+    mean, var = _density_moments(np.abs(s.amplitudes_on(g)) ** 2, g)
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def _density_moments(dens: np.ndarray, g: Grid) -> tuple[float, float]:
+    """Mean and variance of a density sampled on ``g``, by trapezoids."""
     total = float(integrate(dens, g))
     if total <= 0:
         raise DegenerateStateError("strategy has zero norm")
     pts = g.points
     mean = float(integrate(pts * dens, g)) / total
     var = float(integrate((pts - mean) ** 2 * dens, g)) / total
-    return mean, math.sqrt(max(var, 0.0))
+    return mean, var
 
 
 def sample(
@@ -677,8 +673,7 @@ def sample(
     gaussian centered at hbar*slope with width hbar/(2 width)).
     """
     rng = as_generator(rand)
-    if size < 0:
-        raise ParameterRangeError(f"size must be non-negative, got {size}")
+    check_count(size, "size", 0)
     target = rep if rep is not None else s.rep
     if target is not s.rep:
         if isinstance(s.form, GaussianForm):

@@ -13,10 +13,11 @@ with everywhere non-negative W are Gaussian wave packets.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -27,7 +28,7 @@ from .errors import (
     ImproperStateError,
     ParameterRangeError,
 )
-from .numerics import Grid
+from .numerics import Grid, check_count
 from .strategy import (
     GaussianForm,
     HermiteForm,
@@ -35,12 +36,13 @@ from .strategy import (
     SampledForm,
     Strategy,
     SuperposedForm,
+    _density_moments,
     moments as strategy_moments,
     to_supply_rep,
 )
 
 TWO_PI = 2.0 * math.pi
-# highest level excited_wigner evaluates by default
+# highest level excited_wigner evaluates
 EXCITED_MAX_LEVEL = 512
 
 
@@ -59,7 +61,7 @@ class PhaseSpaceDensity:
 
     ``values[i, j]`` is W at (p_grid.points[i], q_grid.points[j]).
     ``kind`` records whether the density came from a single state or a
-    statistical mixture; for enumerated mixtures the weights are kept.
+    statistical mixture.
     """
 
     values: np.ndarray
@@ -67,7 +69,6 @@ class PhaseSpaceDensity:
     q_grid: Grid
     hbar: float
     kind: str = "pure"
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -76,8 +77,8 @@ class PhaseSpaceDensity:
                 f"values shape {vals.shape} does not match grids "
                 f"({self.p_grid.n}, {self.q_grid.n})"
             )
-        if self.hbar <= 0:
-            raise ParameterRangeError(f"hbar must be positive, got {self.hbar}")
+        if not (self.hbar > 0 and math.isfinite(self.hbar)):
+            raise ParameterRangeError(f"hbar must be positive and finite, got {self.hbar}")
         if self.kind not in ("pure", "mixture"):
             raise ContractViolationError(f"kind must be pure or mixture, got {self.kind!r}")
         vals = vals.copy()
@@ -101,23 +102,22 @@ class PhaseSpaceDensity:
         return np.trapezoid(self.values, dx=self.q_grid.spacing, axis=1)
 
     def moments(self) -> DensityMoments:
-        dp, dq = self.p_grid.spacing, self.q_grid.spacing
-        p = self.p_grid.points
-        q = self.q_grid.points
+        """Means, spreads and correlation of W.
+
+        Means and spreads come from the two marginals; only the
+        covariance needs the full grid.
+        """
         total = self.mass()
         if abs(total) < 1e-12:
             raise DegenerateDensityError("density has vanishing total mass")
-
-        def mean2d(f):
-            return float(
-                np.trapezoid(np.trapezoid(f, dx=dq, axis=1), dx=dp) / total
-            )
-
-        pm = mean2d(self.values * p[:, None])
-        qm = mean2d(self.values * q[None, :])
-        pvar = mean2d(self.values * (p[:, None] - pm) ** 2)
-        qvar = mean2d(self.values * (q[None, :] - qm) ** 2)
-        cov = mean2d(self.values * (p[:, None] - pm) * (q[None, :] - qm))
+        pm, pvar = _density_moments(self.marginal_p(), self.p_grid)
+        qm, qvar = _density_moments(self.marginal_q(), self.q_grid)
+        q_weighted = np.trapezoid(
+            self.values * (self.q_grid.points - qm), dx=self.q_grid.spacing, axis=1
+        )
+        cov = float(
+            np.trapezoid(q_weighted * (self.p_grid.points - pm), dx=self.p_grid.spacing)
+        ) / total
         p_std = math.sqrt(max(pvar, 0.0))
         q_std = math.sqrt(max(qvar, 0.0))
         corr = cov / (p_std * q_std) if p_std > 0 and q_std > 0 else 0.0
@@ -142,39 +142,11 @@ class PhaseSpaceDensity:
                 lead = repr(p) + ","
                 fh.write("".join(f"{lead}{q},{w!r}\n" for q, w in zip(q_text, row)))
 
-    @staticmethod
-    def mixture(
-        parts: Sequence["PhaseSpaceDensity"], weights: Sequence[float]
-    ) -> "PhaseSpaceDensity":
-        """Convex combination of densities on identical grids."""
-        if len(parts) == 0:
-            raise ContractViolationError("mixture needs at least one part")
-        if len(parts) != len(weights):
-            raise ContractViolationError("parts and weights must pair up")
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ParameterRangeError("mixture weights must be finite and >= 0")
-        total = w.sum()
-        if total <= 0:
-            raise ParameterRangeError("mixture weights must not all vanish")
-        w = w / total
-        first = parts[0]
-        for d in parts[1:]:
-            if d.p_grid != first.p_grid or d.q_grid != first.q_grid:
-                raise ContractViolationError("mixture parts must share grids")
-            if d.hbar != first.hbar:
-                raise ContractViolationError("mixture parts must share hbar")
-        vals = sum(wi * d.values for wi, d in zip(w, parts))
-        return PhaseSpaceDensity(
-            vals, first.p_grid, first.q_grid, first.hbar,
-            kind="mixture", weights=tuple(float(x) for x in w),
-        )
-
 
 def _resolve_hbar(s: Strategy, hbar: float | None) -> float:
     if hbar is not None:
-        if hbar <= 0:
-            raise ParameterRangeError(f"hbar must be positive, got {hbar}")
+        if not (hbar > 0 and math.isfinite(hbar)):
+            raise ParameterRangeError(f"hbar must be positive and finite, got {hbar}")
         return float(hbar)
     if isinstance(s.form, HermiteForm):
         return s.form.risk.hbar_eff
@@ -299,8 +271,10 @@ class CoherentParams:
     def __post_init__(self) -> None:
         if not (-1.0 <= self.r <= 1.0):
             raise ParameterRangeError(f"correlation must lie in [-1, 1], got {self.r}")
-        if self.eta <= 0:
-            raise ParameterRangeError(f"eta must be positive, got {self.eta}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ParameterRangeError(f"eta must be positive and finite, got {self.eta}")
+        if not (math.isfinite(self.p0) and math.isfinite(self.q0)):
+            raise ParameterRangeError(f"center ({self.p0}, {self.q0}) must be finite")
 
     def delta_p(self, hbar: float) -> float:
         return hbar / (2.0 * self.eta)
@@ -341,19 +315,19 @@ def coherent_wigner(
     return PhaseSpaceDensity(values, p_grid, q_grid, hbar, kind="pure")
 
 
-def _scaled_laguerre(n: int, z: np.ndarray) -> np.ndarray:
-    """e^{-z/2} L_n(z) by the scaled three-term recurrence.
+def _laguerre_ladder(z: np.ndarray) -> Iterator[np.ndarray]:
+    """e^{-z/2} L_k(z) for k = 0, 1, 2, ... by the scaled three-term recurrence.
 
     The bare polynomial reaches ~e^{z/2} and overflows around z = 1400;
-    the scaled sequence is bounded by 1 in magnitude for z >= 0.
+    the scaled sequence is bounded by 1 in magnitude for z >= 0.  Levels
+    are computed lazily, one per ``next``.
     """
     m_prev = np.exp(-0.5 * z)
-    if n == 0:
-        return m_prev
+    yield m_prev
     m_cur = (1.0 - z) * m_prev
-    for k in range(1, n):
+    for k in itertools.count(1):
+        yield m_cur
         m_prev, m_cur = m_cur, ((2 * k + 1 - z) * m_cur - k * m_prev) / (k + 1)
-    return m_cur
 
 
 def _oscillator_h(
@@ -382,23 +356,23 @@ def excited_wigner(
     risk: RiskParams,
     p_grid: Grid | None = None,
     q_grid: Grid | None = None,
-    n_max: int = EXCITED_MAX_LEVEL,
 ) -> PhaseSpaceDensity:
     """Closed-form Wigner density of the n-th risk eigenstate.
 
     W_n = ((-1)^n / (pi hbar)) e^{-2H/(hbar omega)} L_n(4H/(hbar omega))
-    with H the oscillator Hamiltonian of the risk parameters.
+    with H the oscillator Hamiltonian of the risk parameters, for
+    n <= EXCITED_MAX_LEVEL.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ContractViolationError("level n must be an integer")
-    if n < 0:
-        raise ParameterRangeError(f"level must be >= 0, got {n}")
-    if n > n_max:
-        raise ParameterRangeError(f"level {n} exceeds the supported maximum {n_max}")
+    check_count(n, "level n", 0)
+    if n > EXCITED_MAX_LEVEL:
+        raise ParameterRangeError(
+            f"level {n} exceeds the supported maximum {EXCITED_MAX_LEVEL}"
+        )
     hb = risk.hbar_eff
     p_grid, q_grid = _oscillator_grids(float(n), risk, p_grid, q_grid)
     z = 4.0 * _oscillator_h(p_grid, q_grid, risk) / (hb * risk.omega)
-    values = ((-1.0) ** n / (math.pi * hb)) * _scaled_laguerre(n, z)
+    level_n = next(itertools.islice(_laguerre_ladder(z), n, None))
+    values = ((-1.0) ** n / (math.pi * hb)) * level_n
     return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="pure")
 
 
@@ -417,8 +391,8 @@ def thermal_wigner(
     the level densities with geometric weights, which converges to the
     closed form and is kept for cross-checks.
     """
-    if beta <= 0:
-        raise ParameterRangeError(f"beta must be positive, got {beta}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
     if mode not in ("closed", "series"):
         raise ContractViolationError(f"mode must be closed or series, got {mode!r}")
     hb = risk.hbar_eff
@@ -430,25 +404,15 @@ def thermal_wigner(
     if mode == "closed":
         values = (risk.omega / TWO_PI) * x * np.exp(-x * h)
         return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="mixture")
-    if series_terms < 1:
-        raise ParameterRangeError("series needs at least one term")
+    check_count(series_terms, "series_terms", 1)
     s = math.exp(-beta * hb * risk.omega)
     z = 4.0 * h / (hb * risk.omega)
-    weights = [(1.0 - s) * s**k for k in range(series_terms)]
     values = np.zeros_like(z)
-    m_prev = np.exp(-0.5 * z)
-    m_cur = m_prev
+    ladder = _laguerre_ladder(z)
     for k in range(series_terms):
-        if k == 1:
-            m_cur = (1.0 - z) * m_prev
-        elif k >= 2:
-            m_prev, m_cur = m_cur, (
-                ((2 * k - 1 - z) * m_cur - (k - 1) * m_prev) / k
-            )
-        values += weights[k] * ((-1.0) ** k / (math.pi * hb)) * m_cur
-    return PhaseSpaceDensity(
-        values, p_grid, q_grid, hb, kind="mixture", weights=tuple(weights)
-    )
+        weight = (1.0 - s) * s**k  # Gibbs weight of level k
+        values += weight * ((-1.0) ** k / (math.pi * hb)) * next(ladder)
+    return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="mixture")
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +439,8 @@ def is_giffen(d: PhaseSpaceDensity, tol: float | None = None) -> GiffenReport:
     peak = float(np.max(np.abs(d.values)))
     if tol is None:
         tol = 1e-9 * max(peak, 1.0)
-    if tol < 0:
-        raise ParameterRangeError("tolerance must be non-negative")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ParameterRangeError(f"tolerance must be finite and non-negative, got {tol}")
     mn, p_at, q_at = d.min_point()
     if mn < -tol:
         return GiffenReport(True, mn, (p_at, q_at), tol)
@@ -547,21 +511,6 @@ class DominantCurves:
     supply_monotone: bool
     demand_normalized: bool
     supply_normalized: bool
-
-    def demand_at(self, x: float | np.ndarray) -> float | np.ndarray:
-        return self._curve_at(x, self.demand)
-
-    def supply_at(self, x: float | np.ndarray) -> float | np.ndarray:
-        return self._curve_at(x, self.supply)
-
-    def _curve_at(self, x, values: np.ndarray):
-        # cubic between nodes; clamp to the end values outside the range
-        lnc = np.asarray(self.lnc)
-        xs = np.clip(np.asarray(x, dtype=float), lnc[0], lnc[-1])
-        out = CubicSpline(lnc, np.asarray(values))(xs)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="\n") as fh:

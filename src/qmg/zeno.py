@@ -27,7 +27,7 @@ from .errors import (
     ParameterRangeError,
     TruncationError,
 )
-from .numerics import Grid, integrate
+from .numerics import Grid, check_count, integrate
 from .strategy import (
     HermiteForm,
     RiskParams,
@@ -66,16 +66,9 @@ class ZenoRun:
             raise ParameterRangeError(
                 f"total_time must be finite and >= 0, got {self.total_time}"
             )
-        if not isinstance(self.n_measurements, (int, np.integer)) or isinstance(
-            self.n_measurements, bool
-        ):
-            raise ContractViolationError("n_measurements must be an integer")
-        if self.n_measurements < 1:
-            raise ParameterRangeError(
-                f"n_measurements must be >= 1, got {self.n_measurements}"
-            )
-        if self.basis_size < 1 or self.max_basis_size < self.basis_size:
-            raise ParameterRangeError("need 1 <= basis_size <= max_basis_size")
+        check_count(self.n_measurements, "n_measurements", 1)
+        check_count(self.basis_size, "basis_size", 1)
+        check_count(self.max_basis_size, "max_basis_size", self.basis_size)
 
 
 def _exact_level_vector(s: Strategy, risk: RiskParams) -> np.ndarray | None:
@@ -122,6 +115,7 @@ def hermite_coefficients(
     point: strategy mass beyond it cannot be represented at this basis
     size and shows up as a norm deficit, which is the point.
     """
+    check_count(size, "size", 1)
     s = normalize(s)
     exact = _exact_level_vector(s, risk)
     if exact is not None:
@@ -200,13 +194,11 @@ def freeze_experiment(run: ZenoRun, n_values: Sequence[int]) -> list[FreezeRow]:
     trivially (all ones); superpositions freeze only when watched
     often enough.
     """
-    values = [int(n) for n in n_values]
+    values = [check_count(n, "measurement count", 1) for n in n_values]
     if len(values) == 0:
         raise ContractViolationError("n_values must be nonempty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ContractViolationError("n_values must be strictly ascending")
-    if values[0] < 1:
-        raise ParameterRangeError("measurement counts must be >= 1")
     # level weights do not depend on n: expand the initial strategy once
     weights = np.abs(_captured_coefficients(run)) ** 2
     return [FreezeRow(n, _survival(weights, run.total_time, n)) for n in values]

@@ -343,3 +343,34 @@ def test_auction_spec_validation_paths():
         auction_from_spec(
             {"buyers": ["delta(0)"], "seller": "delta(0)", "pricing": "dutch"}
         )
+
+
+def _instance(**kwargs):
+    seller = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
+    return AuctionInstance(buyers=(Strategy.gaussian(0.0, 1.0),), seller=seller, **kwargs)
+
+
+def _vickrey(valuation=1.0, bids=(0.5, 1.0), **kwargs):
+    seller = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
+    return vickrey_truthfulness_check(valuation, bids, [Strategy.gaussian(0.0, 1.0)], seller, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _instance(mc_samples=2.5), ContractViolationError),
+        (lambda: _instance(mc_samples=True), ContractViolationError),
+        (lambda: _vickrey(mc_samples=2.5), ContractViolationError),
+        (lambda: _vickrey(mc_samples=0), ParameterRangeError),
+        (lambda: _vickrey(valuation=math.inf, bids=[1.0, math.inf]), ParameterRangeError),
+        (lambda: _vickrey(valuation=math.nan), ParameterRangeError),
+        (lambda: _vickrey(bids=[1.0, math.nan]), ParameterRangeError),
+    ],
+    ids=[
+        "instance-float", "instance-bool", "vickrey-float", "vickrey-zero",
+        "valuation-inf", "valuation-nan", "bid-nan",
+    ],
+)
+def test_counts_and_non_finite_prices_are_refused(call, error):
+    with pytest.raises(error):
+        call()

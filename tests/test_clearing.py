@@ -68,12 +68,6 @@ def test_fixed_point_homogeneity():
         assert fixed_point(sigma) == pytest.approx(sigma * base, abs=1e-8)
 
 
-def test_fixed_point_with_custom_intensity():
-    # linear contraction: rho(a) = 1 - a/2 has fixed point 2/3
-    a = fixed_point(intensity=lambda a, sigma: 1.0 - 0.5 * a)
-    assert a == pytest.approx(2.0 / 3.0, abs=1e-10)
-
-
 def test_cooling_experiment_rows():
     rows = cooling_experiment([0.5, 1.0, 2.0])
     assert [r.sigma for r in rows] == [0.5, 1.0, 2.0]
@@ -174,9 +168,9 @@ def test_clear_rounds_transform_each_trader_once_per_risk(monkeypatch):
     calls = []
     original = strategy_module.to_supply_rep
 
-    def counting(s, risk=UNIT_RISK, grid=None):
+    def counting(s, risk=UNIT_RISK):
         calls.append((id(s), risk))
-        return original(s, risk, grid)
+        return original(s, risk)
 
     monkeypatch.setattr(strategy_module, "to_supply_rep", counting)
     market = MarketState(
@@ -216,3 +210,23 @@ def test_round_log_csv(tmp_path):
     assert lines[0] == "round,trader,side,logprice,executed,flow"
     assert len(lines) == 1 + 2 * 2
     assert lines[1].startswith("0,0,buyer,-0.3,1,")
+
+
+BUYER = Strategy.gaussian(0.0, 1.0)
+SELLER = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: pair_execution_frequency(BUYER, SELLER, 2.5, RandomSource(0)), ContractViolationError),
+        (lambda: pair_execution_frequency(BUYER, SELLER, True, RandomSource(0)), ContractViolationError),
+        (lambda: pair_execution_frequency(BUYER, SELLER, 0, RandomSource(0)), ParameterRangeError),
+        (lambda: market_temperature(math.nan, UNIT_RISK), ParameterRangeError),
+        (lambda: market_temperature(math.inf, UNIT_RISK), ParameterRangeError),
+    ],
+    ids=["rounds-float", "rounds-bool", "rounds-zero", "beta-nan", "beta-inf"],
+)
+def test_invalid_counts_and_non_finite_betas_are_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmg.errors import BracketingError, ContractViolationError, ParameterRangeError
 from qmg.numerics import (
     Grid,
     RandomSource,
+    check_count,
     find_root,
     fourier_p_to_q,
     fourier_q_to_p,
@@ -20,6 +23,7 @@ def test_grid_basics():
     assert g.spacing == pytest.approx(0.5)
     assert g.points[0] == -2.0 and g.points[-1] == 3.0
     assert g.contains(0.0) and not g.contains(3.5)
+    assert Grid(-2.0, 3.0, np.int64(11)).points.size == 11  # numpy integers are counts too
 
 
 def test_grid_validation():
@@ -84,6 +88,28 @@ def test_fourier_norm_preserved():
     assert n_p == pytest.approx(n_q, rel=1e-10)
 
 
+@given(
+    hbar=st.floats(0.1, 10.0),
+    n=st.integers(8, 1024),
+    lo=st.floats(-20.0, 10.0),
+    width=st.floats(1.0, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fourier_pair_is_unitary_on_reciprocal_grids(hbar, n, lo, width, seed):
+    # any amplitudes on any window [lo, lo + width]: the discrete pair is
+    # exactly unitary, so nothing here relies on decay toward the edges
+    g = Grid(lo, lo + width, n)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phi, gp = fourier_q_to_p(psi, g, hbar)
+    back, gq = fourier_p_to_q(phi, gp, hbar, grid_q=g)
+    assert gq == g
+    assert np.max(np.abs(back - psi)) <= 1e-10 * np.max(np.abs(psi))
+    norm_q = np.sum(np.abs(psi) ** 2) * g.spacing
+    norm_p = np.sum(np.abs(phi) ** 2) * gp.spacing
+    assert norm_p == pytest.approx(norm_q, rel=1e-10)
+
+
 def test_fourier_rejects_non_reciprocal_target():
     g = Grid(-10.0, 10.0, 512)
     phi, gp = fourier_q_to_p(np.exp(-g.points**2), g)
@@ -111,7 +137,7 @@ def test_random_source_streams_differ():
     a = RandomSource(123, stream=0).rng.normal(size=8)
     b = RandomSource(123, stream=1).rng.normal(size=8)
     assert not np.array_equal(a, b)
-    c = RandomSource(123).spawn(1).rng.normal(size=8)
+    c = RandomSource(123, 1).rng.normal(size=8)
     assert np.array_equal(b, c)
 
 
@@ -120,3 +146,25 @@ def test_random_source_validation():
         RandomSource(-1)
     with pytest.raises(ParameterRangeError):
         RandomSource(0, stream=-2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Grid(0.0, 1.0, 16.0), ContractViolationError),
+        (lambda: Grid(0.0, 1.0, True), ContractViolationError),
+        (lambda: Grid(0.0, 1.0, 7), ParameterRangeError),
+        (lambda: RandomSource(2.5), ContractViolationError),
+        (lambda: RandomSource(0, stream=True), ContractViolationError),
+        (lambda: RandomSource(2**64), ParameterRangeError),
+        (lambda: check_count("3", "n", 0), ContractViolationError),
+        (lambda: check_count(np.int64(3), "n", 4), ParameterRangeError),
+    ],
+    ids=[
+        "grid-float", "grid-bool", "grid-small", "seed-float",
+        "stream-bool", "seed-wide", "str", "np-small",
+    ],
+)
+def test_counts_refuse_non_integers_and_small_values(call, error):
+    with pytest.raises(error):
+        call()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmg.errors import ParameterRangeError
+from qmg.errors import ContractViolationError, ParameterRangeError
 from qmg.numerics import RandomSource
 from qmg.risk import (
     RiskParams,
@@ -11,7 +11,7 @@ from qmg.risk import (
     spectrum,
     thermal_energy,
 )
-from qmg.strategy import Strategy, UNIT_RISK
+from qmg.strategy import Representation, Strategy, UNIT_RISK
 
 COTH_1_HALF = 0.6565176427496657  # coth(1) / 2
 
@@ -101,3 +101,27 @@ def test_thermal_energy_matches_wigner_quadrature():
     inner = np.array([integrate(row, d.q_grid) for row in d.values * h])
     e_grid = float(integrate(inner, d.p_grid))
     assert e_grid == pytest.approx(thermal_energy(beta, rp), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: spectrum(UNIT_RISK, True), ContractViolationError),
+        (lambda: spectrum(UNIT_RISK, 2.5), ContractViolationError),
+        (lambda: spectrum(UNIT_RISK, 0), ParameterRangeError),
+        (lambda: thermal_energy(math.nan, UNIT_RISK), ParameterRangeError),
+        (lambda: thermal_energy(math.inf, UNIT_RISK), ParameterRangeError),
+    ],
+    ids=["levels-bool", "levels-float", "levels-zero", "beta-nan", "beta-inf"],
+)
+def test_invalid_counts_and_non_finite_betas_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_supply_side_expectation_takes_q_from_the_dual():
+    # supply gaussian of width w: Var(p) = w^2, Var(q) = (hbar / 2w)^2
+    w = 0.4
+    s = Strategy.gaussian(0.1, w, rep=Representation.SUPPLY)
+    expected = w * w / 2.0 + 0.5 * (1.0 / (2.0 * w)) ** 2
+    assert risk_expectation(s, UNIT_RISK) == pytest.approx(expected, rel=1e-9)

@@ -57,8 +57,7 @@ def test_risk_params_validation():
 
 def test_gaussian_is_normalized_with_width_as_std():
     s = Strategy.gaussian(0.7, 0.4)
-    g = s.default_grid()
-    assert norm(s, g) == pytest.approx(1.0, abs=1e-12)
+    assert norm(s) == pytest.approx(1.0, abs=1e-12)
     mean, std = moments(s)
     assert mean == pytest.approx(0.7, abs=1e-12)
     assert std == pytest.approx(0.4, abs=1e-10)
@@ -292,3 +291,25 @@ def test_parse_strategy_rejects_garbage():
     for bad in ("gauss(1,2)", "gaussian(1)", "hermite(-1)", "discrete()", "delta(a)"):
         with pytest.raises((ContractViolationError, ParameterRangeError)):
             parse_strategy(bad)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Strategy.hermite(2.5), ContractViolationError),
+        (lambda: Strategy.hermite(True), ContractViolationError),
+        (lambda: Strategy.hermite(-1), ParameterRangeError),
+        (lambda: hermite_function(2.5, np.zeros(3)), ContractViolationError),
+        (lambda: hermite_function(1, np.zeros(3), math.nan), ParameterRangeError),
+        (lambda: sample(Strategy.gaussian(0, 1), RandomSource(0), 2.5), ContractViolationError),
+        (lambda: sample(Strategy.gaussian(0, 1), RandomSource(0), True), ContractViolationError),
+        (lambda: sample(Strategy.gaussian(0, 1), RandomSource(0), -1), ParameterRangeError),
+    ],
+    ids=[
+        "order-float", "order-bool", "order-negative", "function-order-float",
+        "function-scale-nan", "size-float", "size-bool", "size-negative",
+    ],
+)
+def test_counts_are_refused_unless_integers(call, error):
+    with pytest.raises(error):
+        call()

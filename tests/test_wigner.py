@@ -12,6 +12,7 @@ from qmg.errors import (
 from qmg.numerics import Grid, RandomSource
 from qmg.strategy import RiskParams, Strategy, UNIT_RISK
 from qmg.wigner import (
+    EXCITED_MAX_LEVEL,
     CoherentParams,
     PhaseSpaceDensity,
     coherent_wigner,
@@ -167,32 +168,28 @@ def test_hudson_requires_strategy():
         hudson_check("gaussian(0,1)")
 
 
-def test_mixture_weights_and_grids():
-    p_grid, q_grid = grid_pair()
-    a = excited_wigner(0, UNIT_RISK, p_grid, q_grid)
-    b = excited_wigner(1, UNIT_RISK, p_grid, q_grid)
-    mix = PhaseSpaceDensity.mixture([a, b], [0.75, 0.25])
-    assert mix.kind == "mixture"
-    assert np.max(np.abs(mix.values - 0.75 * a.values - 0.25 * b.values)) < 1e-14
-    other = excited_wigner(0, UNIT_RISK, Grid(-9, 9, 241), q_grid)
-    with pytest.raises(ContractViolationError):
-        PhaseSpaceDensity.mixture([a, other], [0.5, 0.5])
-
-
 def test_dominant_curves_of_positive_gaussian():
     from scipy.special import ndtr
 
     d = coherent_wigner(CoherentParams(r=0.0, eta=1.0 / math.sqrt(2.0)))
     curves = dominant_curves(d)
     assert curves.demand_monotone and curves.supply_monotone
+
+    def node(x):  # index of the curve node nearest x
+        return int(np.argmin(np.abs(curves.lnc - x)))
+
     # F_d is the demand CDF along the q slice through the center
     for x in (-1.0, 0.0, 0.7):
-        assert curves.demand_at(x) == pytest.approx(
-            float(ndtr(x / (1.0 / math.sqrt(2.0)))), abs=1e-6
+        j = node(x)
+        assert curves.demand[j] == pytest.approx(
+            float(ndtr(curves.lnc[j] / (1.0 / math.sqrt(2.0)))), abs=1e-6
         )
     # F_s falls in ln c as P(p <= -ln c)
-    assert curves.supply_at(0.0) == pytest.approx(0.5, abs=1e-6)
-    assert curves.supply_at(1.0) < curves.supply_at(-1.0)
+    j = node(0.0)
+    assert curves.supply[j] == pytest.approx(
+        float(ndtr(-curves.lnc[j] / (1.0 / math.sqrt(2.0)))), abs=1e-6
+    )
+    assert curves.supply[node(1.0)] < curves.supply[node(-1.0)]
 
 
 def test_dominant_curves_giffen_non_monotone():
@@ -249,3 +246,62 @@ def test_randomized_marginals_match_both_representations():
         sup = to_supply_rep(s)
         dens_p = np.abs(sup.evaluate(d.p_grid.points)) ** 2
         assert np.max(np.abs(d.marginal_p() - dens_p)) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        # off-center, unequal grids: a swapped axis or a reversed marginal shows
+        coherent_wigner(
+            CoherentParams(r=0.3, eta=0.8, p0=0.4, q0=-0.3),
+            p_grid=Grid(-4.0, 5.0, 181),
+            q_grid=Grid(-5.0, 3.5, 171),
+        ),
+        excited_wigner(2, UNIT_RISK),
+    ],
+    ids=["coherent", "excited-2"],
+)
+def test_moments_from_marginals_match_the_2d_formulas(density):
+    d = density
+    p, q = d.p_grid.points[:, None], d.q_grid.points[None, :]
+    total = d.mass()
+
+    def mean2d(f):
+        inner = np.trapezoid(f, dx=d.q_grid.spacing, axis=1)
+        return float(np.trapezoid(inner, dx=d.p_grid.spacing)) / total
+
+    pm, qm = mean2d(d.values * p), mean2d(d.values * q)
+    p_std = math.sqrt(mean2d(d.values * (p - pm) ** 2))
+    q_std = math.sqrt(mean2d(d.values * (q - qm) ** 2))
+    corr = mean2d(d.values * (p - pm) * (q - qm)) / (p_std * q_std)
+    m = d.moments()
+    got = (m.p_mean, m.q_mean, m.p_std, m.q_std, m.correlation)
+    assert got == pytest.approx((pm, qm, p_std, q_std, corr), abs=1e-12)
+
+
+G16 = Grid(-1.0, 1.0, 16)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: CoherentParams(r=0.0, eta=math.nan), ParameterRangeError),
+        (lambda: CoherentParams(r=0.0, eta=math.inf), ParameterRangeError),
+        (lambda: CoherentParams(r=0.0, eta=1.0, p0=math.nan), ParameterRangeError),
+        (lambda: CoherentParams(r=0.0, eta=1.0, q0=math.inf), ParameterRangeError),
+        (lambda: PhaseSpaceDensity(np.zeros((16, 16)), G16, G16, math.nan), ParameterRangeError),
+        (lambda: is_giffen(excited_wigner(1, UNIT_RISK), tol=math.nan), ParameterRangeError),
+        (lambda: excited_wigner(2.0, UNIT_RISK), ContractViolationError),
+        (lambda: excited_wigner(EXCITED_MAX_LEVEL + 1, UNIT_RISK), ParameterRangeError),
+        (lambda: thermal_wigner(math.nan, UNIT_RISK), ParameterRangeError),
+        (lambda: wigner_transform(Strategy.hermite(1), G16, G16, hbar=math.nan), ParameterRangeError),
+        (lambda: thermal_wigner(1.0, UNIT_RISK, mode="series", series_terms=2.5), ContractViolationError),
+    ],
+    ids=[
+        "eta-nan", "eta-inf", "p0-nan", "q0-inf", "hbar-nan", "tol-nan",
+        "level-float", "level-too-high", "beta-nan", "transform-hbar-nan", "terms-float",
+    ],
+)
+def test_non_finite_reals_and_bad_counts_are_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -187,3 +187,19 @@ def test_freeze_table_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == rows[0].survival
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ZenoRun(two_level(), 0.5, True), ContractViolationError),
+        (lambda: freeze_experiment(ZenoRun(two_level(), 0.5, 1), [1, 2.5]), ContractViolationError),
+        (lambda: ZenoRun(two_level(), 0.5, 1, basis_size=2.5), ContractViolationError),
+        (lambda: hermite_coefficients(two_level(), UNIT_RISK, 2.5), ContractViolationError),
+        (lambda: hermite_coefficients(two_level(), UNIT_RISK, 0), ParameterRangeError),
+    ],
+    ids=["measurements-bool", "sweep-float", "basis-float", "size-float", "size-zero"],
+)
+def test_counts_are_refused_unless_integers(call, error):
+    with pytest.raises(error):
+        call()
