@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .auction import auction_from_spec, outcome_to_dict, run_auction
 from .clearing import MarketState, clear_round, cooling_experiment, round_log_to_csv
-from .errors import MarketModelError
+from .errors import MarketModelError, ParameterRangeError
 from .numerics import Grid, RandomSource
 from .risk import spectrum, thermal_energy
 from .strategy import Representation, RiskParams, Strategy, UNIT_RISK, parse_strategy
@@ -216,7 +216,10 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
         density = coherent_wigner(cp, hbar=risk.hbar_eff)
     elif family == "thermal":
         beta = _number(params, "beta", path, positive=True)
-        density = thermal_wigner(beta, risk)
+        try:
+            density = thermal_wigner(beta, risk)
+        except ParameterRangeError as exc:
+            raise _fail(f"{path}.beta", str(exc))
     elif family == "excited":
         n = _get(params, "n", int, path)
         if not 0 <= n <= EXCITED_MAX_LEVEL:
@@ -321,19 +324,29 @@ def _run_thermal(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None
     if terms < 1:
         raise _fail(f"{path}.series_terms", "must be >= 1")
     rows = []
-    for beta in betas:
-        beta = float(beta)
-        hw = 0.5 * beta * risk.hbar_eff * risk.omega
-        spread = 1.0 / math.tanh(hw)  # coth, thermal variance factor
-        sq = math.sqrt(0.5 * risk.hbar_eff / (risk.m * risk.omega) * spread)
-        sp = math.sqrt(0.5 * risk.hbar_eff * risk.m * risk.omega * spread)
-        q_grid = Grid(-6 * sq, 6 * sq, 201)
-        p_grid = Grid(-6 * sp, 6 * sp, 201)
-        closed = thermal_wigner(beta, risk, p_grid, q_grid, mode="closed")
-        series = thermal_wigner(beta, risk, p_grid, q_grid, mode="series", series_terms=terms)
-        diff = float(np.max(np.abs(closed.values - series.values)))
-        rows.append((beta, 1.0 / beta, thermal_energy(beta, risk), diff))
+    for i, beta in enumerate(betas):
+        try:
+            rows.append(_thermal_row(float(beta), risk, terms))
+        except ParameterRangeError as exc:
+            raise _fail(f"{path}.betas[{i}]", str(exc))
     emit.write_csv("thermal.csv", "beta,temperature,energy,series_max_abs_diff", rows)
+
+
+def _thermal_row(beta: float, risk: RiskParams, terms: int) -> tuple:
+    energy = thermal_energy(beta, risk)  # refuses a beta whose energy overflows
+    hw = 0.5 * beta * risk.hbar_eff * risk.omega
+    t = math.tanh(hw)
+    if t == 0:
+        raise ParameterRangeError(f"beta {beta} is too small: the thermal spread overflows")
+    spread = 1.0 / t  # coth, thermal variance factor
+    sq = math.sqrt(0.5 * risk.hbar_eff / (risk.m * risk.omega) * spread)
+    sp = math.sqrt(0.5 * risk.hbar_eff * risk.m * risk.omega * spread)
+    q_grid = Grid(-6 * sq, 6 * sq, 201)
+    p_grid = Grid(-6 * sp, 6 * sp, 201)
+    closed = thermal_wigner(beta, risk, p_grid, q_grid, mode="closed")
+    series = thermal_wigner(beta, risk, p_grid, q_grid, mode="series", series_terms=terms)
+    diff = float(np.max(np.abs(closed.values - series.values)))
+    return beta, 1.0 / beta, energy, diff
 
 
 def _run_risk_spectrum(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:

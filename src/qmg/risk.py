@@ -94,9 +94,14 @@ def thermal_energy(beta: float, risk: RiskParams) -> float:
 
     E(beta) = (hbar_eff omega / 2) coth(beta hbar_eff omega / 2); the
     high-temperature limit is the equipartition value 1/beta, the zero
-    temperature limit is the ground energy.
+    temperature limit is the ground energy.  A beta so small that the
+    energy overflows a double is refused.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
     half_gap = 0.5 * risk.hbar_eff * risk.omega
-    return half_gap / math.tanh(beta * half_gap)
+    t = math.tanh(beta * half_gap)
+    energy = half_gap / t if t > 0 else math.inf
+    if not math.isfinite(energy):
+        raise ParameterRangeError(f"beta {beta} is too small: the thermal energy overflows")
+    return energy

@@ -330,6 +330,18 @@ def _laguerre_ladder(z: np.ndarray) -> Iterator[np.ndarray]:
         m_prev, m_cur = m_cur, ((2 * k + 1 - z) * m_cur - k * m_prev) / (k + 1)
 
 
+def _per_distinct(z: np.ndarray, f) -> np.ndarray:
+    """f applied once per distinct value of z, gathered back to z's shape.
+
+    z = 4H/(hbar omega) repeats across the grid (H is even in p and in
+    q), so a level sum over the distinct values does a third to a half
+    of the work.  f is elementwise, so every gathered value carries the
+    same bits as f(z) itself.
+    """
+    distinct, inverse = np.unique(z, return_inverse=True)
+    return f(distinct)[inverse.reshape(z.shape)]
+
+
 def _oscillator_h(
     p_grid: Grid, q_grid: Grid, risk: RiskParams
 ) -> np.ndarray:
@@ -361,7 +373,9 @@ def excited_wigner(
 
     W_n = ((-1)^n / (pi hbar)) e^{-2H/(hbar omega)} L_n(4H/(hbar omega))
     with H the oscillator Hamiltonian of the risk parameters, for
-    n <= EXCITED_MAX_LEVEL.
+    n <= EXCITED_MAX_LEVEL.  The Laguerre ladder runs once per distinct
+    value of z = 4H/(hbar omega) on the grid; the values are the same,
+    bit for bit, as a ladder over every grid point.
     """
     check_count(n, "level n", 0)
     if n > EXCITED_MAX_LEVEL:
@@ -371,8 +385,12 @@ def excited_wigner(
     hb = risk.hbar_eff
     p_grid, q_grid = _oscillator_grids(float(n), risk, p_grid, q_grid)
     z = 4.0 * _oscillator_h(p_grid, q_grid, risk) / (hb * risk.omega)
-    level_n = next(itertools.islice(_laguerre_ladder(z), n, None))
-    values = ((-1.0) ** n / (math.pi * hb)) * level_n
+    sign = (-1.0) ** n / (math.pi * hb)
+
+    def level_n(u: np.ndarray) -> np.ndarray:
+        return sign * next(itertools.islice(_laguerre_ladder(u), n, None))
+
+    values = _per_distinct(z, level_n)
     return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="pure")
 
 
@@ -389,7 +407,12 @@ def thermal_wigner(
     mode="closed" uses W = (omega / 2 pi) x e^{-x H} with
     x = (2 / hbar omega) tanh(beta hbar omega / 2); mode="series" sums
     the level densities with geometric weights, which converges to the
-    closed form and is kept for cross-checks.
+    closed form and is kept for cross-checks.  All ``series_terms``
+    levels are summed, in order, once per distinct value of
+    z = 4H/(hbar omega) on the grid, and gathered back: the same values,
+    bit for bit, as the sum over every grid point.  A beta so small that
+    the thermal spread overflows, or whose series is not finite on the
+    grid, raises ParameterRangeError.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
@@ -397,8 +420,12 @@ def thermal_wigner(
         raise ContractViolationError(f"mode must be closed or series, got {mode!r}")
     hb = risk.hbar_eff
     x = (2.0 / (hb * risk.omega)) * math.tanh(0.5 * beta * hb * risk.omega)
+    scaled = hb * risk.omega * x
+    spread = 1.0 / scaled if scaled > 0 else math.inf
+    if not math.isfinite(spread):
+        raise ParameterRangeError(f"beta {beta} is too small: the thermal spread overflows")
     # thermal spread expressed as an effective level count for the grids
-    level = max(1.0 / (hb * risk.omega * x) - 0.5, 0.0)
+    level = max(spread - 0.5, 0.0)
     p_grid, q_grid = _oscillator_grids(level + 0.5, risk, p_grid, q_grid)
     h = _oscillator_h(p_grid, q_grid, risk)
     if mode == "closed":
@@ -406,12 +433,20 @@ def thermal_wigner(
         return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="mixture")
     check_count(series_terms, "series_terms", 1)
     s = math.exp(-beta * hb * risk.omega)
-    z = 4.0 * h / (hb * risk.omega)
-    values = np.zeros_like(z)
-    ladder = _laguerre_ladder(z)
-    for k in range(series_terms):
-        weight = (1.0 - s) * s**k  # Gibbs weight of level k
-        values += weight * ((-1.0) ** k / (math.pi * hb)) * next(ladder)
+
+    def gibbs_sum(u: np.ndarray) -> np.ndarray:
+        total = np.zeros_like(u)
+        for k, level in zip(range(series_terms), _laguerre_ladder(u)):
+            weight = (1.0 - s) * s**k  # Gibbs weight of level k
+            total += weight * ((-1.0) ** k / (math.pi * hb)) * level
+        return total
+
+    values = _per_distinct(4.0 * h / (hb * risk.omega), gibbs_sum)
+    # an H that overflows the grid leaves the ladder inf * 0 = nan
+    if not np.all(np.isfinite(values)):
+        raise ParameterRangeError(
+            f"thermal series at beta {beta} is not finite on this grid"
+        )
     return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="mixture")
 
 

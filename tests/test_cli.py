@@ -372,12 +372,29 @@ def test_bad_literal_exits_3(tmp_path, capsys):
         ({"family": "excited", "n": 600}, "parameters.n"),
         ({"family": "strategy", "strategy": "delta(0)"}, "parameters.strategy"),
         ({"family": "strategy", "strategy": "discrete(0:1, 1:1)"}, "parameters.strategy"),
+        ({"family": "thermal", "beta": 5e-324}, "parameters.beta"),
+        ({"family": "thermal", "beta": 1e-320}, "parameters.beta"),
     ],
 )
 def test_curves_out_of_range_exits_3(tmp_path, capsys, params, field):
     path = write_scenario(tmp_path, {"kind": "curves", "parameters": params})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "betas, field",
+    [
+        ([1.0, 5e-324], "parameters.betas[1]"),  # tanh underflows to 0
+        ([1e-320], "parameters.betas[0]"),  # the thermal energy overflows
+        ([2.0, 1e-308], "parameters.betas[1]"),  # the thermal grid overflows
+    ],
+)
+def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
+    doc = {"kind": "thermal", "parameters": {"betas": betas, "series_terms": 5}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"invalid scenario at {field}:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):

@@ -111,8 +111,14 @@ def test_thermal_energy_matches_wigner_quadrature():
         (lambda: spectrum(UNIT_RISK, 0), ParameterRangeError),
         (lambda: thermal_energy(math.nan, UNIT_RISK), ParameterRangeError),
         (lambda: thermal_energy(math.inf, UNIT_RISK), ParameterRangeError),
+        # tanh(beta hbar omega / 2) underflows to 0, or the energy overflows
+        (lambda: thermal_energy(5e-324, UNIT_RISK), ParameterRangeError),
+        (lambda: thermal_energy(1e-310, UNIT_RISK), ParameterRangeError),
     ],
-    ids=["levels-bool", "levels-float", "levels-zero", "beta-nan", "beta-inf"],
+    ids=[
+        "levels-bool", "levels-float", "levels-zero", "beta-nan", "beta-inf",
+        "beta-underflows", "energy-overflows",
+    ],
 )
 def test_invalid_counts_and_non_finite_betas_are_refused(call, error):
     with pytest.raises(error):

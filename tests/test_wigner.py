@@ -1,8 +1,11 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmg.errors import (
     ContractViolationError,
@@ -20,6 +23,8 @@ from qmg.wigner import (
     excited_wigner,
     hudson_check,
     is_giffen,
+    _laguerre_ladder,
+    _oscillator_h,
     thermal_wigner,
     wigner_transform,
 )
@@ -296,12 +301,80 @@ G16 = Grid(-1.0, 1.0, 16)
         (lambda: thermal_wigner(math.nan, UNIT_RISK), ParameterRangeError),
         (lambda: wigner_transform(Strategy.hermite(1), G16, G16, hbar=math.nan), ParameterRangeError),
         (lambda: thermal_wigner(1.0, UNIT_RISK, mode="series", series_terms=2.5), ContractViolationError),
+        # tanh(beta hbar omega / 2) underflows to 0, or its reciprocal overflows
+        (lambda: thermal_wigner(5e-324, UNIT_RISK), ParameterRangeError),
+        (lambda: thermal_wigner(1e-320, UNIT_RISK, mode="series"), ParameterRangeError),
+        # H overflows at the grid's edge: the level ladder is inf * 0 there
+        (lambda: thermal_wigner(1.0, UNIT_RISK, Grid(-1e160, 1e160, 16), G16, mode="series"), ParameterRangeError),
     ],
     ids=[
         "eta-nan", "eta-inf", "p0-nan", "q0-inf", "hbar-nan", "tol-nan",
         "level-float", "level-too-high", "beta-nan", "transform-hbar-nan", "terms-float",
+        "beta-underflows", "beta-spread-overflows", "series-h-overflows",
     ],
 )
 def test_non_finite_reals_and_bad_counts_are_refused(call, error):
     with pytest.raises(error):
         call()
+
+
+def _full_grid_series(beta, risk, p_grid, q_grid, terms):
+    # the level sum as it ran before the distinct-z reduction: every grid point
+    hb = risk.hbar_eff
+    s = math.exp(-beta * hb * risk.omega)
+    z = 4.0 * _oscillator_h(p_grid, q_grid, risk) / (hb * risk.omega)
+    values = np.zeros_like(z)
+    ladder = _laguerre_ladder(z)
+    for k in range(terms):
+        weight = (1.0 - s) * s**k
+        values += weight * ((-1.0) ** k / (math.pi * hb)) * next(ladder)
+    return values
+
+
+def _full_grid_level(n, risk, p_grid, q_grid):
+    hb = risk.hbar_eff
+    z = 4.0 * _oscillator_h(p_grid, q_grid, risk) / (hb * risk.omega)
+    level_n = next(itertools.islice(_laguerre_ladder(z), n, None))
+    return ((-1.0) ** n / (math.pi * hb)) * level_n
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _oscillator_grid(draw, scale):
+    # asymmetric ends, odd or even sizes, and p and q sizes drawn apart
+    lo = draw(st.floats(-8.0, -0.5)) * scale
+    hi = draw(st.floats(0.5, 8.0)) * scale
+    return Grid(lo, hi, draw(st.integers(8, 61)))
+
+
+@given(
+    hbar_e=st.floats(0.3, 3.0),
+    theta=st.floats(0.5, 10.0),
+    m=st.floats(0.3, 3.0),
+    theta_nc=st.floats(0.0, 1.0),
+    beta_gap=st.floats(0.05, 5.0),
+    terms=st.integers(1, 300),
+    n=st.integers(0, 40),
+    data=st.data(),
+)
+def test_level_sums_match_the_full_grid_loop_bit_for_bit(
+    hbar_e, theta, m, theta_nc, beta_gap, terms, n, data
+):
+    risk = RiskParams(hbar_e=hbar_e, theta=theta, m=m, theta_nc=theta_nc)
+    hb, om = risk.hbar_eff, risk.omega
+    p_grid = data.draw(_oscillator_grid(math.sqrt(hb * m * om)))
+    q_grid = data.draw(_oscillator_grid(math.sqrt(hb / (m * om))))
+    beta = beta_gap / (hb * om)
+    series = thermal_wigner(beta, risk, p_grid, q_grid, mode="series", series_terms=terms)
+    assert _same_bits(series.values, _full_grid_series(beta, risk, p_grid, q_grid, terms))
+    excited = excited_wigner(n, risk, p_grid, q_grid)
+    assert _same_bits(excited.values, _full_grid_level(n, risk, p_grid, q_grid))
+    # the default grids are symmetric, where most z values repeat
+    default = thermal_wigner(beta, risk, mode="series", series_terms=terms)
+    assert _same_bits(
+        default.values,
+        _full_grid_series(beta, risk, default.p_grid, default.q_grid, terms),
+    )

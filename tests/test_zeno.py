@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmg import (
     ContractViolationError,
     FreezeRow,
+    Grid,
     ParameterRangeError,
     RandomSource,
     RiskParams,
@@ -203,3 +206,97 @@ def test_freeze_table_csv(tmp_path):
 def test_counts_are_refused_unless_integers(call, error):
     with pytest.raises(error):
         call()
+
+
+_RISKS = st.builds(
+    RiskParams,
+    hbar_e=st.floats(0.3, 3.0),
+    theta=st.floats(0.5, 10.0),
+    m=st.floats(0.3, 3.0),
+    theta_nc=st.floats(0.0, 1.0),
+)
+_SWEEPS = st.lists(st.integers(1, 10_000), min_size=1, max_size=8, unique=True).map(sorted)
+# real parts of one sign: coefficients of a repeated level cannot cancel
+_COEFFICIENTS = st.builds(complex, st.floats(0.1, 1.0), st.floats(-1.0, 1.0))
+# (center, width, slope) in units of the oscillator length
+_PACKETS = st.tuples(st.floats(-2.0, 2.0), st.floats(0.4, 2.0), st.floats(-2.0, 2.0))
+
+
+def _packet(risk, packet):
+    ell = math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
+    center, width, slope = packet
+    return Strategy.gaussian(center * ell, width * ell, slope / ell)
+
+
+@given(
+    risk=_RISKS,
+    total_time=st.floats(0.0, 50.0),
+    n_values=_SWEEPS,
+    level=st.integers(0, 60),
+    doubled=st.booleans(),
+    coefficients=st.tuples(_COEFFICIENTS, _COEFFICIENTS),
+)
+def test_eigenstates_survive_exactly(risk, total_time, n_values, level, doubled, coefficients):
+    s = Strategy.hermite(level, risk)
+    if doubled:  # the same level twice is still one eigenstate
+        s = Strategy.superpose([s, Strategy.hermite(level, risk)], coefficients)
+    rows = freeze_experiment(ZenoRun(s, total_time, 1, risk=risk), n_values)
+    assert [r.survival for r in rows] == [1.0] * len(n_values)
+
+
+@given(
+    risk=_RISKS,
+    total_time=st.floats(0.0, 50.0),
+    n_values=_SWEEPS,
+    levels=st.lists(st.integers(0, 12), min_size=2, max_size=5, unique=True),
+    coefficients=st.lists(_COEFFICIENTS, min_size=5, max_size=5),
+    packet=_PACKETS,
+    quadrature=st.booleans(),
+)
+def test_survival_lies_in_the_unit_interval(
+    risk, total_time, n_values, levels, coefficients, packet, quadrature
+):
+    if quadrature:  # a displaced, squeezed, tilted packet: projected by quadrature
+        s = _packet(risk, packet)
+    else:  # a finite combination of eigenstates: expanded exactly
+        parts = [Strategy.hermite(k, risk) for k in levels]
+        s = Strategy.superpose(parts, coefficients[: len(parts)])
+    rows = freeze_experiment(ZenoRun(s, total_time, 1, risk=risk), n_values)
+    assert [r.n for r in rows] == n_values
+    assert all(0.0 <= r.survival <= 1.0 for r in rows)
+
+
+def _per_level_trapezoid(s, risk, size, grid):
+    # the projection as one np.trapezoid per level, summed in numpy's order
+    scale = math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
+    amps = s.amplitudes_on(grid)
+    u = grid.points / scale
+    prev = np.zeros_like(u)
+    cur = np.pi ** -0.25 * np.exp(-0.5 * u * u) / math.sqrt(scale)
+    coeffs, bounds = [], []
+    for k in range(size):
+        coeffs.append(np.trapezoid(cur * amps, dx=grid.spacing))
+        bounds.append(np.sum(np.abs(cur * amps)) * grid.spacing)
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1)) * prev
+    return np.array(coeffs), np.array(bounds)
+
+
+@given(
+    risk=_RISKS,
+    packet=_PACKETS,
+    size=st.integers(1, 160),
+)
+def test_projection_matches_per_level_trapezoid(risk, packet, size):
+    s = _packet(risk, packet)
+    ell = math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
+    got = hermite_coefficients(s, risk, size)
+    # the grid hermite_coefficients chooses for a normalized packet of this size
+    lo, hi = s.support_bounds()
+    turning = math.sqrt(2.0 * size + 1.0) * ell * 1.25
+    half = min(max(abs(lo), abs(hi)), turning)
+    waves = half * math.sqrt(2.0 * size + 1.0) / (math.pi * ell)
+    grid = Grid(-half, half, max(4096, 8 * math.ceil(waves)))
+    want, bound = _per_level_trapezoid(s, risk, size, grid)
+    # two summation orders of n terms differ by at most ~n eps sum|terms|
+    tol = 2.0 * grid.n * np.finfo(float).eps * bound
+    assert np.all(np.abs(got - want) <= tol)
