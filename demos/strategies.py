@@ -49,7 +49,7 @@ def main() -> None:
     print(f"  empirical std  {np.std(draws):.4f}")
 
     seller = Strategy.delta(0.5, rep=Representation.SUPPLY)
-    print(f"improper seller pinned at ln price {seller.form.location}: ", end="")
+    print(f"improper seller pinned at ln price {seller.form.atoms[0]}: ", end="")
     print("point measures skip quadrature and clear exactly")
 
 

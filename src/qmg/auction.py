@@ -25,7 +25,6 @@ from .errors import (
 )
 from .numerics import Grid, RandomSource, check_count, integrate
 from .strategy import (
-    DeltaForm,
     DiscreteForm,
     GaussianForm,
     Representation,
@@ -137,10 +136,7 @@ def transaction_probabilities(inst: AuctionInstance) -> TransactionReport:
     per: list[float] = []
     for k, buyer in enumerate(inst.buyers):
         form = buyer.form
-        if isinstance(form, DeltaForm):
-            mass = float(_survival_product(inst, k, np.array([form.location]))[0])
-            per.append(mass)
-        elif isinstance(form, DiscreteForm):
+        if isinstance(form, DiscreteForm):
             surv = _survival_product(inst, k, np.asarray(form.atoms))
             per.append(float(np.dot(form.weights, surv)))
         else:
@@ -298,7 +294,7 @@ class TruthfulnessReport:
 
 
 def _positive_definite(s: Strategy) -> bool:
-    if isinstance(s.form, (DeltaForm, DiscreteForm, GaussianForm)):
+    if isinstance(s.form, (DiscreteForm, GaussianForm)):
         return True
     from .wigner import HudsonClass, hudson_check
 
@@ -306,8 +302,6 @@ def _positive_definite(s: Strategy) -> bool:
 
 
 def _atoms_of(s: Strategy) -> list[tuple[float, float]] | None:
-    if isinstance(s.form, DeltaForm):
-        return [(s.form.location, 1.0)]
     if isinstance(s.form, DiscreteForm):
         return list(zip(s.form.atoms, s.form.weights))
     return None
@@ -450,76 +444,3 @@ def _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples, risk):
         var = float(np.var(diff, ddof=1)) if mc_samples > 1 else 0.0
         ses.append(math.sqrt(var / mc_samples))
     return means, ses
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-
-
-def auction_from_spec(
-    doc: dict,
-    base_dir=None,
-    default_seed: int | None = None,
-    risk: RiskParams = UNIT_RISK,
-) -> AuctionInstance:
-    """Build an instance from the JSON auction document.
-
-    Expected fields: buyers (list of strategy literals), seller
-    (literal), pricing, weight (mixed only), samples, seed.  Literals
-    are parsed, and the instance run, under ``risk``.  Validation
-    errors carry the offending field name.
-    """
-    from .strategy import parse_strategy
-
-    if not isinstance(doc, dict):
-        raise ContractViolationError("auction: document must be an object")
-    for key in ("buyers", "seller", "pricing"):
-        if key not in doc:
-            raise ContractViolationError(f"auction.{key}: required field missing")
-    raw_buyers = doc["buyers"]
-    if not isinstance(raw_buyers, list) or not raw_buyers:
-        raise ContractViolationError("auction.buyers: must be a nonempty list")
-    buyers = []
-    for i, lit in enumerate(raw_buyers):
-        if not isinstance(lit, str):
-            raise ContractViolationError(f"auction.buyers[{i}]: must be a string literal")
-        buyers.append(parse_strategy(lit, Representation.DEMAND, base_dir, risk))
-    if not isinstance(doc["seller"], str):
-        raise ContractViolationError("auction.seller: must be a string literal")
-    seller = parse_strategy(doc["seller"], Representation.SUPPLY, base_dir, risk)
-    pricing = doc["pricing"]
-    if pricing not in PRICINGS:
-        raise ContractViolationError(
-            f"auction.pricing: must be one of {PRICINGS}, got {pricing!r}"
-        )
-    weight = doc.get("weight", 1.0)
-    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-        raise ContractViolationError("auction.weight: must be a number")
-    samples = doc.get("samples", 100_000)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise ContractViolationError("auction.samples: must be a positive integer")
-    seed = doc.get("seed", default_seed if default_seed is not None else 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ContractViolationError("auction.seed: must be a non-negative integer")
-    return AuctionInstance(
-        buyers=tuple(buyers),
-        seller=seller,
-        pricing=pricing,
-        weight=float(weight),
-        mc_samples=samples,
-        rng=RandomSource(seed),
-        risk=risk,
-    )
-
-
-def outcome_to_dict(outcome: AuctionOutcome) -> dict:
-    """Result JSON payload with the documented field names."""
-    return {
-        "pricing": outcome.pricing,
-        "weight": outcome.weight,
-        "samples": outcome.n_samples,
-        "winner_freq": list(outcome.winner_freq),
-        "revenue_mean": outcome.revenue_mean,
-        "revenue_se": outcome.revenue_se,
-        "p_no_trade": outcome.p_no_trade,
-    }

@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .auction import auction_from_spec, outcome_to_dict, run_auction
+from .auction import PRICINGS, AuctionInstance, run_auction
 from .clearing import MarketState, clear_round, cooling_experiment, round_log_to_csv
 from .errors import MarketModelError, ParameterRangeError
 from .numerics import Grid, RandomSource
@@ -123,7 +123,7 @@ def _parse_literal(text, path: str, rep: Representation, base_dir: Path, risk: R
         raise _fail(path, "strategy literal must be a string")
     try:
         return parse_strategy(text, rep=rep, base_dir=base_dir, risk=risk)
-    except (MarketModelError, ValueError) as exc:
+    except (MarketModelError, ValueError, OSError) as exc:
         raise _fail(path, str(exc))
 
 
@@ -198,6 +198,9 @@ _CURVE_FIELDS = {
     "strategy": ("strategy",),
 }
 
+# the field that sets each family's grid span, blamed when the curves overflow
+_CURVE_SCALE = {"coherent": "eta", "thermal": "beta", "excited": "risk", "strategy": "strategy"}
+
 
 def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     path = "parameters"
@@ -232,7 +235,10 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
         if s.is_improper:
             raise _fail(f"{path}.strategy", "point strategies have no Wigner density")
         density = wigner_transform(s, hbar=risk.hbar_eff)
-    curves = dominant_curves(density)
+    try:
+        curves = dominant_curves(density)
+    except ParameterRangeError as exc:
+        raise _fail(f"{path}.{_CURVE_SCALE[family]}", str(exc))
     density.to_csv(emit.path("density.csv"))
     curves.to_csv(emit.path("curves.csv"))
 
@@ -255,16 +261,43 @@ def _run_fixed_point(params: dict, seed: int, emit: Emitter, base_dir: Path) -> 
 
 
 def _run_auction(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    _refuse_unknown(
-        params, ("buyers", "seller", "pricing", "weight", "samples", "seed", "risk"), "parameters"
+    path = "parameters"
+    _refuse_unknown(params, ("buyers", "seller", "pricing", "weight", "samples", "seed", "risk"), path)
+    risk = _parse_risk(params, path)
+    raw = _get(params, "buyers", list, path)
+    if not raw:
+        raise _fail(f"{path}.buyers", "must be a nonempty list")
+    buyers = tuple(
+        _parse_literal(lit, f"{path}.buyers[{i}]", Representation.DEMAND, base_dir, risk)
+        for i, lit in enumerate(raw)
     )
-    risk = _parse_risk(params, "parameters")
-    try:
-        inst = auction_from_spec(params, base_dir=base_dir, default_seed=seed, risk=risk)
-    except MarketModelError as exc:
-        raise _fail("parameters", str(exc))
-    outcome = run_auction(inst)
-    doc = outcome_to_dict(outcome)
+    seller = _parse_literal(
+        _get(params, "seller", None, path), f"{path}.seller", Representation.SUPPLY, base_dir, risk
+    )
+    pricing = _get(params, "pricing", str, path)
+    if pricing not in PRICINGS:
+        raise _fail(f"{path}.pricing", f"must be one of {', '.join(PRICINGS)}, got {pricing!r}")
+    weight = _number(params, "weight", path, required=False, default=1.0)
+    if not 0.0 <= weight <= 1.0:
+        raise _fail(f"{path}.weight", f"must lie in [0, 1], got {weight}")
+    samples = _get(params, "samples", int, path, required=False, default=100_000)
+    if samples < 1:
+        raise _fail(f"{path}.samples", f"must be >= 1, got {samples}")
+    seed = _get(params, "seed", int, path, required=False, default=seed)
+    if not 0 <= seed < 2**64:  # the seeds a RandomSource takes
+        raise _fail(f"{path}.seed", f"must lie in 0..2**64 - 1, got {seed}")
+    outcome = run_auction(
+        AuctionInstance(buyers, seller, pricing, weight, samples, RandomSource(seed), risk)
+    )
+    doc = {
+        "pricing": outcome.pricing,
+        "weight": outcome.weight,
+        "samples": outcome.n_samples,
+        "winner_freq": list(outcome.winner_freq),
+        "revenue_mean": outcome.revenue_mean,
+        "revenue_se": outcome.revenue_se,
+        "p_no_trade": outcome.p_no_trade,
+    }
     with open(emit.path("results.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -336,6 +369,8 @@ def _thermal_row(beta: float, risk: RiskParams, terms: int) -> tuple:
     energy = thermal_energy(beta, risk)  # refuses a beta whose energy overflows
     hw = 0.5 * beta * risk.hbar_eff * risk.omega
     t = math.tanh(hw)
+    # rounded in another order than thermal_energy's argument, hw can
+    # underflow to 0 where that one does not (a tiny hbar_e, a large omega)
     if t == 0:
         raise ParameterRangeError(f"beta {beta} is too small: the thermal spread overflows")
     spread = 1.0 / t  # coth, thermal variance factor

@@ -92,6 +92,31 @@ def reciprocal_grid(grid: Grid, hbar: float = 1.0) -> Grid:
     return Grid(-half * dp, (grid.n - 1 - half) * dp, grid.n)
 
 
+def _checked_amplitudes(amplitudes, grid: Grid, hbar: float) -> np.ndarray:
+    if hbar <= 0:
+        raise ParameterRangeError(f"hbar must be positive, got {hbar}")
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (grid.n,):
+        raise ContractViolationError(
+            f"amplitudes shape {amps.shape} does not match grid size {grid.n}"
+        )
+    return amps
+
+
+def _fourier(amps: np.ndarray, src: Grid, hbar: float, sign: int, dst: Grid) -> np.ndarray:
+    """Continuum transform with kernel exp(sign i x y / hbar) from ``src`` onto ``dst``.
+
+    With y_j = y0 + j dy and x_k = x0 + k dx,
+    out_j = C dx e^{sign i y_j x0/h} sum_k psi_k e^{sign i y0 k dx/h} e^{sign 2pi i jk/n}:
+    sign -1 (q to p) is ``np.fft.fft``, sign +1 (p to q) is ``ifft`` times n.
+    """
+    k = np.arange(src.n)
+    phased = amps * np.exp(sign * 1j * dst.lo * (k * src.spacing) / hbar)
+    out = np.fft.fft(phased) if sign < 0 else np.fft.ifft(phased) * src.n
+    out *= src.spacing / math.sqrt(TWO_PI * hbar) * np.exp(sign * 1j * src.lo * dst.points / hbar)
+    return out
+
+
 def fourier_q_to_p(
     amplitudes: np.ndarray, grid_q: Grid, hbar: float = 1.0
 ) -> tuple[np.ndarray, Grid]:
@@ -101,22 +126,9 @@ def fourier_q_to_p(
     they live on.  Amplitudes must decay toward the grid edges for the
     result to approximate the continuum transform.
     """
-    if hbar <= 0:
-        raise ParameterRangeError(f"hbar must be positive, got {hbar}")
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (grid_q.n,):
-        raise ContractViolationError(
-            f"amplitudes shape {amps.shape} does not match grid size {grid_q.n}"
-        )
+    amps = _checked_amplitudes(amplitudes, grid_q, hbar)
     gp = reciprocal_grid(grid_q, hbar)
-    n = grid_q.n
-    dq = grid_q.spacing
-    k = np.arange(n)
-    # Continuum phases: psi~_j = C dq e^{-i p_j q0/h} sum_k psi_k e^{-i p0 k dq/h} e^{-2pi i jk/n}
-    phased = amps * np.exp(-1j * gp.lo * (k * dq) / hbar)
-    out = np.fft.fft(phased)
-    out *= dq / math.sqrt(TWO_PI * hbar) * np.exp(-1j * gp.points * grid_q.lo / hbar)
-    return out, gp
+    return _fourier(amps, grid_q, hbar, -1, gp), gp
 
 
 def fourier_p_to_q(
@@ -130,13 +142,7 @@ def fourier_p_to_q(
     ``grid_q`` may pin the target grid; it must be reciprocal to
     ``grid_p`` (dp * dq * n = 2 pi hbar) but its origin is free.
     """
-    if hbar <= 0:
-        raise ParameterRangeError(f"hbar must be positive, got {hbar}")
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (grid_p.n,):
-        raise ContractViolationError(
-            f"amplitudes shape {amps.shape} does not match grid size {grid_p.n}"
-        )
+    amps = _checked_amplitudes(amplitudes, grid_p, hbar)
     gq = grid_q if grid_q is not None else reciprocal_grid(grid_p, hbar)
     if gq.n != grid_p.n:
         raise ContractViolationError("target grid must have the same size")
@@ -145,13 +151,7 @@ def fourier_p_to_q(
         raise ContractViolationError(
             "target grid is not reciprocal to the input grid (dp*dq*n != 2*pi*hbar)"
         )
-    n = grid_p.n
-    dp = grid_p.spacing
-    j = np.arange(n)
-    phased = amps * np.exp(1j * (j * dp) * gq.lo / hbar)
-    out = np.fft.ifft(phased) * n
-    out *= dp / math.sqrt(TWO_PI * hbar) * np.exp(1j * grid_p.lo * gq.points / hbar)
-    return out, gq
+    return _fourier(amps, grid_p, hbar, 1, gq), gq
 
 
 def find_root(

@@ -4,21 +4,23 @@ A strategy assigns complex amplitudes to log-prices.  In the demand
 representation the squared modulus |<q|psi>|^2 is the distribution of
 logarithms of buying prices the trader is prepared to pay; the supply
 representation <p|psi> is the Fourier dual (scaled by the economical
-Planck constant) and plays the same role for selling.  Delta and
-discrete forms are improper: they have well-defined probabilities but
-no finite norm, so operations that need L2 structure reject them.
+Planck constant) and plays the same role for selling.  Discrete forms
+(a delta is the one-atom case) are improper: they have well-defined
+probabilities but no finite norm, so operations that need L2 structure
+reject them.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -157,17 +159,6 @@ class HermiteForm:
         return math.sqrt(r.hbar_eff / (r.m * r.omega))
 
 
-@dataclass(frozen=True)
-class DeltaForm:
-    """Point strategy: certain about a single log-price.  Improper."""
-
-    location: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.location):
-            raise ParameterRangeError("delta location must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class SampledForm:
     """Amplitudes tabulated on a uniform grid, interpolated in between."""
@@ -190,7 +181,10 @@ class SampledForm:
 
 @dataclass(frozen=True)
 class DiscreteForm:
-    """Finite classical measure on log-prices.  Improper but enumerable."""
+    """Finite classical measure on log-prices.  Improper but enumerable.
+
+    A point strategy (a delta) is the one-atom case.
+    """
 
     atoms: tuple[float, ...]
     weights: tuple[float, ...]
@@ -228,28 +222,31 @@ class SuperposedForm:
             raise DegenerateStateError("all superposition coefficients vanish")
 
 
-Form = Union[GaussianForm, HermiteForm, DeltaForm, SampledForm, DiscreteForm, SuperposedForm]
+Form = Union[GaussianForm, HermiteForm, SampledForm, DiscreteForm, SuperposedForm]
+
+
+def _hermite_ladder(u: np.ndarray, phi0: np.ndarray) -> Iterator[np.ndarray]:
+    """phi_k(u) for k = 0, 1, 2, ..., starting from phi0, one per ``next``.
+
+    The normalized three-term recurrence
+    phi_{k+1} = sqrt(2/(k+1)) u phi_k - sqrt(k/(k+1)) phi_{k-1}
+    is stable for large k where the raw Hermite polynomial would
+    overflow.  It is linear, so phi0 may carry any constant factor.
+    """
+    prev, cur = np.zeros_like(u), phi0
+    for k in itertools.count():
+        yield cur
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1.0)) * prev
 
 
 def hermite_function(n: int, x: np.ndarray, length_scale: float = 1.0) -> np.ndarray:
-    """Orthonormal oscillator eigenfunction of order n.
-
-    Evaluated with the normalized three-term recurrence
-    phi_{k+1} = sqrt(2/(k+1)) u phi_k - sqrt(k/(k+1)) phi_{k-1},
-    u = x / length_scale, which is stable for large n where the raw
-    Hermite polynomial would overflow.
-    """
+    """Orthonormal oscillator eigenfunction of order n at u = x / length_scale."""
     check_count(n, "order n", 0)
     if not (length_scale > 0 and math.isfinite(length_scale)):
         raise ParameterRangeError(f"length_scale must be positive and finite, got {length_scale}")
     u = np.asarray(x, dtype=float) / length_scale
-    phi_prev = np.zeros_like(u)
-    phi = math.pi ** (-0.25) * np.exp(-0.5 * u * u)
-    for k in range(n):
-        phi_prev, phi = phi, (
-            math.sqrt(2.0 / (k + 1)) * u * phi - math.sqrt(k / (k + 1.0)) * phi_prev
-        )
-    return phi / math.sqrt(length_scale)
+    ladder = _hermite_ladder(u, math.pi ** (-0.25) * np.exp(-0.5 * u * u))
+    return next(itertools.islice(ladder, n, None)) / math.sqrt(length_scale)
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,7 @@ class Strategy:
     def delta(
         location: float, rep: Representation = Representation.DEMAND
     ) -> "Strategy":
-        return Strategy(DeltaForm(float(location)), rep)
+        return Strategy(DiscreteForm((float(location),), (1.0,)), rep)
 
     @staticmethod
     def sampled(
@@ -327,7 +324,7 @@ class Strategy:
 
     @property
     def is_improper(self) -> bool:
-        return isinstance(self.form, (DeltaForm, DiscreteForm))
+        return isinstance(self.form, DiscreteForm)
 
     def support_bounds(self) -> tuple[float, float]:
         """Interval outside which the amplitudes are numerically negligible."""
@@ -374,17 +371,12 @@ class Strategy:
         """P(variable <= x) in this strategy's own representation.
 
         inclusive=False gives P(variable < x); the two differ only on
-        the atoms of delta and discrete strategies.
+        the atoms of discrete strategies.
         """
         x = np.asarray(x, dtype=float)
-        form = self.form
-        if isinstance(form, DeltaForm):
-            pairs = [(form.location, 1.0)]
-        elif isinstance(form, DiscreteForm):
-            pairs = sorted(zip(form.atoms, form.weights))
-        else:
+        if not isinstance(self.form, DiscreteForm):
             return self.table.cdf(x)
-        atoms, weights = zip(*pairs)
+        atoms, weights = zip(*sorted(zip(self.form.atoms, self.form.weights)))
         below = np.concatenate([[0.0], np.cumsum(weights)])
         return below[np.searchsorted(atoms, x, side="right" if inclusive else "left")]
 
@@ -548,7 +540,12 @@ def normalize(s: Strategy) -> Strategy:
     return Strategy(SampledForm(s.form.amplitudes / nrm, s.form.grid), s.rep)
 
 
-def _balanced_grid(s: Strategy, hbar: float, forward) -> Grid:
+def _transform_from(s: Strategy):
+    """The Fourier transform out of ``s``'s representation."""
+    return fourier_q_to_p if s.rep is Representation.DEMAND else fourier_p_to_q
+
+
+def _balanced_grid(s: Strategy, hbar: float) -> Grid:
     """Source grid whose reciprocal also resolves the dual density.
 
     The default grid covers the strategy well, but its reciprocal can be
@@ -559,7 +556,7 @@ def _balanced_grid(s: Strategy, hbar: float, forward) -> Grid:
     """
     g0 = s.default_grid()
     mu_s, sd_s = moments(s)
-    amps_d, g_d = forward(s.amplitudes_on(g0), g0, hbar)
+    amps_d, g_d = _transform_from(s)(s.amplitudes_on(g0), g0, hbar)
     mu_d, var_d = _density_moments(np.abs(amps_d) ** 2, g_d)
     sd_d = math.sqrt(max(var_d, 1e-30))
     lo, hi = s.support_bounds()
@@ -572,6 +569,21 @@ def _balanced_grid(s: Strategy, hbar: float, forward) -> Grid:
     return Grid(lo2, lo2 + (n - 1) * dx, n)
 
 
+def _to_rep(s: Strategy, risk: RiskParams, target: Representation) -> Strategy:
+    if s.rep is target:
+        raise RepresentationError(f"strategy is already in the {target.value} representation")
+    if s.is_improper:
+        raise ImproperStateError(
+            "the Fourier image of a point strategy is a plane wave, not normalizable"
+        )
+    if isinstance(s.form, SampledForm):
+        g = s.form.grid
+    else:
+        g = _balanced_grid(s, risk.hbar_eff)
+    amps, grid = _transform_from(s)(s.amplitudes_on(g), g, risk.hbar_eff)
+    return Strategy(SampledForm(amps, grid), target)
+
+
 def to_supply_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
     """Fourier transform a demand strategy into its supply representation.
 
@@ -579,41 +591,19 @@ def to_supply_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
     commutative model.  The result is a sampled strategy on the
     reciprocal grid.
     """
-    if s.rep is Representation.SUPPLY:
-        raise RepresentationError("strategy is already in the supply representation")
-    if s.is_improper:
-        raise ImproperStateError(
-            "the Fourier image of a point strategy is a plane wave, not normalizable"
-        )
-    if isinstance(s.form, SampledForm):
-        g = s.form.grid
-    else:
-        g = _balanced_grid(s, risk.hbar_eff, fourier_q_to_p)
-    amps_p, grid_p = fourier_q_to_p(s.amplitudes_on(g), g, risk.hbar_eff)
-    return Strategy(SampledForm(amps_p, grid_p), Representation.SUPPLY)
+    return _to_rep(s, risk, Representation.SUPPLY)
 
 
 def to_demand_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
     """Inverse of :func:`to_supply_rep`."""
-    if s.rep is Representation.DEMAND:
-        raise RepresentationError("strategy is already in the demand representation")
-    if s.is_improper:
-        raise ImproperStateError(
-            "the Fourier image of a point strategy is a plane wave, not normalizable"
-        )
-    if isinstance(s.form, SampledForm):
-        g = s.form.grid
-    else:
-        g = _balanced_grid(s, risk.hbar_eff, fourier_p_to_q)
-    amps_q, gq = fourier_p_to_q(s.amplitudes_on(g), g, risk.hbar_eff)
-    return Strategy(SampledForm(amps_q, gq), Representation.DEMAND)
+    return _to_rep(s, risk, Representation.DEMAND)
 
 
 def buy_probability(s: Strategy, log_price: float) -> float:
     """Chance the trader accepts to buy at the quoted log-price.
 
     This is P(q <= ln c) under the demand density; a delta strategy
-    turns it into the sharp rule [ln c >= location].
+    turns it into the sharp rule [ln c >= its atom].
     """
     if s.rep is not Representation.DEMAND:
         raise RepresentationError("buy_probability needs the demand representation")
@@ -685,9 +675,9 @@ def sample(
             )
         s = s.dual(risk)
     form = s.form
-    if isinstance(form, DeltaForm):
-        return np.full(size, form.location)
     if isinstance(form, DiscreteForm):
+        if len(form.atoms) == 1:  # a point draws nothing from the stream
+            return np.full(size, form.atoms[0])
         return rng.choice(np.array(form.atoms), size=size, p=np.array(form.weights))
     if isinstance(form, GaussianForm):
         return rng.normal(form.center, form.width, size)

@@ -27,18 +27,19 @@ from .errors import (
     DegenerateDensityError,
     ImproperStateError,
     ParameterRangeError,
+    RepresentationError,
 )
 from .numerics import Grid, check_count
 from .strategy import (
     GaussianForm,
     HermiteForm,
+    Representation,
     RiskParams,
     SampledForm,
     Strategy,
     SuperposedForm,
     _density_moments,
     moments as strategy_moments,
-    to_supply_rep,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -178,7 +179,8 @@ def wigner_transform(
     """Numerical Wigner transform of a normalizable strategy.
 
     Default grids cover eight standard deviations of each marginal with
-    241 points.  The chord integral is done by trapezoid quadrature
+    241 points; the default p-grid reads the strategy's cached supply
+    dual, so it needs a demand-representation strategy.  The chord integral is done by trapezoid quadrature
     with the x step chosen against the Nyquist limit of the kernel, so
     oscillatory (sloped or superposed) strategies stay resolved.
 
@@ -199,7 +201,9 @@ def wigner_transform(
         lo, hi = s.support_bounds()
         q_grid = Grid(lo, hi, 241)
     if p_grid is None:
-        pm, ps = strategy_moments(to_supply_rep(s, _wigner_risk(hb)))
+        if s.rep is not Representation.DEMAND:
+            raise RepresentationError("the default p-grid needs a demand-representation strategy")
+        pm, ps = strategy_moments(s.dual(_wigner_risk(hb)))
         span = max(8.0 * ps, 1e-6)
         p_grid = Grid(pm - span, pm + span, 241)
 
@@ -345,6 +349,18 @@ def _per_distinct(z: np.ndarray, f) -> np.ndarray:
 def _oscillator_h(
     p_grid: Grid, q_grid: Grid, risk: RiskParams
 ) -> np.ndarray:
+    """H on the grid, refused where it or z = 4H/(hbar omega) would overflow.
+
+    Both grow with |p| and |q|, so the corner farthest out bounds them;
+    checked there in Python floats, before any array overflows.
+    """
+    p_top = max(-p_grid.lo, p_grid.hi)
+    q_top = max(-q_grid.lo, q_grid.hi)
+    h_top = p_top * p_top / (2.0 * risk.m) + 0.5 * risk.m * risk.omega**2 * q_top * q_top
+    if not math.isfinite(4.0 * h_top / (risk.hbar_eff * risk.omega)):
+        raise ParameterRangeError(
+            f"the risk Hamiltonian overflows a double on the grid corner ({p_top}, {q_top})"
+        )
     p = p_grid.points[:, None]
     q = q_grid.points[None, :]
     return p * p / (2.0 * risk.m) + 0.5 * risk.m * risk.omega**2 * q * q
@@ -411,8 +427,8 @@ def thermal_wigner(
     levels are summed, in order, once per distinct value of
     z = 4H/(hbar omega) on the grid, and gathered back: the same values,
     bit for bit, as the sum over every grid point.  A beta so small that
-    the thermal spread overflows, or whose series is not finite on the
-    grid, raises ParameterRangeError.
+    the thermal spread overflows, or a grid on which H overflows, raises
+    ParameterRangeError.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
@@ -442,11 +458,6 @@ def thermal_wigner(
         return total
 
     values = _per_distinct(4.0 * h / (hb * risk.omega), gibbs_sum)
-    # an H that overflows the grid leaves the ladder inf * 0 = nan
-    if not np.all(np.isfinite(values)):
-        raise ParameterRangeError(
-            f"thermal series at beta {beta} is not finite on this grid"
-        )
     return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="mixture")
 
 
@@ -558,6 +569,11 @@ def _cumulative_slice(slice_vals: np.ndarray, grid: Grid) -> tuple[np.ndarray, b
     # spline antiderivative: trapezoid accumulation at typical grid sizes
     # (n ~ 241) leaves O(1e-4) error, two orders too coarse for the curves
     cum = CubicSpline(grid.points, slice_vals).antiderivative()(grid.points)
+    if not np.all(np.isfinite(cum)):
+        # the spline's powers of the spacing overflow, or its coefficients underflow
+        raise ParameterRangeError(
+            f"the density slice over [{grid.lo}, {grid.hi}] has no finite integral in double precision"
+        )
     cum = cum - cum[0]
     total = cum[-1]
     scale = float(np.max(np.abs(slice_vals))) * (grid.hi - grid.lo)

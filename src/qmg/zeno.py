@@ -27,13 +27,14 @@ from .errors import (
     ParameterRangeError,
     TruncationError,
 )
-from .numerics import Grid, check_count
+from .numerics import Grid, check_count, integrate
 from .strategy import (
     HermiteForm,
     RiskParams,
     Strategy,
     SuperposedForm,
     UNIT_RISK,
+    _hermite_ladder,
     normalize,
 )
 
@@ -77,7 +78,7 @@ def _exact_level_vector(s: Strategy, risk: RiskParams) -> np.ndarray | None:
     Returns None when the strategy is not an exact finite combination
     of this risk operator's eigenfunctions.
     """
-    scale = math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
+    scale = _length_scale(risk)
 
     def matches(form: HermiteForm) -> bool:
         return math.isclose(form.length_scale, scale, rel_tol=1e-9, abs_tol=0.0)
@@ -123,37 +124,64 @@ def hermite_coefficients(
         out[: len(exact)] = exact
         nrm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
         return out / nrm
-    scale = math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
-    lo, hi = s.support_bounds()
+    scale = _length_scale(risk)
     turning = math.sqrt(2.0 * size + 1.0) * scale * 1.25
-    half = min(max(abs(lo), abs(hi)), turning)
-    # >= 8 samples per top-level oscillation, lower-bounded for narrow states
-    waves = half * math.sqrt(2.0 * size + 1.0) / (math.pi * scale)
-    grid = Grid(-half, half, max(4096, 8 * math.ceil(waves)))
+    grid = _projection_grid(s, scale, size, turning)
     # trapezoid weights folded into the amplitudes once; one dot per level
     weighted = s.amplitudes_on(grid) * grid.spacing
     weighted[[0, -1]] *= 0.5
     parts = np.stack([weighted.real, weighted.imag])
-    coeffs = np.empty(size, dtype=complex)
     u = grid.points / scale
-    prev = np.zeros_like(u)
-    cur = np.pi ** -0.25 * np.exp(-0.5 * u * u) / math.sqrt(scale)
-    for k in range(size):
-        re, im = parts @ cur
+    ladder = _hermite_ladder(u, np.pi ** -0.25 * np.exp(-0.5 * u * u) / math.sqrt(scale))
+    coeffs = np.empty(size, dtype=complex)
+    for k, level in zip(range(size), ladder):
+        re, im = parts @ level
         coeffs[k] = complex(re, im)
-        prev, cur = cur, (
-            math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1)) * prev
-        )
     return coeffs
 
 
+def _length_scale(risk: RiskParams) -> float:
+    return math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
+
+
+def _projection_grid(s: Strategy, scale: float, size: int, reach: float) -> Grid:
+    """Symmetric grid over s's support, clamped to +-reach.
+
+    >= 8 samples per oscillation of the top level, lower-bounded for
+    narrow states.
+    """
+    lo, hi = s.support_bounds()
+    half = min(max(abs(lo), abs(hi)), reach)
+    waves = half * math.sqrt(2.0 * size + 1.0) / (math.pi * scale)
+    return Grid(-half, half, max(4096, 8 * math.ceil(waves)))
+
+
+def _projection_norm(run: ZenoRun, size: int) -> float:
+    """Squared norm of the initial strategy under the projection's quadrature.
+
+    The trapezoid rule on the projection's node rule over the whole
+    support, unclamped: mass beyond the top level's turning point counts
+    here but not in the coefficients.
+    """
+    s = normalize(run.initial)
+    grid = _projection_grid(s, _length_scale(run.risk), size, math.inf)
+    return float(integrate(np.abs(s.amplitudes_on(grid)) ** 2, grid))
+
+
 def _captured_coefficients(run: ZenoRun) -> np.ndarray:
-    """Coefficients with guaranteed norm capture, doubling the basis as needed."""
+    """Coefficients with guaranteed norm capture, doubling the basis as needed.
+
+    Capture is measured against the unit norm, or else against the norm
+    under the projection's own quadrature: a sampled strategy is unit on
+    its native nodes, while the projection integrates its spline
+    interpolant, and the two differ by O(dx^4) of the native grid.
+    """
     size = run.basis_size
     while True:
         coeffs = hermite_coefficients(run.initial, run.risk, size)
         captured = float(np.sum(np.abs(coeffs) ** 2))
-        if captured >= 1.0 - 1e-8:
+        tol = 1.0 - 1e-8
+        if captured >= tol or captured >= tol * _projection_norm(run, size):
             return coeffs / math.sqrt(captured)
         if size >= run.max_basis_size:
             raise TruncationError(

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -10,9 +9,7 @@ from qmg.auction import (
     _draws,
     _enumerate_payoffs,
     _mean_se,
-    auction_from_spec,
     mixed_polarization_auction,
-    outcome_to_dict,
     run_auction,
     transaction_density,
     transaction_probabilities,
@@ -318,30 +315,6 @@ def test_vickrey_grid_must_contain_valuation():
             bid_grid=(0.4, 0.6),
             opponents=(Strategy.delta(0.9),),
             seller=Strategy.delta(-1.0, rep=Representation.SUPPLY),
-        )
-
-
-def test_auction_spec_round_trip(tmp_path):
-    doc = {
-        "buyers": ["delta(0.1)", "delta(0.3)"],
-        "seller": "delta(-0.5)",
-        "pricing": "first",
-        "samples": 128,
-        "seed": 4,
-    }
-    inst = auction_from_spec(doc)
-    out = run_auction(inst)
-    payload = outcome_to_dict(out)
-    text = json.dumps(payload)  # must be plain JSON types
-    assert json.loads(text)["revenue_mean"] == math.exp(-0.1)
-
-
-def test_auction_spec_validation_paths():
-    with pytest.raises(ContractViolationError, match="auction.buyers"):
-        auction_from_spec({"buyers": [], "seller": "delta(0)", "pricing": "first"})
-    with pytest.raises(ContractViolationError, match="auction.pricing"):
-        auction_from_spec(
-            {"buyers": ["delta(0)"], "seller": "delta(0)", "pricing": "dutch"}
         )
 
 

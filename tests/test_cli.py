@@ -1,11 +1,14 @@
 """End-to-end scenario runner and plot-data emitter checks."""
 
+import cmath
 import json
 import math
 
 import pytest
 
 from qmg.cli import main
+from qmg.numerics import Grid
+from qmg.strategy import hermite_function
 
 A_STAR = 0.27602980479814
 
@@ -129,6 +132,57 @@ def test_auction_honours_risk(tmp_path):
     risky = tmp_path / "risky"
     assert main(["run", str(path), "--out", str(risky)]) == 0
     assert (plain / "results.json").read_bytes() != (risky / "results.json").read_bytes()
+
+
+def test_auction_results_json_round_trip(tmp_path):
+    params = {
+        "buyers": ["delta(0.1)", "delta(0.3)"],
+        "seller": "delta(-0.5)",
+        "pricing": "first",
+        "samples": 128,
+        "seed": 4,
+    }
+    out = run_ok(tmp_path, {"kind": "auction", "parameters": params})
+    results = json.loads((out / "results.json").read_text())
+    assert sorted(results) == [
+        "p_no_trade", "pricing", "revenue_mean", "revenue_se", "samples", "weight", "winner_freq",
+    ]
+    assert results["revenue_mean"] == math.exp(-0.1)
+    assert results["samples"] == 128
+
+
+AUCTION_PARAMETERS = {"buyers": ["gaussian(0, 1)", "delta(0)"], "seller": "delta(0)", "pricing": "first", "samples": 10}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"buyers": []}, "buyers"),
+        ({"buyers": ["gaussian(0, 1)", 3]}, "buyers[1]"),
+        ({"buyers": "delta(0)"}, "buyers"),
+        ({"seller": "gauss(0,1)"}, "seller"),
+        ({"seller": None}, "seller"),
+        ({"pricing": "dutch"}, "pricing"),
+        ({"weight": 1.5}, "weight"),
+        ({"weight": "half"}, "weight"),
+        ({"samples": -3}, "samples"),
+        ({"samples": 2.5}, "samples"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+    ],
+    ids=[
+        "buyers-empty", "buyers-not-literal", "buyers-not-list", "seller-bad-literal",
+        "seller-missing", "pricing", "weight-range", "weight-type", "samples-negative",
+        "samples-float", "seed-bool", "seed-negative", "seed-too-large",
+    ],
+)
+def test_bad_auction_field_exits_3(tmp_path, capsys, change, field):
+    # a field changed to None is left out of the document
+    params = {k: v for k, v in {**AUCTION_PARAMETERS, **change}.items() if v is not None}
+    path = write_scenario(tmp_path, {"kind": "auction", "parameters": params})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"invalid scenario at parameters.{field}:" in capsys.readouterr().err
 
 
 def test_zeno_eigenstate_all_ones(tmp_path):
@@ -374,6 +428,9 @@ def test_bad_literal_exits_3(tmp_path, capsys):
         ({"family": "strategy", "strategy": "discrete(0:1, 1:1)"}, "parameters.strategy"),
         ({"family": "thermal", "beta": 5e-324}, "parameters.beta"),
         ({"family": "thermal", "beta": 1e-320}, "parameters.beta"),
+        # accepted by the density, but the curves' spline integral overflows
+        ({"family": "thermal", "beta": 1e-158}, "parameters.beta"),
+        ({"family": "thermal", "beta": 1e-160}, "parameters.beta"),
     ],
 )
 def test_curves_out_of_range_exits_3(tmp_path, capsys, params, field):
@@ -395,6 +452,48 @@ def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
     path = write_scenario(tmp_path, doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert f"invalid scenario at {field}:" in capsys.readouterr().err
+
+
+def test_thermal_spread_refused_where_the_energy_is_finite(tmp_path, capsys):
+    # beta * (hbar omega / 2) = 5e-311 keeps the energy finite, but the
+    # spread's 0.5 * beta * hbar_e underflows to 0 before omega enters
+    risk = {"hbar_e": 1e-30, "omega": 1e20}
+    doc = {"kind": "thermal", "parameters": {"betas": [1e-300], "series_terms": 5, "risk": risk}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "invalid scenario at parameters.betas[0]:" in capsys.readouterr().err
+
+
+def test_thermal_curves_at_the_smallest_clean_beta_are_finite(tmp_path):
+    out = run_ok(tmp_path, {"kind": "curves", "parameters": {"family": "thermal", "beta": 1e-155}})
+    _, rows = read_rows(out / "curves.csv")
+    assert len(rows) == 241
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_missing_sampled_file_exits_3(tmp_path, capsys):
+    doc = {"kind": "zeno", "parameters": {"initial": "sampled(@absent.csv)", "total_time": 0.5, "n_values": [1]}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "invalid scenario at parameters.initial:" in capsys.readouterr().err
+
+
+def test_sampled_zeno_on_a_coarse_grid_is_not_truncated(tmp_path):
+    # hermite(1) + 0.5i hermite(3) on 301 nodes: its unit norm on the
+    # nodes and its projection's quadrature norm differ by about 1e-7
+    grid = Grid(-7.0, 7.5, 301)
+    amps = hermite_function(1, grid.points) + 0.5j * hermite_function(3, grid.points)
+    lines = ["x,re,im"] + [f"{x!r},{a.real!r},{a.imag!r}" for x, a in zip(grid.points.tolist(), amps.tolist())]
+    (tmp_path / "two_level.csv").write_text("\n".join(lines) + "\n")
+    n_values = [1, 2, 3, 5, 10, 100]
+    params = {"initial": "sampled(@two_level.csv)", "total_time": 0.37, "n_values": n_values}
+    out = run_ok(tmp_path, {"kind": "zeno", "parameters": params})
+    _, rows = read_rows(out / "zeno.csv")
+    for n, (n_text, survival) in zip(n_values, rows):
+        phase = 2.0 * math.pi * 0.37 / n
+        amp = 0.8 * cmath.exp(-1.5j * phase) + 0.2 * cmath.exp(-3.5j * phase)
+        assert int(n_text) == n
+        assert float(survival) == pytest.approx(abs(amp) ** (2 * n), abs=1e-6)
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):

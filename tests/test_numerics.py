@@ -110,6 +110,48 @@ def test_fourier_pair_is_unitary_on_reciprocal_grids(hbar, n, lo, width, seed):
     assert norm_p == pytest.approx(norm_q, rel=1e-10)
 
 
+def _two_body_q_to_p(amps, grid_q, hbar):
+    # the forward transform as a body of its own, before both directions shared one
+    gp = reciprocal_grid(grid_q, hbar)
+    n, dq, k = grid_q.n, grid_q.spacing, np.arange(grid_q.n)
+    out = np.fft.fft(amps * np.exp(-1j * gp.lo * (k * dq) / hbar))
+    out *= dq / math.sqrt(2.0 * math.pi * hbar) * np.exp(-1j * gp.points * grid_q.lo / hbar)
+    return out, gp
+
+
+def _two_body_p_to_q(amps, grid_p, hbar, grid_q=None):
+    # the inverse transform as a body of its own
+    gq = grid_q if grid_q is not None else reciprocal_grid(grid_p, hbar)
+    n, dp, j = grid_p.n, grid_p.spacing, np.arange(grid_p.n)
+    out = np.fft.ifft(amps * np.exp(1j * (j * dp) * gq.lo / hbar)) * n
+    out *= dp / math.sqrt(2.0 * math.pi * hbar) * np.exp(1j * grid_p.lo * gq.points / hbar)
+    return out, gq
+
+
+@given(
+    hbar=st.floats(0.1, 10.0),
+    n=st.sampled_from([8, 9, 100, 243, 256, 1000, 1024, 2047]),
+    lo=st.floats(-20.0, 10.0),
+    width=st.floats(1.0, 30.0),
+    shift=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fourier_entry_points_match_the_two_bodies_bit_for_bit(hbar, n, lo, width, shift, seed):
+    # odd, even and non-power-of-two sizes on asymmetric windows; the
+    # inverse both onto its reciprocal grid and onto a pinned, shifted one
+    g = Grid(lo, lo + width, n)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phi, gp = fourier_q_to_p(psi, g, hbar)
+    want, want_gp = _two_body_q_to_p(psi, g, hbar)
+    assert gp == want_gp and phi.tobytes() == want.tobytes()
+    pinned = Grid(g.lo + shift, g.lo + shift + (g.hi - g.lo), n)
+    for grid_q in (None, g, pinned):
+        back, gq = fourier_p_to_q(phi, gp, hbar, grid_q=grid_q)
+        want, want_gq = _two_body_p_to_q(phi, gp, hbar, grid_q)
+        assert gq == want_gq and back.tobytes() == want.tobytes()
+
+
 def test_fourier_rejects_non_reciprocal_target():
     g = Grid(-10.0, 10.0, 512)
     phi, gp = fourier_q_to_p(np.exp(-g.points**2), g)

@@ -313,3 +313,54 @@ def test_parse_strategy_rejects_garbage():
 def test_counts_are_refused_unless_integers(call, error):
     with pytest.raises(error):
         call()
+
+
+def _loop_hermite_function(n, x, length_scale):
+    # the recurrence as a loop of its own, before it became a shared ladder
+    u = np.asarray(x, dtype=float) / length_scale
+    prev, phi = np.zeros_like(u), math.pi ** (-0.25) * np.exp(-0.5 * u * u)
+    for k in range(n):
+        prev, phi = phi, math.sqrt(2.0 / (k + 1)) * u * phi - math.sqrt(k / (k + 1.0)) * prev
+    return phi / math.sqrt(length_scale)
+
+
+@given(n=st.integers(0, 300), length_scale=st.floats(0.05, 20.0), reach=st.floats(1.0, 60.0))
+def test_hermite_ladder_is_the_loop_bit_for_bit(n, length_scale, reach):
+    x = np.linspace(-reach, 0.7 * reach, 301)
+    assert hermite_function(n, x, length_scale).tobytes() == _loop_hermite_function(n, x, length_scale).tobytes()
+
+
+@given(
+    x=st.floats(-30.0, 30.0),
+    gap=st.floats(-2.0, 2.0),
+    size=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_delta_is_a_one_atom_discrete_bit_for_bit(x, gap, size, seed):
+    from qmg.auction import AuctionInstance, transaction_probabilities, vickrey_truthfulness_check
+
+    supply = Representation.SUPPLY
+    point, atom = Strategy.delta(x), Strategy.discrete([x])
+    probes = np.array([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), x - gap, x + 1.0])
+    for inclusive in (True, False):
+        assert point.cdf(probes, inclusive).tobytes() == atom.cdf(probes, inclusive).tobytes()
+    # a point draws nothing: the generator's next draw is its first
+    gen_point, gen_atom = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = sample(point, gen_point, size)
+    assert draws.tobytes() == sample(atom, gen_atom, size).tobytes()
+    assert np.all(draws == x)
+    assert gen_point.random() == gen_atom.random() == np.random.default_rng(seed).random()
+
+    def report(buyer, seller):
+        inst = AuctionInstance((buyer, Strategy.gaussian(x + gap, 1.0)), seller)
+        return transaction_probabilities(inst)
+
+    assert report(point, Strategy.delta(-x - gap, supply)) == report(atom, Strategy.discrete([-x - gap], rep=supply))
+    valuation = math.exp(-x)
+    bids = (0.5 * valuation, valuation, 2.0 * valuation)
+    by_delta = vickrey_truthfulness_check(valuation, bids, [Strategy.delta(x + gap)], Strategy.delta(gap, supply))
+    by_atom = vickrey_truthfulness_check(
+        valuation, bids, [Strategy.discrete([x + gap])], Strategy.discrete([gap], rep=supply)
+    )
+    assert by_delta.exact and by_delta == by_atom
+

@@ -11,9 +11,10 @@ from qmg.errors import (
     ContractViolationError,
     DegenerateDensityError,
     ParameterRangeError,
+    RepresentationError,
 )
 from qmg.numerics import Grid, RandomSource
-from qmg.strategy import RiskParams, Strategy, UNIT_RISK
+from qmg.strategy import Representation, RiskParams, Strategy, UNIT_RISK, moments
 from qmg.wigner import (
     EXCITED_MAX_LEVEL,
     CoherentParams,
@@ -251,6 +252,19 @@ def test_randomized_marginals_match_both_representations():
         sup = to_supply_rep(s)
         dens_p = np.abs(sup.evaluate(d.p_grid.points)) ** 2
         assert np.max(np.abs(d.marginal_p() - dens_p)) < 1e-5
+
+
+def test_default_p_grid_reads_the_cached_dual_and_refuses_supply_strategies():
+    s = Strategy.gaussian(0.3, 0.8, slope=0.4)
+    d = wigner_transform(s, hbar=2.0)
+    # the p-grid came from the dual that s keeps, not from a fresh transform
+    (dual,) = s._duals.values()
+    assert dual is s.dual(RiskParams(hbar_e=2.0, theta=2.0 * math.pi))
+    p_mean, p_std = moments(dual)
+    span = 8.0 * p_std
+    assert d.p_grid == Grid(p_mean - span, p_mean + span, 241)
+    with pytest.raises(RepresentationError):
+        wigner_transform(Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY))
 
 
 @pytest.mark.parametrize(

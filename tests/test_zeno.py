@@ -134,6 +134,16 @@ def test_wide_strategy_exceeds_basis():
         survival_probability(ZenoRun(s, 0.5, 1))
 
 
+def test_mass_beyond_the_turning_point_is_truncation():
+    # the central packet fits 32 levels; the far one sits beyond their
+    # turning point, so its mass is missing however the capture is measured
+    far = Strategy.superpose([Strategy.gaussian(0.0, 1.0), Strategy.gaussian(14.0, 0.5)], [1.0, 0.05])
+    with pytest.raises(TruncationError):
+        survival_probability(ZenoRun(far, 0.5, 1, basis_size=16, max_basis_size=32))
+    near = Strategy.superpose([Strategy.gaussian(0.0, 1.0), Strategy.gaussian(3.0, 0.5)], [1.0, 0.05])
+    assert 0.0 <= survival_probability(ZenoRun(near, 0.5, 1, basis_size=16, max_basis_size=32)) <= 1.0
+
+
 def test_basis_doubles_until_captured():
     # width 4 needs more than the default 128 levels but fits within 2048
     s = Strategy.gaussian(0.0, 4.0)
