@@ -198,10 +198,6 @@ _CURVE_FIELDS = {
     "strategy": ("strategy",),
 }
 
-# the field that sets each family's grid span, blamed when the curves overflow
-_CURVE_SCALE = {"coherent": "eta", "thermal": "beta", "excited": "risk", "strategy": "strategy"}
-
-
 def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     path = "parameters"
     family = _get(params, "family", str, path)
@@ -227,7 +223,10 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
         n = _get(params, "n", int, path)
         if not 0 <= n <= EXCITED_MAX_LEVEL:
             raise _fail(f"{path}.n", f"must lie in 0..{EXCITED_MAX_LEVEL}, got {n}")
-        density = excited_wigner(n, risk)
+        try:
+            density = excited_wigner(n, risk)
+        except ParameterRangeError as exc:  # H overflows on the risk's own grid
+            raise _fail(f"{path}.risk", str(exc))
     elif family == "strategy":
         s = _parse_literal(
             params.get("strategy"), f"{path}.strategy", Representation.DEMAND, base_dir, risk
@@ -238,7 +237,10 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
     try:
         curves = dominant_curves(density)
     except ParameterRangeError as exc:
-        raise _fail(f"{path}.{_CURVE_SCALE[family]}", str(exc))
+        if family != "thermal":
+            raise
+        # the widest thermal grids overflow the slice integral
+        raise _fail(f"{path}.beta", str(exc))
     density.to_csv(emit.path("density.csv"))
     curves.to_csv(emit.path("curves.csv"))
 
@@ -477,8 +479,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if kind == "auction":
                 params = dict(params)
                 params["seed"] = seed
-        if seed < 0:
-            raise _fail("scenario.seed", f"must be >= 0, got {seed}")
+        if not 0 <= seed < 2**64:  # the seeds a RandomSource takes
+            raise _fail("scenario.seed", f"must lie in 0..2**64 - 1, got {seed}")
         out_field = _get(doc, "output", str, "scenario", required=False)
         out_dir = Path(args.out) if args.out else (
             Path(out_field) if out_field else scenario_path.parent

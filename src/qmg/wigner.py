@@ -180,9 +180,10 @@ def wigner_transform(
 
     Default grids cover eight standard deviations of each marginal with
     241 points; the default p-grid reads the strategy's cached supply
-    dual, so it needs a demand-representation strategy.  The chord integral is done by trapezoid quadrature
-    with the x step chosen against the Nyquist limit of the kernel, so
-    oscillatory (sloped or superposed) strategies stay resolved.
+    dual, so it needs a demand-representation strategy.  The chord
+    integral is done by trapezoid quadrature with the x step chosen
+    against the Nyquist limit of the kernel, so oscillatory (sloped or
+    superposed) strategies stay resolved.
 
     The step is rounded down to dx = 2h/r (h the q spacing, r an
     integer), so every chord end q_j +- x_m/2 lies on the half-step
@@ -352,12 +353,16 @@ def _oscillator_h(
     """H on the grid, refused where it or z = 4H/(hbar omega) would overflow.
 
     Both grow with |p| and |q|, so the corner farthest out bounds them;
-    checked there in Python floats, before any array overflows.
+    checked there in numpy scalars, where an overflow or a zero hbar
+    omega gives inf or nan, before any array overflows.
     """
     p_top = max(-p_grid.lo, p_grid.hi)
     q_top = max(-q_grid.lo, q_grid.hi)
-    h_top = p_top * p_top / (2.0 * risk.m) + 0.5 * risk.m * risk.omega**2 * q_top * q_top
-    if not math.isfinite(4.0 * h_top / (risk.hbar_eff * risk.omega)):
+    omega = np.float64(risk.omega)
+    with np.errstate(all="ignore"):
+        h_top = p_top * p_top / (2.0 * risk.m) + 0.5 * risk.m * omega * omega * q_top * q_top
+        z_top = 4.0 * h_top / (risk.hbar_eff * omega)
+    if not np.isfinite(z_top):
         raise ParameterRangeError(
             f"the risk Hamiltonian overflows a double on the grid corner ({p_top}, {q_top})"
         )

@@ -125,8 +125,7 @@ def hermite_coefficients(
         nrm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
         return out / nrm
     scale = _length_scale(risk)
-    turning = math.sqrt(2.0 * size + 1.0) * scale * 1.25
-    grid = _projection_grid(s, scale, size, turning)
+    grid = _projection_grid(s, scale, size)
     # trapezoid weights folded into the amplitudes once; one dot per level
     weighted = s.amplitudes_on(grid) * grid.spacing
     weighted[[0, -1]] *= 0.5
@@ -144,14 +143,15 @@ def _length_scale(risk: RiskParams) -> float:
     return math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
 
 
-def _projection_grid(s: Strategy, scale: float, size: int, reach: float) -> Grid:
-    """Symmetric grid over s's support, clamped to +-reach.
+def _projection_grid(s: Strategy, scale: float, size: int) -> Grid:
+    """Symmetric grid over s's support, clamped to the top level's turning point.
 
     >= 8 samples per oscillation of the top level, lower-bounded for
-    narrow states.
+    narrow states; the clamp bounds the node count by the basis size.
     """
     lo, hi = s.support_bounds()
-    half = min(max(abs(lo), abs(hi)), reach)
+    turning = math.sqrt(2.0 * size + 1.0) * scale * 1.25
+    half = min(max(abs(lo), abs(hi)), turning)
     waves = half * math.sqrt(2.0 * size + 1.0) / (math.pi * scale)
     return Grid(-half, half, max(4096, 8 * math.ceil(waves)))
 
@@ -159,22 +159,25 @@ def _projection_grid(s: Strategy, scale: float, size: int, reach: float) -> Grid
 def _projection_norm(run: ZenoRun, size: int) -> float:
     """Squared norm of the initial strategy under the projection's quadrature.
 
-    The trapezoid rule on the projection's node rule over the whole
-    support, unclamped: mass beyond the top level's turning point counts
-    here but not in the coefficients.
+    1, the unit norm, where the grid is clamped short of the support:
+    mass beyond the turning point then shows as a deficit.
     """
     s = normalize(run.initial)
-    grid = _projection_grid(s, _length_scale(run.risk), size, math.inf)
+    grid = _projection_grid(s, _length_scale(run.risk), size)
+    lo, hi = s.support_bounds()
+    if grid.hi < max(abs(lo), abs(hi)):
+        return 1.0
     return float(integrate(np.abs(s.amplitudes_on(grid)) ** 2, grid))
 
 
 def _captured_coefficients(run: ZenoRun) -> np.ndarray:
     """Coefficients with guaranteed norm capture, doubling the basis as needed.
 
-    Capture is measured against the unit norm, or else against the norm
-    under the projection's own quadrature: a sampled strategy is unit on
-    its native nodes, while the projection integrates its spline
-    interpolant, and the two differ by O(dx^4) of the native grid.
+    Capture is measured against the unit norm, or else, for a support
+    inside the turning point, against the norm under the projection's
+    own quadrature: a sampled strategy is unit on its native nodes,
+    while the projection integrates its spline interpolant, and the two
+    differ by O(dx^4) of the native grid.
     """
     size = run.basis_size
     while True:

@@ -185,6 +185,17 @@ def test_bad_auction_field_exits_3(tmp_path, capsys, change, field):
     assert f"invalid scenario at parameters.{field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("auction", AUCTION_PARAMETERS),
+    ("clearing", {"traders": ["gaussian(0, 1)", "gaussian(1, 1)"], "rounds": 1}),
+    ("fixed-point", {"sigmas": [1.0]}),
+])
+def test_scenario_seed_beyond_64_bits_exits_3(tmp_path, capsys, kind, params):
+    path = write_scenario(tmp_path, {"kind": kind, "seed": 2**64, "parameters": params})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "invalid scenario at scenario.seed:" in capsys.readouterr().err
+
+
 def test_zeno_eigenstate_all_ones(tmp_path):
     out = run_ok(
         tmp_path,
@@ -431,6 +442,9 @@ def test_bad_literal_exits_3(tmp_path, capsys):
         # accepted by the density, but the curves' spline integral overflows
         ({"family": "thermal", "beta": 1e-158}, "parameters.beta"),
         ({"family": "thermal", "beta": 1e-160}, "parameters.beta"),
+        # omega squared overflows, or hbar_e omega underflows to 0
+        ({"family": "excited", "n": 1, "risk": {"hbar_e": 1, "theta": 1e-160}}, "parameters.risk"),
+        ({"family": "excited", "n": 1, "risk": {"hbar_e": 1e-200, "theta": 1e200}}, "parameters.risk"),
     ],
 )
 def test_curves_out_of_range_exits_3(tmp_path, capsys, params, field):
@@ -506,6 +520,21 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
         },
     }
     path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert "TruncationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial, risk", [
+    ("gaussian(0, 1e5)", {}),
+    ("gaussian(1e6, 1)", {}),
+    # a length scale of 1e-6
+    ("gaussian(0, 1)", {"risk": {"hbar_e": 1e-12, "theta": 2 * math.pi}}),
+])
+def test_support_far_beyond_the_basis_exits_4(tmp_path, capsys, initial, risk):
+    # the projection grid is clamped to the turning point, so it stays
+    # small however far the support reaches in units of the length scale
+    params = {"initial": initial, "total_time": 0.5, "n_values": [1, 2], **risk}
+    path = write_scenario(tmp_path, {"kind": "zeno", "parameters": params})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
     assert "TruncationError" in capsys.readouterr().err
 

@@ -320,11 +320,15 @@ G16 = Grid(-1.0, 1.0, 16)
         (lambda: thermal_wigner(1e-320, UNIT_RISK, mode="series"), ParameterRangeError),
         # H overflows at the grid's edge: the level ladder is inf * 0 there
         (lambda: thermal_wigner(1.0, UNIT_RISK, Grid(-1e160, 1e160, 16), G16, mode="series"), ParameterRangeError),
+        # omega squared overflows; hbar_e omega underflows to 0
+        (lambda: excited_wigner(1, RiskParams(hbar_e=1.0, theta=1e-160), G16, G16), ParameterRangeError),
+        (lambda: excited_wigner(1, RiskParams(hbar_e=1e-200, theta=1e200), G16, G16), ParameterRangeError),
     ],
     ids=[
         "eta-nan", "eta-inf", "p0-nan", "q0-inf", "hbar-nan", "tol-nan",
         "level-float", "level-too-high", "beta-nan", "transform-hbar-nan", "terms-float",
         "beta-underflows", "beta-spread-overflows", "series-h-overflows",
+        "omega-squared-overflows", "hbar-omega-underflows",
     ],
 )
 def test_non_finite_reals_and_bad_counts_are_refused(call, error):
