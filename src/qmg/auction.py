@@ -23,7 +23,7 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import Grid, RandomSource, check_count, integrate
+from .numerics import BLOCK, RandomSource, check_count, exact_sum
 from .strategy import (
     DiscreteForm,
     GaussianForm,
@@ -35,8 +35,11 @@ from .strategy import (
 )
 
 PRICINGS = ("first", "second", "mixed")
-# nodes of each buyer's transaction-density quadrature
+# nodes of the transaction-density quadrature grid over the buyers' supports
 _QUADRATURE_N = 4096
+# end weights of Gregory's rule of order 6: the trapezoid rule corrected at
+# both ends of a piece, exact for polynomials up to degree 5
+_GREGORY = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 
 
 @dataclass(frozen=True)
@@ -127,22 +130,97 @@ class TransactionReport:
     p_no_trade: float
 
 
+def _quadrature_nodes(
+    edges: np.ndarray, spacing: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and sides of Gregory's rule on the pieces between ``edges``.
+
+    Piece i holds uniform nodes at most ``spacing[i]`` apart, 16 at least,
+    and its own end corrections, so no weight straddles an edge.  ``side``
+    is +1 at a piece's first node, where the integrand takes its limit
+    from above, -1 at its last node and 0 inside.
+    """
+    xs, ws, sides = [], [], []
+    for a, b, h in zip(edges[:-1], edges[1:], spacing):
+        n = max(16, math.ceil((b - a) / h) + 1)
+        w = np.full(n, (b - a) / (n - 1))
+        w[:5] *= _GREGORY
+        w[-5:] *= _GREGORY[::-1]
+        side = np.zeros(n, dtype=np.int8)
+        side[0], side[-1] = 1, -1
+        xs.append(np.linspace(a, b, n))
+        ws.append(w)
+        sides.append(side)
+    return np.concatenate(xs), np.concatenate(ws), np.concatenate(sides)
+
+
+def _cdf_from(s: Strategy, x: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """P(variable <= x), and its limit from below, P(variable < x), where ``below``."""
+    if not s.is_improper:
+        return s.cdf(x)
+    return np.where(below, s.cdf(x, inclusive=False), s.cdf(x))
+
+
+def _shared_quadrature(inst: AuctionInstance, ks: Sequence[int]) -> list[float]:
+    """Transaction probabilities of the continuous buyers ``ks`` on one grid.
+
+    The grid spans the union of their supports, spaced span / (N - 1) with
+    ``N = _QUADRATURE_N``, and finer where a buyer narrower than a quarter
+    of the span lives, so every buyer's support holds N / 4 nodes or more.
+    It breaks at the support ends and wherever the survival product
+    steps: at each atom x of a discrete buyer and at -x for each atom x of
+    a discrete seller (:func:`_quadrature_nodes`).  Each buyer's CDF is read
+    once, a discrete one's also from below; buyer k's survival product is
+    the prefix product of the survivals of the buyers before it times the
+    suffix product of those after it.  Off the atoms P(q_m > x) equals
+    P(q_m >= x), so the tie rule does not enter the integral.
+    """
+    buyers, seller = inst.buyers, inst.seller
+    bounds = [buyers[k].support_bounds() for k in ks]
+    lo = min(a for a, _ in bounds)
+    hi = max(b for _, b in bounds)
+    steps = [a for b in buyers if b.is_improper for a in b.form.atoms]
+    if seller.is_improper:
+        steps += [-a for a in seller.form.atoms]
+    edges = np.unique([*(x for ab in bounds for x in ab), *(a for a in steps if lo < a < hi)])
+    spacing = [
+        min([hi - lo] + [4.0 * (b - a) for a, b in bounds if a <= left and right <= b])
+        / (_QUADRATURE_N - 1)
+        for left, right in zip(edges[:-1], edges[1:])
+    ]
+    xs, ws, side = _quadrature_nodes(edges, spacing)
+    survival = [1.0 - _cdf_from(b, xs, side < 0) for b in buyers]
+    before = [np.ones_like(xs)]
+    for surv in survival[:-1]:
+        before.append(before[-1] * surv)
+    after = [np.ones_like(xs)]
+    for surv in survival[:0:-1]:
+        after.append(after[-1] * surv)
+    after.reverse()
+    sells = _cdf_from(seller, -xs, side > 0)  # from above in x is from below in -x
+    return [
+        float(np.dot(buyers[k].table.pdf(xs) * before[k] * after[k] * sells, ws))
+        for k in ks
+    ]
+
+
 def transaction_probabilities(inst: AuctionInstance) -> TransactionReport:
     """Integrate the transaction density per buyer; atoms handled exactly.
 
-    Sums to the total transaction probability; its complement is the
-    chance no trade happens at all.
+    The continuous buyers share one quadrature grid
+    (:func:`_shared_quadrature`).  Sums to the total transaction
+    probability; its complement is the chance no trade happens at all.
     """
-    per: list[float] = []
-    for k, buyer in enumerate(inst.buyers):
-        form = buyer.form
-        if isinstance(form, DiscreteForm):
-            surv = _survival_product(inst, k, np.asarray(form.atoms))
-            per.append(float(np.dot(form.weights, surv)))
-        else:
-            lo, hi = buyer.support_bounds()
-            g = Grid(lo, hi, _QUADRATURE_N)
-            per.append(float(integrate(transaction_density(inst, k, g.points), g)))
+    buyers = inst.buyers
+    per = [0.0] * len(buyers)
+    smooth = [k for k, b in enumerate(buyers) if not b.is_improper]
+    if smooth:
+        for k, prob in zip(smooth, _shared_quadrature(inst, smooth)):
+            per[k] = prob
+    for k, buyer in enumerate(buyers):
+        if buyer.is_improper:
+            surv = _survival_product(inst, k, np.asarray(buyer.form.atoms))
+            per[k] = float(np.dot(buyer.form.weights, surv))
     total = math.fsum(per)
     return TransactionReport(tuple(per), total, 1.0 - total)
 
@@ -197,10 +275,10 @@ def _histogram(
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     m = len(values)
-    mean = math.fsum(values.tolist()) / m
+    mean = exact_sum(values) / m
     if m < 2:
         return mean, 0.0
-    var = math.fsum(((values - mean) ** 2).tolist()) / (m - 1)
+    var = exact_sum((values - mean) ** 2) / (m - 1)
     return mean, math.sqrt(var / m)
 
 
@@ -210,20 +288,27 @@ def _simulate(inst: AuctionInstance, pricing: str, weight: float) -> AuctionOutc
     Winner is the minimal q, ties to the lowest buyer index, and the
     trade executes iff q_min + p <= 0.  A pure rule prices only its own
     branch; mixed pricing prices both on the same draws and blends them.
-    One pass over the buyers keeps the running minimum, its owner and,
-    when needed, the second-smallest value.
+    One pass over the buyers, a cache-sized block of draws at a time,
+    keeps the running minimum, its owner and, when needed, the
+    second-smallest value.
     """
     rows, p = _draws(inst)
     second_needed = pricing != "first"
-    q_min = rows[0]
+    q_min = rows[0].copy()
     winner = np.zeros(len(p), dtype=np.intp)
     second = np.full(len(p), np.inf) if second_needed else None
-    for k, row in enumerate(rows[1:], start=1):
-        if second_needed:
-            second = np.minimum(second, np.maximum(q_min, row))
-        beats = row < q_min
-        winner[beats] = k
-        q_min = np.where(beats, row, q_min)
+    for a in range(0, len(p), BLOCK):
+        q_b, w_b = q_min[a:a + BLOCK], winner[a:a + BLOCK]
+        s_b = second[a:a + BLOCK] if second_needed else None
+        for k, row in enumerate(rows[1:], start=1):
+            r_b = row[a:a + BLOCK]
+            if second_needed:
+                np.minimum(s_b, np.maximum(q_b, r_b), out=s_b)
+            # a strict beat keeps a tie with the lower index; k exceeds every
+            # earlier owner, so a maximum sets it without a masked store,
+            # and on a tie the minimum's value is the same
+            np.maximum(w_b, (r_b < q_b) * k, out=w_b)
+            np.minimum(q_b, r_b, out=q_b)
     executed = q_min + p <= 0.0
     branches = []
     if pricing != "second":
@@ -252,7 +337,7 @@ def run_auction(inst: AuctionInstance) -> AuctionOutcome:
     """Monte Carlo the auction: winners, revenue, and price histogram.
 
     The clearing price follows the instance's pricing rule; revenue
-    means use compensated summation.  Mixed pricing blends the two
+    means are correctly rounded sums.  Mixed pricing blends the two
     rules with the instance's weight, as :func:`mixed_polarization_auction`.
     """
     if inst.pricing == "mixed":
@@ -293,12 +378,15 @@ class TruthfulnessReport:
     exact: bool
 
 
-def _positive_definite(s: Strategy) -> bool:
+def _positive_definite(s: Strategy, risk: RiskParams) -> bool:
     if isinstance(s.form, (DiscreteForm, GaussianForm)):
         return True
     from .wigner import HudsonClass, hudson_check
 
-    return hudson_check(s).classification is HudsonClass.GAUSSIAN_POSITIVE
+    # the Wigner density's sign is the same read from either side, and
+    # the check builds its grids from a demand strategy
+    demand = s if s.rep is Representation.DEMAND else s.dual(risk)
+    return hudson_check(demand).classification is HudsonClass.GAUSSIAN_POSITIVE
 
 
 def _atoms_of(s: Strategy) -> list[tuple[float, float]] | None:
@@ -339,7 +427,7 @@ def vickrey_truthfulness_check(
     if seller.rep is not Representation.SUPPLY:
         raise RepresentationError("seller must be in the supply representation")
     for s in list(opponents) + [seller]:
-        if not _positive_definite(s):
+        if not _positive_definite(s, risk):
             raise NotApplicableError(
                 "giffen strategy present: truthfulness is only claimed for "
                 "positive-definite measures"
@@ -436,7 +524,7 @@ def _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples, risk):
         if min_opp is not None:
             ok &= q_me <= min_opp
         matrix[j] = np.where(ok, valuation - price, 0.0)
-    means = [math.fsum(row.tolist()) / mc_samples for row in matrix]
+    means = [exact_sum(row) / mc_samples for row in matrix]
     t_idx = min(range(len(bids)), key=lambda i: abs(bids[i] - valuation))
     ses = []
     for row in matrix:

@@ -118,6 +118,14 @@ def _parse_risk(params: dict, path: str) -> RiskParams:
     return RiskParams(hbar_e=hbar_e, theta=theta, m=m, theta_nc=theta_nc)
 
 
+def _refuse_zero_gap(risk: RiskParams, path: str) -> None:
+    """Thermal mixtures divide by hbar omega: one that underflows to 0 is the risk's fault."""
+    if not risk.hbar_eff * risk.omega > 0:
+        raise _fail(
+            f"{path}.risk", f"hbar_e * omega underflows to 0 ({risk.hbar_eff!r} * {risk.omega!r})"
+        )
+
+
 def _parse_literal(text, path: str, rep: Representation, base_dir: Path, risk: RiskParams) -> Strategy:
     if not isinstance(text, str):
         raise _fail(path, "strategy literal must be a string")
@@ -215,6 +223,7 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
         density = coherent_wigner(cp, hbar=risk.hbar_eff)
     elif family == "thermal":
         beta = _number(params, "beta", path, positive=True)
+        _refuse_zero_gap(risk, path)
         try:
             density = thermal_wigner(beta, risk)
         except ParameterRangeError as exc:
@@ -349,6 +358,7 @@ def _run_thermal(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None
     path = "parameters"
     _refuse_unknown(params, ("betas", "series_terms", "risk"), path)
     risk = _parse_risk(params, path)
+    _refuse_zero_gap(risk, path)
     betas = _get(params, "betas", list, path)
     if len(betas) == 0:
         raise _fail(f"{path}.betas", "must be a nonempty list")

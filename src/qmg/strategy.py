@@ -33,6 +33,7 @@ from .errors import (
     RepresentationError,
 )
 from .numerics import (
+    BLOCK,
     Grid,
     RandomSource,
     as_generator,
@@ -436,11 +437,11 @@ class DistributionTable:
         """Inverse CDF, linear between the nodes: bit for bit ``np.interp``.
 
         A batch of u >= 0 looks each segment up in the guide table and
-        repeats interp's arithmetic; draws whose bucket does not settle the
-        segment (plateaus, several nodes in one bucket, u beyond the last
-        node) go to ``np.interp``, as do batches with fewer draws than
-        nodes, where the guide cannot pay for itself, and batches holding
-        a negative or NaN u.
+        repeats interp's arithmetic, one cache-sized block of draws at a
+        time; draws whose bucket does not settle the segment (plateaus,
+        several nodes in one bucket, u beyond the last node) go to
+        ``np.interp``, as do batches with fewer draws than nodes, where the
+        guide cannot pay for itself, and batches holding a negative or NaN u.
         """
         c, x = self._cdf_nodes, self.grid.points
         u = np.asarray(u, dtype=float)
@@ -448,14 +449,20 @@ class DistributionTable:
             return np.interp(u, c, x)
         guide, slope, top = self._guide
         m = len(guide) - 1
-        j = guide[np.minimum(u * m, m).astype(np.intp)]
-        lo = c[j]
-        with np.errstate(invalid="ignore"):  # inf * 0 on plateaus, which miss below
-            out = slope[j] * (u - lo) + x[j]
-        miss = (u < lo) | (u >= top[j])
-        if miss.any():
-            out[miss] = np.interp(u[miss], c, x)
-        return out
+        flat = u.ravel()
+        out = np.empty_like(flat)
+        for a in range(0, flat.size, BLOCK):
+            ub = flat[a:a + BLOCK]
+            ob = out[a:a + BLOCK]
+            j = guide[np.minimum(ub * m, m).astype(np.intp)]
+            lo = c[j]
+            with np.errstate(invalid="ignore"):  # inf * 0 on plateaus, which miss below
+                np.multiply(slope[j], ub - lo, out=ob)
+            ob += x[j]
+            miss = (ub < lo) | (ub >= top[j])
+            if miss.any():
+                ob[miss] = np.interp(ub[miss], c, x)
+        return out.reshape(u.shape)
 
 
 def _bounds(form: Form) -> tuple[float, float]:
@@ -681,7 +688,7 @@ def sample(
         return rng.choice(np.array(form.atoms), size=size, p=np.array(form.weights))
     if isinstance(form, GaussianForm):
         return rng.normal(form.center, form.width, size)
-    return s.table.quantile(rng.uniform(0.0, 1.0, size))
+    return s.table.quantile(rng.random(size))
 
 
 @dataclass(frozen=True)

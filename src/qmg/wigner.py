@@ -432,14 +432,18 @@ def thermal_wigner(
     levels are summed, in order, once per distinct value of
     z = 4H/(hbar omega) on the grid, and gathered back: the same values,
     bit for bit, as the sum over every grid point.  A beta so small that
-    the thermal spread overflows, or a grid on which H overflows, raises
-    ParameterRangeError.
+    the thermal spread overflows, a risk whose hbar omega underflows to 0,
+    or a grid on which H overflows, raises ParameterRangeError.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
     if mode not in ("closed", "series"):
         raise ContractViolationError(f"mode must be closed or series, got {mode!r}")
     hb = risk.hbar_eff
+    if not hb * risk.omega > 0:
+        raise ParameterRangeError(
+            f"hbar omega underflows to 0 (hbar {hb!r}, omega {risk.omega!r})"
+        )
     x = (2.0 / (hb * risk.omega)) * math.tanh(0.5 * beta * hb * risk.omega)
     scaled = hb * risk.omega * x
     spread = 1.0 / scaled if scaled > 0 else math.inf

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import simpson
 
+from qmg import auction as auction_module
 from qmg.auction import (
     AuctionInstance,
     _draws,
@@ -23,7 +27,7 @@ from qmg.errors import (
     RepresentationError,
 )
 from qmg.numerics import Grid, RandomSource, integrate
-from qmg.strategy import Representation, Strategy
+from qmg.strategy import Representation, Strategy, to_supply_rep
 
 # frozen by exhaustive enumeration of the 2x2 discrete fixture
 DISCRETE_FIRST_PRICE_REVENUE = 0.8638326186973991
@@ -134,6 +138,62 @@ def test_single_pass_matches_argmin_and_partition(pricing):
     second = np.where(executed, np.exp(-second), 0.0)
     prices = {"first": first, "second": second, "mixed": 0.3 * first + (1.0 - 0.3) * second}
     assert (out.revenue_mean, out.revenue_se) == _mean_se(prices[pricing])
+
+
+def _unblocked_outcome(inst, pricing, weight):
+    """The unblocked fold and fsum-on-a-list sums _simulate ran before, kept as the reference."""
+    rows, p = _draws(inst)
+    second_needed = pricing != "first"
+    q_min = rows[0]
+    winner = np.zeros(len(p), dtype=np.intp)
+    second = np.full(len(p), np.inf) if second_needed else None
+    for k, row in enumerate(rows[1:], start=1):
+        if second_needed:
+            second = np.minimum(second, np.maximum(q_min, row))
+        beats = row < q_min
+        winner[beats] = k
+        q_min = np.where(beats, row, q_min)
+    executed = q_min + p <= 0.0
+    branches = []
+    if pricing != "second":
+        branches.append((weight, np.where(executed, np.exp(-q_min), 0.0)))
+    if second_needed:
+        second = np.minimum(second, np.maximum(q_min, -p))
+        branches.append((1.0 - weight, np.where(executed, np.exp(-second), 0.0)))
+    prices = sum(w * x for w, x in branches)
+    m = len(prices)
+    mean = math.fsum(prices.tolist()) / m
+    se = math.sqrt(math.fsum(((prices - mean) ** 2).tolist()) / (m - 1) / m)
+    counts = np.bincount(winner[executed], minlength=len(inst.buyers))
+    histogram = auction_module._histogram([(w, x[executed]) for w, x in branches])
+    return tuple(float(c) / m for c in counts), (mean, se), histogram
+
+
+@pytest.mark.parametrize("pricing", ["first", "second", "mixed"])
+def test_blocked_fold_is_the_unblocked_loop_bit_for_bit(pricing):
+    # tied discrete buyers among continuous ones, and a last block 7 draws long
+    atoms = [-0.5, 0.0, 0.5]
+    inst = AuctionInstance(
+        buyers=(
+            Strategy.discrete(atoms, [1, 2, 1]),
+            Strategy.hermite(1),
+            Strategy.discrete(atoms, [1, 1, 1]),
+            Strategy.gaussian(0.1, 0.4),
+            Strategy.discrete(atoms[1:], [3, 1]),
+        ),
+        seller=Strategy.discrete(atoms, rep=Representation.SUPPLY),
+        pricing=pricing,
+        weight=0.3 if pricing == "mixed" else 1.0,
+        mc_samples=3 * auction_module.BLOCK + 7,
+        rng=RandomSource(5),
+    )
+    out = run_auction(inst)
+    weight = {"first": 1.0, "second": 0.0, "mixed": 0.3}[pricing]
+    freq, mean_se, (edges, counts) = _unblocked_outcome(inst, pricing, weight)
+    assert out.winner_freq == freq
+    assert (out.revenue_mean, out.revenue_se) == mean_se
+    assert out.price_bin_edges.tobytes() == edges.tobytes()
+    assert out.price_counts.tobytes() == counts.tobytes()
 
 
 def test_exact_vickrey_agrees_with_enumerating_every_combination():
@@ -308,6 +368,31 @@ def test_vickrey_not_applicable_for_giffen_opponents():
         )
 
 
+def test_vickrey_refuses_a_transformed_giffen_seller():
+    with pytest.raises(NotApplicableError):
+        vickrey_truthfulness_check(
+            valuation=1.0,
+            bid_grid=(0.5, 1.0),
+            opponents=(Strategy.gaussian(0.0, 1.0),),
+            seller=to_supply_rep(Strategy.hermite(2)),
+            mc_samples=1000,
+        )
+
+
+def test_vickrey_runs_monte_carlo_for_a_transformed_gaussian_seller():
+    # a sloped Gaussian's supply dual is a sampled form, not a GaussianForm
+    report = vickrey_truthfulness_check(
+        valuation=1.0,
+        bid_grid=(0.5, 1.0, 1.5),
+        opponents=(Strategy.gaussian(0.0, 1.0),),
+        seller=to_supply_rep(Strategy.gaussian(0.0, 1.0, 0.5)),
+        rng=RandomSource(3),
+        mc_samples=20_000,
+    )
+    assert not report.exact
+    assert report.truthful_optimal
+
+
 def test_vickrey_grid_must_contain_valuation():
     with pytest.raises(ContractViolationError):
         vickrey_truthfulness_check(
@@ -347,3 +432,101 @@ def _vickrey(valuation=1.0, bids=(0.5, 1.0), **kwargs):
 def test_counts_and_non_finite_prices_are_refused(call, error):
     with pytest.raises(error):
         call()
+
+
+# buyers the property tests draw from, built once: smooth buyers of several
+# spreads (the narrowest gets a finer piece of the grid) and discrete buyers
+# whose atoms tie with each other's
+_BUYER_POOL = (
+    Strategy.gaussian(0.0, 1.0),
+    Strategy.gaussian(0.4, 0.3),
+    Strategy.gaussian(-0.7, 2.0, 1.5),
+    Strategy.gaussian(0.2, 0.05),
+    *(Strategy.hermite(n) for n in range(5)),
+    Strategy.discrete([0.0, 0.25], [1, 1]),
+    Strategy.discrete([0.25, 0.5, -0.5], [2, 1, 1]),
+    Strategy.delta(0.0),
+    Strategy.delta(0.25),
+)
+_SELLER_POOL = (
+    Strategy.gaussian(0.1, 1.0, rep=Representation.SUPPLY),
+    to_supply_rep(Strategy.hermite(1)),
+    Strategy.delta(-5.0, rep=Representation.SUPPLY),  # accepts nearly every bid
+    Strategy.discrete([0.0, -0.25], [1, 1], rep=Representation.SUPPLY),
+)
+
+
+def _per_buyer_quadrature(inst):
+    """The per-buyer quadrature transaction_probabilities ran before one grid was shared:
+    each continuous buyer on 4096 trapezoid nodes over its own support."""
+    per = []
+    for k, buyer in enumerate(inst.buyers):
+        if buyer.is_improper:
+            xs = np.asarray(buyer.form.atoms)
+            surv = np.ones_like(xs)
+            for m, b in enumerate(inst.buyers):
+                if m != k:
+                    surv *= 1.0 - b.cdf(xs, inclusive=m < k)
+            surv *= inst.seller.cdf(-xs)
+            per.append(float(np.dot(buyer.form.weights, surv)))
+        else:
+            g = Grid(*buyer.support_bounds(), 4096)
+            per.append(float(integrate(transaction_density(inst, k, g.points), g)))
+    return per
+
+
+def _steps(inst):
+    steps = {a for b in inst.buyers if b.is_improper for a in b.form.atoms}
+    if inst.seller.is_improper:
+        steps |= {-a for a in inst.seller.form.atoms}
+    return steps
+
+
+def _stepwise_simpson(inst, k, nodes=2**14 + 1):
+    """Buyer k's probability by Simpson's rule on each piece between the steps
+    of its survival product, each piece read just inside its ends."""
+    lo, hi = inst.buyers[k].support_bounds()
+    edges = sorted({lo, hi} | {a for a in _steps(inst) if lo < a < hi})
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        x = np.linspace(np.nextafter(a, b), np.nextafter(b, a), nodes)
+        total += simpson(transaction_density(inst, k, x), x=x)
+    return total
+
+
+@given(
+    picks=st.lists(st.integers(0, len(_BUYER_POOL) - 1), min_size=1, max_size=16),
+    seller=st.integers(0, len(_SELLER_POOL) - 1),
+)
+def test_transaction_probabilities_against_the_per_buyer_quadrature(picks, seller):
+    inst = AuctionInstance(buyers=tuple(_BUYER_POOL[i] for i in picks), seller=_SELLER_POOL[seller])
+    report = transaction_probabilities(inst)
+    per = np.array(report.per_buyer)
+    assert np.all((per >= 0.0) & (per <= 1.0))
+    old = _per_buyer_quadrature(inst)
+    # atoms step the survival product: a trapezoid cell across a step errs
+    # by O(h) (the per-buyer quadrature's totals reach 1 + 6.6e-4), a grid
+    # broken at the steps keeps its totals within 4.1e-11 of 1 (measured)
+    assert report.total <= 1.0 + (1e-9 if _steps(inst) else 1e-12)
+    for k, buyer in enumerate(inst.buyers):
+        if buyer.is_improper or not _steps(inst):
+            assert abs(per[k] - old[k]) <= 1e-9
+    smooth = [k for k, b in enumerate(inst.buyers) if not b.is_improper]
+    if smooth and _steps(inst):  # where the old quadrature straddled steps
+        k = smooth[0]
+        assert abs(per[k] - _stepwise_simpson(inst, k)) <= 1e-9
+
+
+def test_a_narrow_buyer_gets_a_finer_piece_of_the_grid():
+    # at the span's spacing the narrow support would hold 8 nodes (an error
+    # of 3e-3), and the wide buyer's own 4096-node grid steps two of the
+    # narrow widths across the narrow buyer's CDF (an error of 4e-8)
+    inst = AuctionInstance(
+        buyers=(Strategy.gaussian(0.0, 0.01), Strategy.gaussian(0.0, 5.0)),
+        seller=Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY),
+    )
+    per = transaction_probabilities(inst).per_buyer
+    for k, buyer in enumerate(inst.buyers):
+        g = Grid(*buyer.support_bounds(), 2**17 + 1)
+        fine = float(integrate(transaction_density(inst, k, g.points), g))
+        assert abs(per[k] - fine) <= 1e-11

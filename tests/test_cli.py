@@ -598,3 +598,19 @@ def test_plotdata_missing_column_exits_3(tmp_path, capsys):
     code = main(["plotdata", str(out / "cooling.csv"), "--x", "sigma", "--y", "nope"])
     assert code == 3
     assert "columns.nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "thermal", "parameters": {"betas": [1.0], "series_terms": 5}},
+        {"kind": "curves", "parameters": {"family": "thermal", "beta": 1.0}},
+    ],
+    ids=["thermal", "curves"],
+)
+def test_thermal_hbar_omega_underflow_exits_3(tmp_path, capsys, doc):
+    # the thermal kind used to blame beta, the thermal curves to divide by zero
+    doc["parameters"]["risk"] = {"hbar_e": 1e-200, "theta": 1e200}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "invalid scenario at parameters.risk:" in capsys.readouterr().err

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmg import numerics
 from qmg.errors import BracketingError, ContractViolationError, ParameterRangeError
 from qmg.numerics import (
     Grid,
     RandomSource,
     check_count,
+    exact_sum,
     find_root,
     fourier_p_to_q,
     fourier_q_to_p,
@@ -210,3 +212,65 @@ def test_random_source_validation():
 def test_counts_refuse_non_integers_and_small_values(call, error):
     with pytest.raises(error):
         call()
+
+
+def _sum_outcome(f, x):
+    """The sum's bits, or the error it raised."""
+    try:
+        return np.float64(f(x)).view(np.uint64)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _fsum(x):
+    return math.fsum(x.tolist())
+
+
+@settings(max_examples=120)  # cheap examples; most should reach the bincount path
+@given(
+    n=st.sampled_from([0, 7, 1023, 1025, 3000, 3000, 40_000, 40_000, 40_000]),
+    exponents=st.tuples(st.integers(-1074, 1023), st.integers(-1074, 1023)),
+    signs=st.sampled_from(["positive", "negative", "mixed"]),
+    zeros=st.sampled_from([0.0, 0.5, 0.95, 0.999]),
+    specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, 5e-324, -0.0]), max_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_is_fsum_bit_for_bit(n, exponents, signs, zeros, specials, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = min(exponents), max(exponents)
+    # uniform mantissas over a span of binary exponents, subnormals included
+    x = rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(lo, hi + 1, n).astype(float))
+    if signs != "positive":
+        x = -x if signs == "negative" else np.where(rng.random(n) < 0.5, -x, x)
+    x[rng.random(n) < zeros] = 0.0  # runs of exact zeros
+    if n:
+        x[rng.integers(0, n, len(specials))] = specials
+    assert _sum_outcome(exact_sum, x) == _sum_outcome(_fsum, x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.zeros(5000),
+        -np.zeros(5000),
+        np.concatenate([np.zeros(2000), -np.zeros(3000)]),
+        np.tile([1.0, -1.0], 2000),
+        np.full(4000, 2.0**-1074),
+        np.full(4000, 1e300),  # the exact sum overflows: fsum raises
+        np.concatenate([np.full(2000, 1.7e308), np.full(2000, -1.7e308)]),
+        np.concatenate([np.full(2000, 1.0), [math.inf, -math.inf]]),
+        np.concatenate([np.full(2000, 1.0), [math.nan]]),
+    ],
+    ids=["zeros", "negative-zeros", "mixed-zeros", "cancels", "subnormal", "overflows", "huge-cancels", "inf-minus-inf", "nan"],
+)
+def test_exact_sum_edge_cases_match_fsum(x):
+    assert _sum_outcome(exact_sum, x) == _sum_outcome(_fsum, x)
+
+
+def test_exact_sum_across_blocks_and_chunks(monkeypatch):
+    # a chunk that is not a whole number of blocks, over five chunks
+    monkeypatch.setattr(numerics, "BLOCK", 1000)
+    monkeypatch.setattr(numerics, "_EXACT_SUM_CHUNK", 4500)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=21_001) * np.exp2(rng.integers(-40, 40, 21_001).astype(float))
+    assert _sum_outcome(exact_sum, x) == _sum_outcome(_fsum, x)

@@ -12,7 +12,7 @@ from qmg.errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from qmg.numerics import Grid, RandomSource, integrate
+from qmg.numerics import BLOCK, Grid, RandomSource, integrate
 from qmg.strategy import (
     DistributionTable,
     Representation,
@@ -235,6 +235,28 @@ def test_quantile_is_interp_bit_for_bit(n, zero_runs, seed):
         u = np.where(rng.random(size) < 0.5, rng.uniform(0.0, 1.0, size), rng.choice(special, size))
         got = table.quantile(u)
         assert np.array_equal(got.view(np.uint64), np.interp(u, c, x).view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7])
+def test_quantile_blocks_are_interp_bit_for_bit(size):
+    assert BLOCK == 2**15
+    table = DistributionTable(Strategy.hermite(2))
+    c, x = table._cdf_nodes, table.grid.points
+    u = np.random.default_rng(size).random(size)
+    u[: len(c)] = c  # draws on the nodes themselves
+    u[-3:] = [0.0, np.nextafter(1.0, 0.0), 1.0]
+    got = table.quantile(u)
+    assert np.array_equal(got.view(np.uint64), np.interp(u, c, x).view(np.uint64))
+
+
+def test_sample_draws_the_uniform_stream():
+    # rng.random(size) is rng.uniform(0.0, 1.0, size): the same bits and stream position
+    s = Strategy.hermite(1)
+    gen_a, gen_b = RandomSource(9).rng, RandomSource(9).rng
+    got = sample(s, gen_a, 5000)
+    want = s.table.quantile(gen_b.uniform(0.0, 1.0, 5000))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert gen_a.random() == gen_b.random()
 
 
 def test_quantile_is_interp_where_a_slope_overflows():

@@ -396,3 +396,12 @@ def test_level_sums_match_the_full_grid_loop_bit_for_bit(
         default.values,
         _full_grid_series(beta, risk, default.p_grid, default.q_grid, terms),
     )
+
+
+@pytest.mark.parametrize("mode", ["closed", "series"])
+@pytest.mark.parametrize("grids", [(None, None), (G16, G16)], ids=["default-grids", "given-grids"])
+def test_thermal_refuses_an_hbar_omega_that_underflows(mode, grids):
+    # both are accepted by RiskParams; their product is below the least subnormal
+    risk = RiskParams(hbar_e=1e-200, theta=1e200)
+    with pytest.raises(ParameterRangeError, match="hbar omega underflows"):
+        thermal_wigner(1.0, risk, *grids, mode=mode)
