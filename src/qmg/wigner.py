@@ -102,17 +102,26 @@ class PhaseSpaceDensity:
         """Supply-side price density, Integral W dq."""
         return np.trapezoid(self.values, dx=self.q_grid.spacing, axis=1)
 
+    def _marginals(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Both marginals and the mass, refused when the mass vanishes.
+
+        The mass is the p marginal's integral: the same bits as mass().
+        """
+        marginal_p = self.marginal_p()
+        total = float(np.trapezoid(marginal_p, dx=self.p_grid.spacing))
+        if abs(total) < 1e-12:
+            raise DegenerateDensityError("density has vanishing total mass")
+        return marginal_p, self.marginal_q(), total
+
     def moments(self) -> DensityMoments:
         """Means, spreads and correlation of W.
 
         Means and spreads come from the two marginals; only the
         covariance needs the full grid.
         """
-        total = self.mass()
-        if abs(total) < 1e-12:
-            raise DegenerateDensityError("density has vanishing total mass")
-        pm, pvar = _density_moments(self.marginal_p(), self.p_grid)
-        qm, qvar = _density_moments(self.marginal_q(), self.q_grid)
+        marginal_p, marginal_q, total = self._marginals()
+        pm, pvar = _density_moments(marginal_p, self.p_grid)
+        qm, qvar = _density_moments(marginal_q, self.q_grid)
         q_weighted = np.trapezoid(
             self.values * (self.q_grid.points - qm), dx=self.q_grid.spacing, axis=1
         )
@@ -170,6 +179,32 @@ def _sample_spacing(form) -> float:
     return math.inf
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: numpy's FFT runs it in radix-2, 3 and 5 passes."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1  # 5^c
+    while p5 < best:
+        p35 = p5  # 3^b 5^c
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chord_ratio(s: Strategy, p_grid: Grid, q_grid: Grid, hb: float) -> int:
+    """The least r >= 1 whose chord step 2h/r meets wigner_transform's step rule."""
+    p_abs = max(abs(p_grid.lo), abs(p_grid.hi))
+    freq = p_abs / hb + _slope_bound(s.form)
+    dx_nyquist = math.pi / freq if freq > 0 else math.inf
+    dx_max = min(0.5 * dx_nyquist, _sample_spacing(s.form))
+    # a kernel with no oscillation leaves dx_max inf, and 2h / inf = 0
+    return max(1, math.ceil(2.0 * q_grid.spacing / dx_max))
+
+
 def wigner_transform(
     s: Strategy,
     p_grid: Grid | None = None,
@@ -181,17 +216,22 @@ def wigner_transform(
     Default grids cover eight standard deviations of each marginal with
     241 points; the default p-grid reads the strategy's cached supply
     dual, so it needs a demand-representation strategy.  The chord
-    integral is done by trapezoid quadrature with the x step chosen
-    against the Nyquist limit of the kernel, so oscillatory (sloped or
+    integral is done by trapezoid quadrature over x.  Its step is set by
+    the kernel alone, not by the output q spacing: at most half the
+    Nyquist step pi / (p_max / hbar + slope) of exp(-i p x / hbar)
+    against any intrinsic phase slope of the amplitudes, and at most a
+    sampled strategy's node spacing, so oscillatory (sloped or
     superposed) strategies stay resolved.
 
-    The step is rounded down to dx = 2h/r (h the q spacing, r an
+    The step is rounded down to dx = 2h/r (h the q spacing, r >= 1 an
     integer), so every chord end q_j +- x_m/2 lies on the half-step
-    grid q_lo + l h/r and psi is evaluated once, there.  The chord
-    C(x) = psi(q + x/2) psi*(q - x/2) obeys C(-x) = conj C(x), so only
-    x >= 0 is summed and the real part doubled.  The sum over x at
-    every p is a chirp-z transform (Bluestein): O(N log N) per q column,
-    done in column blocks whose FFT buffer stays near 4 MB.
+    grid q_lo + l h/r (the q grid itself when r = 1) and psi is
+    evaluated once, there.  The chord C(x) = psi(q + x/2) psi*(q - x/2)
+    obeys C(-x) = conj C(x), so only x >= 0 is summed and the real part
+    doubled.  The sum over x at every p is a chirp-z transform
+    (Bluestein) of the smallest 2^a 3^b 5^c length that holds the
+    circular convolution: O(N log N) per q column, done in blocks of
+    columns through one reused FFT buffer of about 4 MB.
     """
     if not isinstance(s, Strategy):
         raise ContractViolationError("wigner_transform expects a Strategy")
@@ -208,14 +248,8 @@ def wigner_transform(
         span = max(8.0 * ps, 1e-6)
         p_grid = Grid(pm - span, pm + span, 241)
 
-    # chord grid: resolve both the kernel oscillation at pmax and any
-    # intrinsic phase slope of the amplitudes
-    p_abs = max(abs(p_grid.lo), abs(p_grid.hi))
-    freq = p_abs / hb + _slope_bound(s.form)
-    dx_nyquist = math.pi / freq if freq > 0 else math.inf
-    dx_max = min(q_grid.spacing, 0.5 * dx_nyquist, _sample_spacing(s.form))
     h, nq, n_p = q_grid.spacing, q_grid.n, p_grid.n
-    r = math.ceil(2.0 * h / dx_max)
+    r = _chord_ratio(s, p_grid, q_grid, hb)
     dx = 2.0 * h / r
     # chords reach x = +-(q_hi - q_lo); x_m = m dx, m = 0..m_top
     m_top = math.ceil((nq - 1) * r / 2)
@@ -230,24 +264,33 @@ def wigner_transform(
     pre = np.exp(-1j * (p_grid.lo * dx * m + 0.5 * alpha * m * m) / hb)
     pre[0] *= 0.5  # the x = 0 chord is real and counted once after doubling
     k = np.arange(n_p)
-    post = np.exp(-0.5j * alpha * k * k / hb)
-    n_fft = 1 << (m_top + n_p - 1).bit_length()
+    # 2 Re(...) dx / (2 pi hb), folded into the last chirp
+    post = np.exp(-0.5j * alpha * k * k / hb) * (dx / (math.pi * hb))
+    n_fft = _smooth_length(m_top + n_p)
     chirp = np.zeros(n_fft, dtype=complex)
     lags = np.arange(-m_top, n_p)  # negative lags wrap: a circular convolution
     chirp[lags] = np.exp(0.5j * alpha * lags * lags / hb)
     chirp_f = np.fft.fft(chirp)
 
-    values = np.empty((n_p, nq))
-    block = max(1, 2**18 // n_fft)  # 4 MB of complex FFT buffer per block
+    values = np.empty((nq, n_p))  # row j: W(p, q_j); handed over transposed
+    block = min(nq, max(1, 2**18 // n_fft))  # 4 MB of complex FFT buffer
+    buf = np.empty((block, n_fft), dtype=complex)
     for j0 in range(0, nq, block):
-        chord = plus[j0 : j0 + block] * np.conj(minus[j0 : j0 + block])
+        rows = min(block, nq - j0)
+        work = buf[:rows]
+        chord = work[:, : m_top + 1]
+        np.conjugate(minus[j0 : j0 + rows], out=chord)
+        chord *= plus[j0 : j0 + rows]
         chord *= pre
-        buf = np.fft.fft(chord, n_fft)
-        buf *= chirp_f
-        np.fft.ifft(buf, out=buf)
-        values[:, j0 : j0 + block] = (buf[:, :n_p] * post).real.T
-    values *= dx / (math.pi * hb)  # 2 Re(...) dx / (2 pi hb)
-    return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="pure")
+        work[:, m_top + 1 :] = 0.0
+        np.fft.fft(work, out=work)
+        work *= chirp_f
+        np.fft.ifft(work, out=work)
+        head = work[:, :n_p]
+        head *= post
+        values[j0 : j0 + rows] = head.real
+    del buf, work, chord, head  # free the buffer before the density copies values
+    return PhaseSpaceDensity(values.T, p_grid, q_grid, hb, kind="pure")
 
 
 def _wigner_risk(hbar: float) -> RiskParams:
@@ -491,12 +534,12 @@ def is_giffen(d: PhaseSpaceDensity, tol: float | None = None) -> GiffenReport:
     """Scan for negativity; a giffen strategy has W < -tol somewhere."""
     if not isinstance(d, PhaseSpaceDensity):
         raise ContractViolationError("is_giffen expects a PhaseSpaceDensity")
-    peak = float(np.max(np.abs(d.values)))
+    mn, p_at, q_at = d.min_point()
     if tol is None:
+        peak = max(float(d.values.max()), -mn)  # max |W|, without an abs copy
         tol = 1e-9 * max(peak, 1.0)
     if not (tol >= 0 and math.isfinite(tol)):
         raise ParameterRangeError(f"tolerance must be finite and non-negative, got {tol}")
-    mn, p_at, q_at = d.min_point()
     if mn < -tol:
         return GiffenReport(True, mn, (p_at, q_at), tol)
     return GiffenReport(False, mn, None, tol)
@@ -600,14 +643,20 @@ def dominant_curves(
 ) -> DominantCurves:
     """Cut cumulative demand and supply curves out of a density.
 
-    Slices default to the density's mean point.  The requested slice is
-    snapped to the nearest grid line.
+    Slices default to the density's mean point, read from the two
+    marginals (the same bits as ``d.moments()``).  The requested slice
+    is snapped to the nearest grid line.
     """
     if not isinstance(d, PhaseSpaceDensity):
         raise ContractViolationError("dominant_curves expects a PhaseSpaceDensity")
-    mom = d.moments() if (p_slice is None or q_slice is None) else None
-    p_at = float(p_slice) if p_slice is not None else mom.p_mean
-    q_at = float(q_slice) if q_slice is not None else mom.q_mean
+    p_at, q_at = p_slice, q_slice
+    if p_at is None or q_at is None:
+        marginal_p, marginal_q, _ = d._marginals()
+        if p_at is None:
+            p_at = _density_moments(marginal_p, d.p_grid)[0]
+        if q_at is None:
+            q_at = _density_moments(marginal_q, d.q_grid)[0]
+    p_at, q_at = float(p_at), float(q_at)
     if not d.p_grid.contains(p_at):
         raise ParameterRangeError(f"p_slice {p_at} outside grid [{d.p_grid.lo}, {d.p_grid.hi}]")
     if not d.q_grid.contains(q_at):

@@ -125,6 +125,13 @@ def test_invalid_counts_and_non_finite_betas_are_refused(call, error):
         call()
 
 
+def test_thermal_energy_refuses_an_hbar_omega_that_underflows():
+    # both are accepted by RiskParams; their product is below the least subnormal
+    risk = RiskParams(hbar_e=1e-200, theta=1e200)
+    with pytest.raises(ParameterRangeError, match="hbar omega underflows"):
+        thermal_energy(1.0, risk)
+
+
 def test_supply_side_expectation_takes_q_from_the_dual():
     # supply gaussian of width w: Var(p) = w^2, Var(q) = (hbar / 2w)^2
     w = 0.4

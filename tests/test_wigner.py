@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmg.errors import (
@@ -14,7 +14,7 @@ from qmg.errors import (
     RepresentationError,
 )
 from qmg.numerics import Grid, RandomSource
-from qmg.strategy import Representation, RiskParams, Strategy, UNIT_RISK, moments
+from qmg.strategy import Representation, RiskParams, Strategy, UNIT_RISK, hermite_function, moments
 from qmg.wigner import (
     EXCITED_MAX_LEVEL,
     CoherentParams,
@@ -26,6 +26,10 @@ from qmg.wigner import (
     is_giffen,
     _laguerre_ladder,
     _oscillator_h,
+    _chord_ratio,
+    _sample_spacing,
+    _slope_bound,
+    _smooth_length,
     thermal_wigner,
     wigner_transform,
 )
@@ -405,3 +409,212 @@ def test_thermal_refuses_an_hbar_omega_that_underflows(mode, grids):
     risk = RiskParams(hbar_e=1e-200, theta=1e200)
     with pytest.raises(ParameterRangeError, match="hbar omega underflows"):
         thermal_wigner(1.0, risk, *grids, mode=mode)
+
+
+def test_a_kernel_that_underflows_to_no_oscillation_takes_the_q_grid_as_chord_grid():
+    # p_max / hbar underflows to 0, so the Nyquist step is inf: r = 1, not 0
+    d = wigner_transform(
+        Strategy.hermite(2), p_grid=Grid(-1e-20, 1e-20, 64), q_grid=Grid(-6, 6, 64), hbar=1e308
+    )
+    assert d.values.shape == (64, 64) and np.all(np.isfinite(d.values))
+
+
+def _reference_transform(s, p_grid, q_grid, hb):
+    # the transform as it stood with the chord step tied to the q spacing:
+    # step at most h, a power-of-two FFT, a fresh padded array per block
+    p_abs = max(abs(p_grid.lo), abs(p_grid.hi))
+    freq = p_abs / hb + _slope_bound(s.form)
+    dx_nyquist = math.pi / freq if freq > 0 else math.inf
+    dx_max = min(q_grid.spacing, 0.5 * dx_nyquist, _sample_spacing(s.form))
+    h, nq, n_p = q_grid.spacing, q_grid.n, p_grid.n
+    r = math.ceil(2.0 * h / dx_max)
+    dx = 2.0 * h / r
+    m_top = math.ceil((nq - 1) * r / 2)
+    half_grid = q_grid.lo + np.arange(-m_top, (nq - 1) * r + m_top + 1) * (h / r)
+    windows = np.lib.stride_tricks.sliding_window_view(s.evaluate(half_grid), m_top + 1)
+    plus = windows[m_top::r]
+    minus = windows[::r][:nq, ::-1]
+    m = np.arange(m_top + 1)
+    alpha = p_grid.spacing * dx
+    pre = np.exp(-1j * (p_grid.lo * dx * m + 0.5 * alpha * m * m) / hb)
+    pre[0] *= 0.5
+    k = np.arange(n_p)
+    post = np.exp(-0.5j * alpha * k * k / hb)
+    n_fft = 1 << (m_top + n_p - 1).bit_length()
+    chirp = np.zeros(n_fft, dtype=complex)
+    lags = np.arange(-m_top, n_p)
+    chirp[lags] = np.exp(0.5j * alpha * lags * lags / hb)
+    chirp_f = np.fft.fft(chirp)
+    values = np.empty((n_p, nq))
+    block = max(1, 2**18 // n_fft)
+    for j0 in range(0, nq, block):
+        chord = plus[j0 : j0 + block] * np.conj(minus[j0 : j0 + block])
+        chord *= pre
+        buf = np.fft.fft(chord, n_fft)
+        buf *= chirp_f
+        np.fft.ifft(buf, out=buf)
+        values[:, j0 : j0 + block] = (buf[:, :n_p] * post).real.T
+    values *= dx / (math.pi * hb)
+    return values
+
+
+def _phase_space_cases():
+    """The four strategy shapes of the phase-space benchmark, fixed phases."""
+    phases = np.exp(2j * math.pi * np.array([0.1, 0.7, 0.35, 0.9, 0.2, 0.55])) / math.sqrt(6)
+    levels = Strategy.superpose([Strategy.hermite(n) for n in range(6)], list(phases))
+    cat = Strategy.superpose(
+        [Strategy.gaussian(-1.8, 0.5), Strategy.gaussian(2.2, 0.5)], [1.0, 1j]
+    )
+    sloped = Strategy.gaussian(0.4, 0.8, slope=-1.5)
+    table = Grid(-8.0, 8.0, 321)
+    sampled = Strategy.sampled(levels.evaluate(table.points), table)
+    return {"levels": levels, "cat": cat, "sloped": sloped, "sampled": sampled}
+
+
+PHASE_SPACE_CASES = _phase_space_cases()
+# largest distance from the reference transform measured over these sizes:
+# 6.9e-15 (levels), 9.7e-15 (cat), 3.5e-15 (sloped); the sampled table
+# 1.5e-9 at 961^2 and 7.8e-9 at 301 x 641, where the chord step grows to
+# the node spacing and the kinks of the spline interpolant's third
+# derivative alias in the trapezoid sum
+ANALYTIC_BOUND = 1e-13
+SAMPLED_BOUND = 2e-8
+
+
+@pytest.mark.parametrize("sizes", [(241, 241), (481, 481), (961, 961), (301, 641), (777, 199)])
+@pytest.mark.parametrize("label", sorted(PHASE_SPACE_CASES))
+def test_transform_matches_the_reference_with_the_step_tied_to_q(label, sizes):
+    s = PHASE_SPACE_CASES[label]
+    d0 = wigner_transform(s)
+    n_p, nq = sizes
+    p_grid = Grid(d0.p_grid.lo, d0.p_grid.hi, n_p)
+    q_grid = Grid(d0.q_grid.lo, d0.q_grid.hi, nq)
+    d = wigner_transform(s, p_grid, q_grid)
+    want = _reference_transform(s, p_grid, q_grid, d.hbar)
+    bound = SAMPLED_BOUND if label == "sampled" else ANALYTIC_BOUND
+    assert np.max(np.abs(d.values - want)) <= bound
+
+
+@pytest.mark.parametrize("label", sorted(PHASE_SPACE_CASES))
+def test_default_curve_slices_are_the_moment_means(label):
+    # the slices come from the marginals; they must be moments()'s means, bit for bit
+    d0 = wigner_transform(PHASE_SPACE_CASES[label])
+    grid = lambda g: Grid(g.lo, g.hi, 481)
+    d = wigner_transform(PHASE_SPACE_CASES[label], grid(d0.p_grid), grid(d0.q_grid))
+    assert d._marginals()[2] == d.mass()
+    m = d.moments()
+    got, want = dominant_curves(d), dominant_curves(d, m.p_mean, m.q_mean)
+    assert (got.p_slice, got.q_slice) == (want.p_slice, want.q_slice)
+    for name in ("lnc", "demand", "supply"):
+        assert _same_bits(getattr(got, name), getattr(want, name))
+    flags = ("demand_monotone", "supply_monotone", "demand_normalized", "supply_normalized")
+    assert [getattr(got, f) for f in flags] == [getattr(want, f) for f in flags]
+
+
+def _normal_pdf(x, mean, std):
+    return np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+
+
+def _marginal_case(family, coeffs, packet, n_table, n_p, nq):
+    """(strategy, p grid, q grid, |psi|^2 on q, |psi~|^2 on p, bound), hbar = 1.
+
+    levels: sum_n c_n phi_n, whose dual is sum_n c_n (-i)^n phi_n; sloped:
+    one gaussian packet; sampled: the levels up to n = 2 tabulated on
+    n_table nodes.
+    """
+    if family == "sloped":
+        center, width, slope = packet
+        spread = 0.5 / width
+        q_grid = Grid(center - 8.0 * width, center + 8.0 * width, nq)
+        p_grid = Grid(slope - 8.0 * spread, slope + 8.0 * spread, n_p)
+        s = Strategy.gaussian(center, width, slope=slope)
+        return (
+            s, p_grid, q_grid, _normal_pdf(q_grid.points, center, width),
+            _normal_pdf(p_grid.points, slope, spread), ANALYTIC_MARGINAL_BOUND,
+        )
+    if family == "sampled":
+        coeffs = coeffs[:3]
+    c = np.array([complex(re, im) for re, im in coeffs])
+    c /= np.linalg.norm(c)
+    half = 8.0 * math.sqrt(len(c) - 0.5)  # eight spreads of the top level
+    q_grid, p_grid = Grid(-half, half, nq), Grid(-half, half, n_p)
+    q, p = q_grid.points, p_grid.points
+    s = Strategy.superpose([Strategy.hermite(n) for n in range(len(c))], list(c))
+    dens_p = np.abs(sum(cn * (-1j) ** n * hermite_function(n, p) for n, cn in enumerate(c))) ** 2
+    if family == "levels":
+        return s, p_grid, q_grid, np.abs(s.evaluate(q)) ** 2, dens_p, ANALYTIC_MARGINAL_BOUND
+    table = Grid(-half, half, n_table)
+    s = Strategy.sampled(s.evaluate(table.points), table)
+    # q side: the interpolant itself; p side: the dual of the tabulated levels
+    return s, p_grid, q_grid, np.abs(s.evaluate(q)) ** 2, dens_p, SAMPLED_MARGINAL_BOUND
+
+
+# largest marginal error measured over the drawn cases (levels up to n = 5,
+# 97 to 400 points a side): 6.8e-15 for the analytic forms; 4.2e-7 for
+# the sampled tables (levels up to n = 2 on 321 to 641 nodes), where the
+# spline interpolant's slowly decaying dual reaches past the p grid
+ANALYTIC_MARGINAL_BOUND = 1e-13
+SAMPLED_MARGINAL_BOUND = 1e-6
+
+# both step rules (r = 1, the q grid itself, and r >= 2) meet both FFT
+# lengths (a power of two, and a 5-smooth length short of one)
+MARGINAL_EXAMPLES = [
+    ("levels", [(1.0, 0.0)], (0.0, 1.0, 0.0), 321, 80, 97),
+    ("levels", [(1.0, 0.0)], (0.0, 1.0, 0.0), 321, 100, 97),
+    ("levels", [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)], (0.0, 1.0, 0.0), 321, 272, 97),
+    ("levels", [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)], (0.0, 1.0, 0.0), 321, 120, 97),
+]
+
+
+def _with_examples(test):
+    for family, coeffs, packet, n_table, n_p, nq in MARGINAL_EXAMPLES:
+        test = example(
+            family=family, coeffs=coeffs, packet=packet, n_table=n_table, n_p=n_p, nq=nq
+        )(test)
+    return test
+
+
+def _plan(case):
+    s, p_grid, q_grid = case[:3]
+    r = _chord_ratio(s, p_grid, q_grid, 1.0)
+    return r, _smooth_length(math.ceil((q_grid.n - 1) * r / 2) + p_grid.n)
+
+
+def test_fft_length_is_the_least_5_smooth_bound():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    for n in range(1, 5000):
+        want = next(m for m in itertools.count(n) if smooth(m))
+        assert _smooth_length(n) == want
+
+
+def test_marginal_examples_reach_both_step_rules_and_both_fft_lengths():
+    plans = [_plan(_marginal_case(*example)) for example in MARGINAL_EXAMPLES]
+    kinds = {(r == 1, n_fft & (n_fft - 1) == 0) for r, n_fft in plans}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+_coefficient = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@given(
+    family=st.sampled_from(["levels", "sloped", "sampled"]),
+    # a ground-level weight of at least 0.1 keeps every truncation normalizable
+    coeffs=st.lists(_coefficient, min_size=1, max_size=6).filter(lambda cs: math.hypot(*cs[0]) > 0.1),
+    packet=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 1.5), st.floats(-3.0, 3.0)),
+    n_table=st.integers(321, 641),
+    n_p=st.integers(97, 400),
+    nq=st.integers(97, 400),
+)
+@_with_examples
+def test_marginals_match_both_price_densities(family, coeffs, packet, n_table, n_p, nq):
+    s, p_grid, q_grid, dens_q, dens_p, bound = _marginal_case(
+        family, coeffs, packet, n_table, n_p, nq
+    )
+    d = wigner_transform(s, p_grid, q_grid, hbar=1.0)
+    assert np.max(np.abs(d.marginal_q() - dens_q)) <= bound
+    assert np.max(np.abs(d.marginal_p() - dens_p)) <= bound
