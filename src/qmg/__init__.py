@@ -74,7 +74,6 @@ from .clearing import (
     Division,
     clear_round,
     cooling_experiment,
-    fixed_division,
     fixed_point,
     market_temperature,
     pair_execution_frequency,
@@ -89,7 +88,6 @@ from .auction import (
     TruthfulnessReport,
     mixed_polarization_auction,
     run_auction,
-    transaction_density,
     transaction_probabilities,
     vickrey_truthfulness_check,
 )
@@ -163,7 +161,6 @@ __all__ = [
     "ClearingOutcome",
     "CoolingRow",
     "random_division",
-    "fixed_division",
     "clear_round",
     "pair_execution_frequency",
     "profit_intensity",
@@ -178,7 +175,6 @@ __all__ = [
     "TruthfulnessReport",
     "run_auction",
     "mixed_polarization_auction",
-    "transaction_density",
     "transaction_probabilities",
     "vickrey_truthfulness_check",
     # zeno

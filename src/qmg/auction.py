@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
-    ImproperStateError,
     NotApplicableError,
     ParameterRangeError,
     RepresentationError,
@@ -93,32 +92,6 @@ def _survival_product(
         out *= 1.0 - b.cdf(xs, inclusive=m < k)
     out *= inst.seller.cdf(-xs)
     return out
-
-
-def transaction_density(
-    inst: AuctionInstance, k: int, q: float | np.ndarray
-) -> float | np.ndarray:
-    """Probability density that buyer k wins and trades at log-price q.
-
-    f_k(q) = |<q|psi_k>|^2 x Prod_{m != k} P(q_m > q) x P(p <= -q);
-    loser wave functions enter through their survival factors, so
-    removing an outbid buyer changes the winner's density.
-    """
-    if not (0 <= k < len(inst.buyers)):
-        raise ContractViolationError(
-            f"buyer index {k} out of range for {len(inst.buyers)} buyers"
-        )
-    buyer = inst.buyers[k]
-    if buyer.is_improper:
-        raise ImproperStateError(
-            "buyer k is a point measure; its transaction law is an atom, "
-            "use transaction_probabilities for the degenerate shortcut"
-        )
-    xs = np.asarray(q, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    vals = buyer.table.pdf(xs) * _survival_product(inst, k, xs)
-    return float(vals[0]) if scalar else vals
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -66,9 +66,6 @@ class ClearingOutcome:
         return [pair for pair, ok in zip(self.pairs, self.executed) if ok]
 
 
-ClearingPolicy = Callable[[MarketState, np.random.Generator], Division]
-
-
 def random_division(m: MarketState, rng: np.random.Generator) -> Division:
     """Fair-coin division; improper traders stay on their declared side.
 
@@ -88,22 +85,9 @@ def random_division(m: MarketState, rng: np.random.Generator) -> Division:
     return Division(tuple(buyers), tuple(sellers))
 
 
-def fixed_division(
-    buyers: Sequence[int], sellers: Sequence[int]
-) -> ClearingPolicy:
-    """Policy that always returns the same division."""
-    div = Division(tuple(int(i) for i in buyers), tuple(int(i) for i in sellers))
-
-    def policy(m: MarketState, rng: np.random.Generator) -> Division:
-        return div
-
-    return policy
-
-
 def clear_round(
     m: MarketState,
     rng: RandomSource | np.random.Generator,
-    algorithm: ClearingPolicy | None = None,
     risk: RiskParams = UNIT_RISK,
 ) -> ClearingOutcome:
     """Run one clearing round.
@@ -118,13 +102,7 @@ def clear_round(
     if len(m.traders) < 2:
         raise ContractViolationError("clearing needs at least two traders")
     gen = as_generator(rng)
-    policy = algorithm if algorithm is not None else random_division
-    division = policy(m, gen)
-    seen = division.buyers + division.sellers
-    if sorted(seen) != list(range(len(m.traders))):
-        raise ContractViolationError(
-            "division must cover every trader exactly once"
-        )
+    division = random_division(m, gen)
 
     log_prices: dict[int, float] = {}
     for i in division.buyers:
@@ -208,6 +186,8 @@ def fixed_point(rw_sigma: float = 1.0) -> float:
     """Solve rho(a) = a on (0, 5 sigma) by bisection, rho the :func:`profit_intensity`."""
     if not (math.isfinite(rw_sigma) and rw_sigma > 0):
         raise ParameterRangeError(f"rw_sigma must be positive and finite, got {rw_sigma}")
+    if not math.isfinite(5.0 * rw_sigma):
+        raise ParameterRangeError(f"rw_sigma {rw_sigma!r} is too large: 5 sigma overflows")
     return find_root(
         lambda a: profit_intensity(a, rw_sigma) - a,
         (1e-12 * rw_sigma, 5.0 * rw_sigma),

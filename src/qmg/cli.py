@@ -242,7 +242,10 @@ def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
         )
         if s.is_improper:
             raise _fail(f"{path}.strategy", "point strategies have no Wigner density")
-        density = wigner_transform(s, hbar=risk.hbar_eff)
+        try:
+            density = wigner_transform(s, hbar=risk.hbar_eff)
+        except ParameterRangeError as exc:  # the default grids collapse in double precision
+            raise _fail(f"{path}.strategy", str(exc))
     try:
         curves = dominant_curves(density)
     except ParameterRangeError as exc:
@@ -260,10 +263,15 @@ def _run_fixed_point(params: dict, seed: int, emit: Emitter, base_dir: Path) -> 
     sigmas = _get(params, "sigmas", list, "parameters")
     if len(sigmas) == 0:
         raise _fail("parameters.sigmas", "must be a nonempty list")
+    rows = []
     for i, s in enumerate(sigmas):
+        field = f"parameters.sigmas[{i}]"
         if not isinstance(s, (int, float)) or isinstance(s, bool) or s <= 0:
-            raise _fail(f"parameters.sigmas[{i}]", f"must be a positive number, got {s!r}")
-    rows = cooling_experiment([float(s) for s in sigmas])
+            raise _fail(field, f"must be a positive number, got {s!r}")
+        try:
+            rows += cooling_experiment([float(s)])
+        except ParameterRangeError as exc:  # the bisection bracket overflows
+            raise _fail(field, str(exc))
     emit.write_csv(
         "cooling.csv",
         "sigma,fixed_point,max_intensity",

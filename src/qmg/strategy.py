@@ -17,6 +17,7 @@ import enum
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -139,6 +140,11 @@ class GaussianForm:
             raise ParameterRangeError("gaussian center must be finite")
         if not (self.width > 0 and math.isfinite(self.width)):
             raise ParameterRangeError(f"gaussian width must be positive, got {self.width}")
+        # the normalization and the exponent divide by width^2
+        if not sys.float_info.min <= self.width * self.width < math.inf:
+            raise ParameterRangeError(
+                f"gaussian width {self.width!r} squares outside the normal doubles"
+            )
         if not math.isfinite(self.slope):
             raise ParameterRangeError("gaussian slope must be finite")
 

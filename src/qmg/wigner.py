@@ -72,7 +72,25 @@ class PhaseSpaceDensity:
     kind: str = "pure"
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        # a C-order copy: the caller keeps its own array
+        self._seal(np.array(self.values, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(
+        cls, values: np.ndarray, p_grid: Grid, q_grid: Grid, hbar: float, kind: str = "pure"
+    ) -> PhaseSpaceDensity:
+        """A density that takes over ``values`` without a copy.
+
+        For a fresh C-order float array that nothing else holds; the
+        checks are the constructor's, and the array becomes read-only.
+        """
+        d = cls.__new__(cls)
+        for name, v in (("p_grid", p_grid), ("q_grid", q_grid), ("hbar", hbar), ("kind", kind)):
+            object.__setattr__(d, name, v)
+        d._seal(values)
+        return d
+
+    def _seal(self, vals: np.ndarray) -> None:
         if vals.shape != (self.p_grid.n, self.q_grid.n):
             raise ContractViolationError(
                 f"values shape {vals.shape} does not match grids "
@@ -82,7 +100,6 @@ class PhaseSpaceDensity:
             raise ParameterRangeError(f"hbar must be positive and finite, got {self.hbar}")
         if self.kind not in ("pure", "mixture"):
             raise ContractViolationError(f"kind must be pure or mixture, got {self.kind!r}")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -226,12 +243,16 @@ def wigner_transform(
     The step is rounded down to dx = 2h/r (h the q spacing, r >= 1 an
     integer), so every chord end q_j +- x_m/2 lies on the half-step
     grid q_lo + l h/r (the q grid itself when r = 1) and psi is
-    evaluated once, there.  The chord C(x) = psi(q + x/2) psi*(q - x/2)
-    obeys C(-x) = conj C(x), so only x >= 0 is summed and the real part
-    doubled.  The sum over x at every p is a chirp-z transform
-    (Bluestein) of the smallest 2^a 3^b 5^c length that holds the
-    circular convolution: O(N log N) per q column, done in blocks of
-    columns through one reused FFT buffer of about 4 MB.
+    evaluated once, there.  The sum over x at every p, over the full
+    symmetric range x_m = m dx, m = -m_top..m_top, is a chirp-z
+    transform (Bluestein) of the smallest 2^a 3^b 5^c length that holds
+    the circular convolution, 2 m_top + n_p (1944 at 961 x 961).  The
+    chord obeys C(-x) = conj C(x), so each row's transform is real and
+    one complex FFT of C_a + i C_b carries two q rows: row a in the real
+    part, row b in the imaginary one.  The chords are formed for
+    x >= 0 only: at -x, C_a + i C_b is conj(C_a - i C_b) at x.
+    O(N log N) per pair of q rows, done in blocks through about 4 MB
+    of reused buffers, written straight into the density's array.
     """
     if not isinstance(s, Strategy):
         raise ContractViolationError("wigner_transform expects a Strategy")
@@ -251,46 +272,60 @@ def wigner_transform(
     h, nq, n_p = q_grid.spacing, q_grid.n, p_grid.n
     r = _chord_ratio(s, p_grid, q_grid, hb)
     dx = 2.0 * h / r
-    # chords reach x = +-(q_hi - q_lo); x_m = m dx, m = 0..m_top
+    # chords reach x = +-(q_hi - q_lo); x_m = m dx, m = -m_top..m_top
     m_top = math.ceil((nq - 1) * r / 2)
+    n_x = 2 * m_top + 1
     half_grid = q_grid.lo + np.arange(-m_top, (nq - 1) * r + m_top + 1) * (h / r)
-    windows = np.lib.stride_tricks.sliding_window_view(s.evaluate(half_grid), m_top + 1)
-    plus = windows[m_top::r]  # row j: psi(q_j + x_m / 2), m ascending
-    minus = windows[::r][:nq, ::-1]  # row j: psi(q_j - x_m / 2)
+    psi = s.evaluate(half_grid)
+    # row j, column m_top + m: psi(q_j + x_m / 2); column m_top - m: psi(q_j - x_m / 2)
+    windows = np.lib.stride_tricks.sliding_window_view(psi, n_x)[::r]
+    # over i psi, row b's chord comes out as i C_b
+    windows_i = np.lib.stride_tricks.sliding_window_view(1j * psi, n_x)[::r]
 
-    # Bluestein: p_i x_m / hb = (p_lo x_m + alpha (i^2 + m^2 - (i - m)^2) / 2) / hb
-    m = np.arange(m_top + 1)
+    # Bluestein: p_k x_m / hb = (p_lo x_m + alpha (k^2 + m^2 - (k - m)^2) / 2) / hb
+    m = np.arange(-m_top, m_top + 1)
     alpha = p_grid.spacing * dx
     pre = np.exp(-1j * (p_grid.lo * dx * m + 0.5 * alpha * m * m) / hb)
-    pre[0] *= 0.5  # the x = 0 chord is real and counted once after doubling
     k = np.arange(n_p)
-    # 2 Re(...) dx / (2 pi hb), folded into the last chirp
-    post = np.exp(-0.5j * alpha * k * k / hb) * (dx / (math.pi * hb))
-    n_fft = _smooth_length(m_top + n_p)
+    post = np.exp(-0.5j * alpha * k * k / hb) * (dx / (TWO_PI * hb))
+    n_fft = _smooth_length(2 * m_top + n_p)
     chirp = np.zeros(n_fft, dtype=complex)
-    lags = np.arange(-m_top, n_p)  # negative lags wrap: a circular convolution
+    lags = np.arange(-m_top, m_top + n_p)  # negative lags wrap: a circular convolution
     chirp[lags] = np.exp(0.5j * alpha * lags * lags / hb)
     chirp_f = np.fft.fft(chirp)
 
-    values = np.empty((nq, n_p))  # row j: W(p, q_j); handed over transposed
-    block = min(nq, max(1, 2**18 // n_fft))  # 4 MB of complex FFT buffer
+    values = np.empty((n_p, nq))  # W(p_k, q_j), taken over by the density as it is
+    pairs = (nq + 1) // 2  # rows 2t and 2t + 1; an odd last row goes alone
+    block = min(pairs, max(1, 2**18 // (n_fft + m_top + 1)))  # 4 MB: FFT rows, row b's chords
     buf = np.empty((block, n_fft), dtype=complex)
-    for j0 in range(0, nq, block):
-        rows = min(block, nq - j0)
-        work = buf[:rows]
-        chord = work[:, : m_top + 1]
-        np.conjugate(minus[j0 : j0 + rows], out=chord)
-        chord *= plus[j0 : j0 + rows]
-        chord *= pre
-        work[:, m_top + 1 :] = 0.0
+    half_b = np.empty((block, m_top + 1), dtype=complex)
+    for t0 in range(0, pairs, block):
+        j0, j1 = 2 * t0, min(2 * (t0 + block), nq)
+        rows_a, rows_b = windows[j0:j1:2], windows[j0 + 1 : j1 : 2]
+        n_b = len(rows_b)
+        work = buf[: len(rows_a)]
+        # chords for m >= 0 only; C(-x) = conj C(x) gives the rest
+        z_pos, z_neg = work[:, m_top:n_x], work[:, :m_top]
+        np.conjugate(rows_a[:, m_top::-1], out=z_pos)
+        z_pos *= rows_a[:, m_top:]  # C_a
+        cb = half_b[: len(rows_a)]
+        np.conjugate(rows_b[:, m_top::-1], out=cb[:n_b])
+        cb[:n_b] *= windows_i[j0 + 1 : j1 : 2, m_top:]  # i C_b
+        cb[n_b:] = 0.0  # an odd last row has no partner
+        np.subtract(z_pos[:, 1:], cb[:, 1:], out=z_neg[:, ::-1])
+        np.conjugate(z_neg, out=z_neg)  # conj C_a + i conj C_b at -x_m
+        z_pos += cb  # z = C_a + i C_b
+        z = work[:, :n_x]
+        z *= pre
+        work[:, n_x:] = 0.0
         np.fft.fft(work, out=work)
         work *= chirp_f
         np.fft.ifft(work, out=work)
-        head = work[:, :n_p]
+        head = work[:, m_top : m_top + n_p]  # chord m sits at m + m_top, so output k at k + m_top
         head *= post
-        values[j0 : j0 + rows] = head.real
-    del buf, work, chord, head  # free the buffer before the density copies values
-    return PhaseSpaceDensity(values.T, p_grid, q_grid, hb, kind="pure")
+        values[:, j0:j1:2] = head.real.T
+        values[:, j0 + 1 : j1 : 2] = head.imag[:n_b].T
+    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="pure")
 
 
 def _wigner_risk(hbar: float) -> RiskParams:
@@ -360,7 +395,7 @@ def coherent_wigner(
     # det check: (Delta_p Delta_q)^2 (1 - r^2) = hbar^2/4, so the peak is 1/(pi hbar)
     quad = (u * u + 2.0 * params.r * u * v + v * v) / (2.0 * one_m)
     values = np.exp(-quad) / (TWO_PI * dp_w * dq_w * math.sqrt(one_m))
-    return PhaseSpaceDensity(values, p_grid, q_grid, hbar, kind="pure")
+    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hbar, kind="pure")
 
 
 def _laguerre_ladder(z: np.ndarray) -> Iterator[np.ndarray]:
@@ -455,7 +490,7 @@ def excited_wigner(
         return sign * next(itertools.islice(_laguerre_ladder(u), n, None))
 
     values = _per_distinct(z, level_n)
-    return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="pure")
+    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="pure")
 
 
 def thermal_wigner(
@@ -498,7 +533,7 @@ def thermal_wigner(
     h = _oscillator_h(p_grid, q_grid, risk)
     if mode == "closed":
         values = (risk.omega / TWO_PI) * x * np.exp(-x * h)
-        return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="mixture")
+        return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="mixture")
     check_count(series_terms, "series_terms", 1)
     s = math.exp(-beta * hb * risk.omega)
 
@@ -510,7 +545,7 @@ def thermal_wigner(
         return total
 
     values = _per_distinct(4.0 * h / (hb * risk.omega), gibbs_sum)
-    return PhaseSpaceDensity(values, p_grid, q_grid, hb, kind="mixture")
+    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="mixture")
 
 
 # ---------------------------------------------------------------------------

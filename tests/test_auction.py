@@ -15,7 +15,6 @@ from qmg.auction import (
     _mean_se,
     mixed_polarization_auction,
     run_auction,
-    transaction_density,
     transaction_probabilities,
     vickrey_truthfulness_check,
 )
@@ -28,6 +27,20 @@ from qmg.errors import (
 )
 from qmg.numerics import Grid, RandomSource, integrate
 from qmg.strategy import Representation, Strategy, to_supply_rep
+
+
+def transaction_density(inst, k, q):
+    """Reference: the probability density that buyer k wins and trades at log-price q.
+
+    f_k(q) = |<q|psi_k>|^2 x Prod_{m != k} P(q_m > q) x P(p <= -q); loser
+    wave functions enter through their survival factors.
+    """
+    buyer = inst.buyers[k]
+    if buyer.is_improper:
+        raise ImproperStateError("buyer k is a point measure; its transaction law is an atom")
+    xs = np.atleast_1d(np.asarray(q, dtype=float))
+    return buyer.table.pdf(xs) * auction_module._survival_product(inst, k, xs)
+
 
 # frozen by exhaustive enumeration of the 2x2 discrete fixture
 DISCRETE_FIRST_PRICE_REVENUE = 0.8638326186973991

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from qmg import clearing as clearing_module
 from qmg.clearing import (
     Division,
     clear_round,
     cooling_experiment,
-    fixed_division,
     fixed_point,
     market_temperature,
     pair_execution_frequency,
@@ -22,6 +22,12 @@ from qmg.strategy import MarketState, Representation, RiskParams, Strategy, UNIT
 
 # independently frozen: root of rho(a) = a for the standard normal RW
 A_STAR = 0.27602980479814
+
+
+def force_division(monkeypatch, buyers, sellers):
+    """Make every clearing round divide the traders the same way."""
+    division = Division(buyers, sellers)
+    monkeypatch.setattr(clearing_module, "random_division", lambda m, rng: division)
 
 
 def test_profit_intensity_values():
@@ -56,7 +62,7 @@ def test_fixed_point_value_and_speed():
     assert profit_intensity(a) == pytest.approx(a, abs=1e-12)
 
 
-@pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0, 1e308])
 def test_fixed_point_refuses_invalid_spread(sigma):
     with pytest.raises(ParameterRangeError):
         fixed_point(sigma)
@@ -111,26 +117,26 @@ def test_random_division_pins_improper_traders():
         assert 1 in div.sellers
 
 
-def test_clear_round_delta_fixture():
+def test_clear_round_delta_fixture(monkeypatch):
     # buyer bids e^{-q} with q = -0.3, seller withdraws below p = 0.1:
     # q + p = -0.2 <= 0 executes at value e^{q}
     market = MarketState(
         (Strategy.delta(-0.3), Strategy.delta(0.1, rep=Representation.SUPPLY))
     )
-    out = clear_round(
-        market, RandomSource(0), algorithm=fixed_division((0,), (1,))
-    )
+    force_division(monkeypatch, (0,), (1,))
+    out = clear_round(market, RandomSource(0))
     assert out.executed == (True,)
     value = math.exp(-0.3)
     assert out.flows[0] == pytest.approx(-value, abs=1e-15)
     assert out.flows[1] == pytest.approx(value, abs=1e-15)
 
 
-def test_clear_round_no_crossing_no_flow():
+def test_clear_round_no_crossing_no_flow(monkeypatch):
     market = MarketState(
         (Strategy.delta(0.5), Strategy.delta(0.2, rep=Representation.SUPPLY))
     )
-    out = clear_round(market, RandomSource(0), algorithm=fixed_division((0,), (1,)))
+    force_division(monkeypatch, (0,), (1,))
+    out = clear_round(market, RandomSource(0))
     assert out.executed == (False,)
     assert all(f == 0.0 for f in out.flows.values())
 
@@ -145,7 +151,7 @@ def test_clear_round_conservation():
         assert math.fsum(out.flows.values()) == 0.0
 
 
-def test_clear_round_pairs_best_bid_with_best_ask():
+def test_clear_round_pairs_best_bid_with_best_ask(monkeypatch):
     market = MarketState(
         (
             Strategy.delta(-1.0),
@@ -154,9 +160,8 @@ def test_clear_round_pairs_best_bid_with_best_ask():
             Strategy.delta(0.9, rep=Representation.SUPPLY),
         )
     )
-    out = clear_round(
-        market, RandomSource(0), algorithm=fixed_division((0, 1), (2, 3))
-    )
+    force_division(monkeypatch, (0, 1), (2, 3))
+    out = clear_round(market, RandomSource(0))
     # ascending q paired with ascending p
     assert out.pairs == ((0, 2), (1, 3))
     assert out.executed == (True, False)
@@ -196,14 +201,12 @@ def test_pair_execution_frequency_matches_analytic():
     assert abs(freq - 0.5) < 4 * se
 
 
-def test_round_log_csv(tmp_path):
+def test_round_log_csv(tmp_path, monkeypatch):
     market = MarketState(
         (Strategy.delta(-0.3), Strategy.delta(0.1, rep=Representation.SUPPLY))
     )
-    outs = [
-        clear_round(market, RandomSource(0), algorithm=fixed_division((0,), (1,)))
-        for _ in range(2)
-    ]
+    force_division(monkeypatch, (0,), (1,))
+    outs = [clear_round(market, RandomSource(0)) for _ in range(2)]
     path = tmp_path / "rounds.csv"
     round_log_to_csv(outs, path)
     lines = path.read_text().strip().split("\n")

@@ -445,6 +445,11 @@ def test_bad_literal_exits_3(tmp_path, capsys):
         # omega squared overflows, or hbar_e omega underflows to 0
         ({"family": "excited", "n": 1, "risk": {"hbar_e": 1, "theta": 1e-160}}, "parameters.risk"),
         ({"family": "excited", "n": 1, "risk": {"hbar_e": 1e-200, "theta": 1e200}}, "parameters.risk"),
+        # the width squared underflows or overflows
+        ({"family": "strategy", "strategy": "gaussian(0, 1e-300)"}, "parameters.strategy"),
+        ({"family": "strategy", "strategy": "gaussian(0, 1e200)"}, "parameters.strategy"),
+        # the default q grid collapses to a point
+        ({"family": "strategy", "strategy": "gaussian(1e300, 1)"}, "parameters.strategy"),
     ],
 )
 def test_curves_out_of_range_exits_3(tmp_path, capsys, params, field):
@@ -464,6 +469,23 @@ def test_curves_out_of_range_exits_3(tmp_path, capsys, params, field):
 def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
     doc = {"kind": "thermal", "parameters": {"betas": betas, "series_terms": 5}}
     path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"invalid scenario at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, params, field",
+    [
+        ("zeno", {"initial": "gaussian(0, 1e-300)", "total_time": 0.5, "n_values": [1]}, "parameters.initial"),
+        ("zeno", {"initial": ["hermite(0)", "gaussian(0, 1e200)"], "total_time": 0.5, "n_values": [1]},
+         "parameters.initial[1]"),
+        # 5 sigma, the top of the fixed point's bracket, overflows
+        ("fixed-point", {"sigmas": [1e308]}, "parameters.sigmas[0]"),
+        ("fixed-point", {"sigmas": [1.0, 1e308]}, "parameters.sigmas[1]"),
+    ],
+)
+def test_values_at_the_ends_of_the_doubles_exit_3(tmp_path, capsys, kind, params, field):
+    path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert f"invalid scenario at {field}:" in capsys.readouterr().err
 

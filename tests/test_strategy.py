@@ -309,6 +309,19 @@ def test_parse_strategy_sampled_csv(tmp_path):
     assert mean == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("width", [1e-300, 1e-160, 1e155, 1e200])
+def test_gaussian_width_whose_square_leaves_the_normal_doubles_is_refused(width):
+    # the normalization (2 pi width^2)^(-1/4) and the exponent divide by width^2
+    with pytest.raises(ParameterRangeError, match="squares outside the normal doubles"):
+        Strategy.gaussian(0.0, width)
+
+
+@pytest.mark.parametrize("width", [1.5e-154, 1e154])
+def test_gaussian_width_at_the_ends_of_the_normal_squares_evaluates(width):
+    s = Strategy.gaussian(0.0, width)
+    assert np.isfinite(s.evaluate(np.array([0.0, width]))).all()
+
+
 def test_parse_strategy_rejects_garbage():
     for bad in ("gauss(1,2)", "gaussian(1)", "hermite(-1)", "discrete()", "delta(a)"):
         with pytest.raises((ContractViolationError, ParameterRangeError)):

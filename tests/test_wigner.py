@@ -473,7 +473,7 @@ def _phase_space_cases():
 
 PHASE_SPACE_CASES = _phase_space_cases()
 # largest distance from the reference transform measured over these sizes:
-# 6.9e-15 (levels), 9.7e-15 (cat), 3.5e-15 (sloped); the sampled table
+# 1.4e-14 (levels), 1.8e-14 (cat), 6.5e-15 (sloped); the sampled table
 # 1.5e-9 at 961^2 and 7.8e-9 at 301 x 641, where the chord step grows to
 # the node spacing and the kinks of the spline interpolant's third
 # derivative alias in the trapezoid sum
@@ -493,6 +493,86 @@ def test_transform_matches_the_reference_with_the_step_tied_to_q(label, sizes):
     want = _reference_transform(s, p_grid, q_grid, d.hbar)
     bound = SAMPLED_BOUND if label == "sampled" else ANALYTIC_BOUND
     assert np.max(np.abs(d.values - want)) <= bound
+
+
+def _unpaired_transform(s, p_grid, q_grid, hb):
+    # the transform as it stood with one q row per chirp-z: chords over
+    # x >= 0 only, the real part doubled, an FFT of m_top + n_p points
+    r = _chord_ratio(s, p_grid, q_grid, hb)
+    h, nq, n_p = q_grid.spacing, q_grid.n, p_grid.n
+    dx = 2.0 * h / r
+    m_top = math.ceil((nq - 1) * r / 2)
+    half_grid = q_grid.lo + np.arange(-m_top, (nq - 1) * r + m_top + 1) * (h / r)
+    windows = np.lib.stride_tricks.sliding_window_view(s.evaluate(half_grid), m_top + 1)
+    plus = windows[m_top::r]
+    minus = windows[::r][:nq, ::-1]
+    m = np.arange(m_top + 1)
+    alpha = p_grid.spacing * dx
+    pre = np.exp(-1j * (p_grid.lo * dx * m + 0.5 * alpha * m * m) / hb)
+    pre[0] *= 0.5
+    k = np.arange(n_p)
+    post = np.exp(-0.5j * alpha * k * k / hb) * (dx / (math.pi * hb))
+    n_fft = _smooth_length(m_top + n_p)
+    chirp = np.zeros(n_fft, dtype=complex)
+    lags = np.arange(-m_top, n_p)
+    chirp[lags] = np.exp(0.5j * alpha * lags * lags / hb)
+    chirp_f = np.fft.fft(chirp)
+    values = np.empty((nq, n_p))
+    block = min(nq, max(1, 2**18 // n_fft))
+    for j0 in range(0, nq, block):
+        buf = np.fft.fft(np.conj(minus[j0 : j0 + block]) * plus[j0 : j0 + block] * pre, n_fft)
+        buf *= chirp_f
+        np.fft.ifft(buf, out=buf)
+        values[j0 : j0 + block] = (buf[:, :n_p] * post).real
+    return values.T
+
+
+# odd and even nq, square and unequal sides, r = 1 and r >= 2
+PAIRED_SIZES = [
+    (8, 8), (9, 8), (8, 9), (64, 64), (100, 33), (241, 240), (777, 199), (240, 962), (961, 961)
+]
+# largest distance from the unpaired transform measured over these sizes:
+# 1.4e-14 (levels), 2.1e-14 (cat), 8.5e-15 (sloped), 5.5e-15 (sampled);
+# both transforms read psi at the same points, so one bound serves all four
+PAIRED_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("label", sorted(PHASE_SPACE_CASES))
+def test_two_rows_per_fft_match_the_unpaired_transform(label):
+    s = PHASE_SPACE_CASES[label]
+    d0 = wigner_transform(s)
+    kinds = set()
+    for n_p, nq in PAIRED_SIZES:
+        p_grid = Grid(d0.p_grid.lo, d0.p_grid.hi, n_p)
+        q_grid = Grid(d0.q_grid.lo, d0.q_grid.hi, nq)
+        kinds.add((_chord_ratio(s, p_grid, q_grid, d0.hbar) == 1, nq % 2))
+        d = wigner_transform(s, p_grid, q_grid)
+        want = _unpaired_transform(s, p_grid, q_grid, d.hbar)
+        assert np.max(np.abs(d.values - want)) <= PAIRED_BOUND
+    assert kinds == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+def test_densities_take_over_a_fresh_array_and_the_constructor_copies():
+    risk = UNIT_RISK
+    g = Grid(-4.0, 4.0, 33)
+    made = [
+        wigner_transform(Strategy.hermite(2), g, g),
+        coherent_wigner(CoherentParams(r=0.3, eta=1.0), p_grid=g, q_grid=g),
+        excited_wigner(2, risk, g, g),
+        thermal_wigner(1.0, risk, g, g),
+        thermal_wigner(1.0, risk, g, g, mode="series"),
+    ]
+    for d in made:
+        # nothing else holds the array, and nothing can write to it
+        assert d.values.base is None
+        assert d.values.flags.c_contiguous and not d.values.flags.writeable
+    arr = np.ascontiguousarray(made[0].values.T)
+    for given in (arr, arr.T, arr.astype(np.float32)):
+        d = PhaseSpaceDensity(given, g, g, 1.0)
+        assert not np.shares_memory(d.values, arr)
+        assert d.values.flags.c_contiguous and not d.values.flags.writeable
+        assert np.array_equal(d.values, given)
+    assert arr.flags.writeable
 
 
 @pytest.mark.parametrize("label", sorted(PHASE_SPACE_CASES))
@@ -560,8 +640,8 @@ SAMPLED_MARGINAL_BOUND = 1e-6
 # lengths (a power of two, and a 5-smooth length short of one)
 MARGINAL_EXAMPLES = [
     ("levels", [(1.0, 0.0)], (0.0, 1.0, 0.0), 321, 80, 97),
-    ("levels", [(1.0, 0.0)], (0.0, 1.0, 0.0), 321, 100, 97),
-    ("levels", [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)], (0.0, 1.0, 0.0), 321, 272, 97),
+    ("levels", [(1.0, 0.0)], (0.0, 1.0, 0.0), 321, 160, 97),
+    ("levels", [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)], (0.0, 1.0, 0.0), 321, 100, 103),
     ("levels", [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)], (0.0, 1.0, 0.0), 321, 120, 97),
 ]
 
@@ -577,7 +657,8 @@ def _with_examples(test):
 def _plan(case):
     s, p_grid, q_grid = case[:3]
     r = _chord_ratio(s, p_grid, q_grid, 1.0)
-    return r, _smooth_length(math.ceil((q_grid.n - 1) * r / 2) + p_grid.n)
+    # the chirp-z sums chords over m = -m_top..m_top against n_p outputs
+    return r, _smooth_length(2 * math.ceil((q_grid.n - 1) * r / 2) + p_grid.n)
 
 
 def test_fft_length_is_the_least_5_smooth_bound():
