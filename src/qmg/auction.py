@@ -282,14 +282,19 @@ def _simulate(inst: AuctionInstance, pricing: str, weight: float) -> AuctionOutc
             # and on a tie the minimum's value is the same
             np.maximum(w_b, (r_b < q_b) * k, out=w_b)
             np.minimum(q_b, r_b, out=q_b)
-    executed = q_min + p <= 0.0
     branches = []
-    if pricing != "second":
-        branches.append((weight, np.where(executed, np.exp(-q_min), 0.0)))
-    if second_needed:
-        # second in decreasing price order among bids and the seller reserve
-        second = np.minimum(second, np.maximum(q_min, -p))
-        branches.append((1.0 - weight, np.where(executed, np.exp(-second), 0.0)))
+    # q + p past the doubles is inf, no trade; so may be the price of a trade that does not happen
+    with np.errstate(over="ignore"):
+        executed = q_min + p <= 0.0
+        if pricing != "second":
+            branches.append((weight, np.where(executed, np.exp(-q_min), 0.0)))
+        if second_needed:
+            # second in decreasing price order among bids and the seller reserve
+            second = np.minimum(second, np.maximum(q_min, -p))
+            branches.append((1.0 - weight, np.where(executed, np.exp(-second), 0.0)))
+    # squared deviations of prices up to 1e150 sum without overflow
+    if any(prices.max() > 1e150 for _, prices in branches):
+        raise ParameterRangeError("a trade's price e^-q passes 1e150: the revenue overflows its sums")
     mean, se = _mean_se(sum(w * prices for w, prices in branches))
     counts = np.bincount(winner[executed], minlength=len(inst.buyers))
     edges, hist = _histogram([(w, prices[executed]) for w, prices in branches])

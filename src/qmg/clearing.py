@@ -13,6 +13,7 @@ a = 0.27603 sigma and scales linearly with the RW spread.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -129,6 +130,8 @@ def clear_round(
         pairs.append((b, s))
         executed.append(ok)
         if ok:
+            if q > math.log(sys.float_info.max):
+                raise ParameterRangeError(f"a trade at log-price {q} moves more capital than a double holds")
             value = math.exp(q)
             flows[b] -= value
             flows[s] += value

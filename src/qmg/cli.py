@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import importlib.metadata
 import json
 import math
 import re
 import sys
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .auction import PRICINGS, AuctionInstance, run_auction
@@ -42,16 +45,6 @@ from .wigner import (
 )
 from .zeno import ZenoRun, freeze_experiment, freeze_table_to_csv
 
-KINDS = (
-    "curves",
-    "fixed-point",
-    "auction",
-    "zeno",
-    "thermal",
-    "risk-spectrum",
-    "clearing",
-)
-
 
 class ScenarioInvalid(Exception):
     """Validation failure carrying the offending field path."""
@@ -61,79 +54,159 @@ class ScenarioInvalid(Exception):
         self.path = path
 
 
-def _fail(path: str, message: str) -> "ScenarioInvalid":
-    return ScenarioInvalid(path, message)
+# ---------------------------------------------------------------------------
+# field types: each parses one JSON value at its path, or refuses it there
+
+_REQUIRED = object()
 
 
-def _get(params: dict, field: str, kinds, path: str, required: bool = True, default=None):
-    if field not in params:
-        if required:
-            raise _fail(f"{path}.{field}", "required field missing")
-        return default
-    value = params[field]
+def _typed(value, kinds, path: str):
     # bool passes isinstance(int) checks; scenarios never want that
-    if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
-        raise _fail(f"{path}.{field}", f"unexpected type {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ScenarioInvalid(path, f"unexpected type {type(value).__name__}")
     return value
 
 
-def _refuse_unknown(doc: dict, known, path: str) -> None:
-    """Refuse the first field of ``doc`` that is not in ``known``: nothing is ignored."""
-    for field in doc:
-        if field not in known:
-            raise _fail(f"{path}.{field}", f"unknown field; expected {', '.join(known)}")
+@dataclass(frozen=True, kw_only=True)
+class _Field:
+    """A field's type and range; ``default`` fills it when absent, ``phrase`` is README's."""
+
+    default: object = _REQUIRED
+    phrase: str = ""
 
 
-def _number(params: dict, field: str, path: str, required: bool = True, default=None, positive: bool = False):
-    value = _get(params, field, (int, float), path, required, default)
-    if value is None:
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        raise _fail(f"{path}.{field}", "must be finite")
-    if positive and value <= 0:
-        raise _fail(f"{path}.{field}", f"must be positive, got {value}")
-    return value
+@dataclass(frozen=True)
+class _Value(_Field):
+    """A JSON value of the given Python types, one of ``options`` where they are given."""
+
+    kinds: type
+    options: tuple = ()
+
+    def parse(self, value, path: str, scope: dict):
+        _typed(value, self.kinds, path)
+        if self.options and value not in self.options:
+            raise ScenarioInvalid(path, f"must be one of {', '.join(self.options)}, got {value!r}")
+        return value
 
 
-def _parse_risk(params: dict, path: str) -> RiskParams:
-    doc = _get(params, "risk", dict, path, required=False)
-    if doc is None:
-        return UNIT_RISK
-    rpath = f"{path}.risk"
-    _refuse_unknown(doc, ("hbar_e", "theta", "omega", "m", "theta_nc"), rpath)
-    hbar_e = _number(doc, "hbar_e", rpath, positive=True)
-    m = _number(doc, "m", rpath, required=False, default=1.0, positive=True)
-    theta_nc = _number(doc, "theta_nc", rpath, required=False, default=0.0)
-    if theta_nc < 0:
-        raise _fail(f"{rpath}.theta_nc", "must be >= 0")
-    if "theta" in doc and "omega" in doc:
-        raise _fail(rpath, "give either theta or omega, not both")
-    if "omega" in doc:
-        omega = _number(doc, "omega", rpath, positive=True)
-        return RiskParams.from_omega(hbar_e, omega, m=m, theta_nc=theta_nc)
-    theta = _number(doc, "theta", rpath, required=False, default=None, positive=True)
-    if theta is None:
-        raise _fail(f"{rpath}.theta", "required field missing (or give omega)")
-    return RiskParams(hbar_e=hbar_e, theta=theta, m=m, theta_nc=theta_nc)
+@dataclass(frozen=True)
+class _Number(_Field):
+    """A number in [lo, hi] ((lo, hi) where ``open_ends``), finite as the parser lets no other in;
+    a ``count`` is an integer, and its cap bounds what it allocates before anything is."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    count: bool = False
+    open_ends: bool = False
+
+    def parse(self, value, path: str, scope: dict):
+        value = _typed(value, int, path) if self.count else float(_typed(value, (int, float), path))
+        if not (self.lo < value < self.hi if self.open_ends else self.lo <= value <= self.hi):
+            ends = "()" if self.open_ends else "[]"
+            raise ScenarioInvalid(path, f"must lie in {ends[0]}{self.lo}, {self.hi}{ends[1]}, got {value!r}")
+        return value
 
 
-def _refuse_zero_gap(risk: RiskParams, path: str) -> None:
-    """Thermal mixtures divide by hbar omega: one that underflows to 0 is the risk's fault."""
-    if not risk.hbar_eff * risk.omega > 0:
-        raise _fail(
-            f"{path}.risk", f"hbar_e * omega underflows to 0 ({risk.hbar_eff!r} * {risk.omega!r})"
-        )
+@dataclass(frozen=True)
+class _List(_Field):
+    """A list of ``item``s, at least ``least`` long, strictly ascending where ``ascending``."""
+
+    item: _Field
+    least: int = 1
+    ascending: bool = False
+
+    def parse(self, value, path: str, scope: dict) -> list:
+        if len(_typed(value, list, path)) < self.least:
+            raise ScenarioInvalid(path, f"must hold at least {self.least} items")
+        items = [self.item.parse(v, f"{path}[{i}]", scope) for i, v in enumerate(value)]
+        if self.ascending and any(b <= a for a, b in zip(items, items[1:])):
+            raise ScenarioInvalid(path, "must be strictly ascending")
+        return items
 
 
-def _parse_literal(text, path: str, rep: Representation, base_dir: Path, risk: RiskParams) -> Strategy:
-    if not isinstance(text, str):
-        raise _fail(path, "strategy literal must be a string")
-    try:
-        return parse_strategy(text, rep=rep, base_dir=base_dir, risk=risk)
-    except (MarketModelError, ValueError, OSError) as exc:
-        raise _fail(path, str(exc))
+@dataclass(frozen=True)
+class _Literal(_Field):
+    """A strategy literal in ``rep``, read with the scope's risk and directory.
 
+    ``proper`` refuses point strategies; ``superpose`` also takes a
+    nonempty list of literals, for their equal superposition; ``record``
+    also takes a ``{strategy, rep}`` record naming the representation.
+    """
+
+    rep: Representation = Representation.DEMAND
+    proper: bool = False
+    superpose: bool = False
+    record: bool = False
+
+    def parse(self, value, path: str, scope: dict) -> Strategy:
+        if self.superpose and isinstance(value, list):
+            parts = _List(item=replace(self, superpose=False)).parse(value, path, scope)
+            return Strategy.superpose(parts, [1.0] * len(parts))
+        rep = self.rep
+        if self.record and isinstance(value, dict):
+            entry = _walk(value, _TRADER, path, scope)
+            value, rep = entry["strategy"], Representation[entry["rep"].upper()]
+        try:
+            s = parse_strategy(_typed(value, str, path), rep, scope["base_dir"], scope["risk"])
+        except (MarketModelError, ValueError, OSError) as exc:
+            raise ScenarioInvalid(path, str(exc))
+        if self.proper and s.is_improper:
+            raise ScenarioInvalid(path, "point strategies have no density to work on")
+        return s
+
+
+_POSITIVE = _Number(0.0, open_ends=True)
+_SEED = _Number(0, 2**64 - 1, count=True)  # the seeds a RandomSource takes
+_TRADER = {"strategy": _Value(str), "rep": _Value(str, ("demand", "supply"), default="demand")}
+_RISK = {
+    "hbar_e": _POSITIVE,
+    "theta": replace(_POSITIVE, default=None),
+    "omega": replace(_POSITIVE, default=None),
+    "m": replace(_POSITIVE, default=1.0),
+    "theta_nc": _Number(0.0, default=0.0),
+}
+
+
+@dataclass(frozen=True)
+class _Risk(_Field):
+    """The risk record, the unit operator when absent; literals parsed after it read it."""
+
+    default: object = UNIT_RISK
+
+    def parse(self, value, path: str, scope: dict) -> RiskParams:
+        doc = _walk(value, _RISK, path, scope)
+        if (doc["theta"] is None) == (doc["omega"] is None):
+            raise ScenarioInvalid(f"{path}.theta", "give either theta or omega, not both nor neither")
+        build = RiskParams if doc["omega"] is None else RiskParams.from_omega
+        try:
+            risk = build(doc["hbar_e"], doc["theta"] or doc["omega"], doc["m"], doc["theta_nc"])
+        except ParameterRangeError as exc:
+            raise ScenarioInvalid(path, str(exc))
+        if not risk.hbar_eff * risk.omega > 0:  # the level spacing, which thermal kinds divide by
+            raise ScenarioInvalid(path, f"hbar_e * omega underflows to 0 ({risk.hbar_eff!r} * {risk.omega!r})")
+        scope["risk"] = risk
+        return risk
+
+
+def _walk(doc, fields: dict, path: str, scope: dict) -> dict:
+    """Parse a JSON object by its table: nothing unknown, every field typed and ranged, defaults filled."""
+    _typed(doc, dict, path)
+    for name in doc:
+        if name not in fields:
+            raise ScenarioInvalid(f"{path}.{name}", f"unknown field; expected {', '.join(fields)}")
+    parsed = {}
+    for name, field in fields.items():
+        if name in doc:
+            parsed[name] = field.parse(doc[name], f"{path}.{name}", scope)
+        elif field.default is _REQUIRED:
+            raise ScenarioInvalid(f"{path}.{name}", "required field missing")
+        else:
+            parsed[name] = field.default
+    return parsed
+
+
+# ---------------------------------------------------------------------------
+# the JSON parser's hooks
 
 # a JSON string, or a bare token outside strings: a number, or a constant
 # Python's json accepts but JSON does not
@@ -152,11 +225,15 @@ def _refuse_token(text: str, token: str, reason: str):
 
 
 def _parse_int(text: str, token: str) -> int:
-    """parse_int hook: an integer too long for int() is a parse error, not a crash."""
+    """parse_int hook: an integer too long for int(), or past the doubles, is a parse error."""
     try:
-        return int(token)
+        value = int(token)
+        float(value)  # every number field reads its value as a double
+        return value
     except ValueError:
         _refuse_token(text, token, f"integer literal of {len(token.lstrip('-'))} digits is too long")
+    except OverflowError:
+        _refuse_token(text, token, f"integer {token} overflows a double")
 
 
 def _parse_float(text: str, token: str) -> float:
@@ -186,9 +263,7 @@ class Emitter:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # bools too: 0 and 1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -196,82 +271,38 @@ def _cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# kind handlers
+# kind handlers: compute and write, from fields the schema has parsed
 
 
-_CURVE_FIELDS = {
-    "coherent": ("r", "eta", "p0", "q0"),
-    "thermal": ("beta",),
-    "excited": ("n",),
-    "strategy": ("strategy",),
-}
-
-def _run_curves(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    path = "parameters"
-    family = _get(params, "family", str, path)
-    if family not in _CURVE_FIELDS:
-        raise _fail(f"{path}.family", f"unknown family {family!r}")
-    _refuse_unknown(params, ("family", "risk") + _CURVE_FIELDS[family], path)
-    risk = _parse_risk(params, path)
-    if family == "coherent":
-        cp = CoherentParams(
-            r=_number(params, "r", path),
-            eta=_number(params, "eta", path, positive=True),
-            p0=_number(params, "p0", path, required=False, default=0.0),
-            q0=_number(params, "q0", path, required=False, default=0.0),
-        )
-        density = coherent_wigner(cp, hbar=risk.hbar_eff)
-    elif family == "thermal":
-        beta = _number(params, "beta", path, positive=True)
-        _refuse_zero_gap(risk, path)
+def _each(p: dict, field: str, f) -> list:
+    """f over a list field's items; a ParameterRangeError is blamed on its item."""
+    out = []
+    for i, value in enumerate(p[field]):
         try:
-            density = thermal_wigner(beta, risk)
+            out.append(f(value))
         except ParameterRangeError as exc:
-            raise _fail(f"{path}.beta", str(exc))
-    elif family == "excited":
-        n = _get(params, "n", int, path)
-        if not 0 <= n <= EXCITED_MAX_LEVEL:
-            raise _fail(f"{path}.n", f"must lie in 0..{EXCITED_MAX_LEVEL}, got {n}")
-        try:
-            density = excited_wigner(n, risk)
-        except ParameterRangeError as exc:  # H overflows on the risk's own grid
-            raise _fail(f"{path}.risk", str(exc))
-    elif family == "strategy":
-        s = _parse_literal(
-            params.get("strategy"), f"{path}.strategy", Representation.DEMAND, base_dir, risk
-        )
-        if s.is_improper:
-            raise _fail(f"{path}.strategy", "point strategies have no Wigner density")
-        try:
-            density = wigner_transform(s, hbar=risk.hbar_eff)
-        except ParameterRangeError as exc:  # the default grids collapse in double precision
-            raise _fail(f"{path}.strategy", str(exc))
-    try:
-        curves = dominant_curves(density)
-    except ParameterRangeError as exc:
-        if family != "thermal":
-            raise
-        # the widest thermal grids overflow the slice integral
-        raise _fail(f"{path}.beta", str(exc))
+            raise ScenarioInvalid(f"parameters.{field}[{i}]", str(exc)) from None
+    return out
+
+
+def _run_curves(p: dict, seed: int, emit: Emitter) -> None:
+    risk = p["risk"]
+    if p["family"] == "coherent":
+        cp = CoherentParams(p["r"], p["eta"], p["p0"], p["q0"])
+        density = coherent_wigner(cp, hbar=risk.hbar_eff)
+    elif p["family"] == "thermal":
+        density = thermal_wigner(p["beta"], risk)
+    elif p["family"] == "excited":
+        density = excited_wigner(p["n"], risk)
+    else:
+        density = wigner_transform(p["strategy"], hbar=risk.hbar_eff)
+    curves = dominant_curves(density)
     density.to_csv(emit.path("density.csv"))
     curves.to_csv(emit.path("curves.csv"))
 
 
-def _run_fixed_point(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    # the profit-intensity fixed point does not involve the risk operator
-    _refuse_unknown(params, ("sigmas",), "parameters")
-    sigmas = _get(params, "sigmas", list, "parameters")
-    if len(sigmas) == 0:
-        raise _fail("parameters.sigmas", "must be a nonempty list")
-    rows = []
-    for i, s in enumerate(sigmas):
-        field = f"parameters.sigmas[{i}]"
-        if not isinstance(s, (int, float)) or isinstance(s, bool) or s <= 0:
-            raise _fail(field, f"must be a positive number, got {s!r}")
-        try:
-            rows += cooling_experiment([float(s)])
-        except ParameterRangeError as exc:  # the bisection bracket overflows
-            raise _fail(field, str(exc))
+def _run_fixed_point(p: dict, seed: int, emit: Emitter) -> None:
+    rows = _each(p, "sigmas", lambda sigma: cooling_experiment([sigma])[0])
     emit.write_csv(
         "cooling.csv",
         "sigma,fixed_point,max_intensity",
@@ -279,34 +310,10 @@ def _run_fixed_point(params: dict, seed: int, emit: Emitter, base_dir: Path) -> 
     )
 
 
-def _run_auction(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    path = "parameters"
-    _refuse_unknown(params, ("buyers", "seller", "pricing", "weight", "samples", "seed", "risk"), path)
-    risk = _parse_risk(params, path)
-    raw = _get(params, "buyers", list, path)
-    if not raw:
-        raise _fail(f"{path}.buyers", "must be a nonempty list")
-    buyers = tuple(
-        _parse_literal(lit, f"{path}.buyers[{i}]", Representation.DEMAND, base_dir, risk)
-        for i, lit in enumerate(raw)
-    )
-    seller = _parse_literal(
-        _get(params, "seller", None, path), f"{path}.seller", Representation.SUPPLY, base_dir, risk
-    )
-    pricing = _get(params, "pricing", str, path)
-    if pricing not in PRICINGS:
-        raise _fail(f"{path}.pricing", f"must be one of {', '.join(PRICINGS)}, got {pricing!r}")
-    weight = _number(params, "weight", path, required=False, default=1.0)
-    if not 0.0 <= weight <= 1.0:
-        raise _fail(f"{path}.weight", f"must lie in [0, 1], got {weight}")
-    samples = _get(params, "samples", int, path, required=False, default=100_000)
-    if samples < 1:
-        raise _fail(f"{path}.samples", f"must be >= 1, got {samples}")
-    seed = _get(params, "seed", int, path, required=False, default=seed)
-    if not 0 <= seed < 2**64:  # the seeds a RandomSource takes
-        raise _fail(f"{path}.seed", f"must lie in 0..2**64 - 1, got {seed}")
+def _run_auction(p: dict, seed: int, emit: Emitter) -> None:
+    rng = RandomSource(seed if p["seed"] is None else p["seed"])
     outcome = run_auction(
-        AuctionInstance(buyers, seller, pricing, weight, samples, RandomSource(seed), risk)
+        AuctionInstance(tuple(p["buyers"]), p["seller"], p["pricing"], p["weight"], p["samples"], rng, p["risk"])
     )
     doc = {
         "pricing": outcome.pricing,
@@ -321,67 +328,16 @@ def _run_auction(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     edges = outcome.price_bin_edges
-    emit.write_csv(
-        "price_histogram.csv",
-        "bin_lo,bin_hi,count",
-        (
-            (edges[i], edges[i + 1], outcome.price_counts[i])
-            for i in range(len(outcome.price_counts))
-        ),
-    )
+    emit.write_csv("price_histogram.csv", "bin_lo,bin_hi,count", zip(edges, edges[1:], outcome.price_counts))
 
 
-def _run_zeno(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    path = "parameters"
-    _refuse_unknown(params, ("initial", "total_time", "n_values", "risk"), path)
-    risk = _parse_risk(params, path)
-    raw = params.get("initial")
-    if isinstance(raw, str):
-        initial = _parse_literal(raw, f"{path}.initial", Representation.DEMAND, base_dir, risk)
-    elif isinstance(raw, list) and raw:
-        parts = [
-            _parse_literal(t, f"{path}.initial[{i}]", Representation.DEMAND, base_dir, risk)
-            for i, t in enumerate(raw)
-        ]
-        try:
-            initial = Strategy.superpose(parts, [1.0] * len(parts))
-        except MarketModelError as exc:
-            raise _fail(f"{path}.initial", str(exc))
-    else:
-        raise _fail(f"{path}.initial", "must be a strategy literal or nonempty list of them")
-    total_time = _number(params, "total_time", path)
-    n_values = _get(params, "n_values", list, path)
-    if not n_values or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
-    ):
-        raise _fail(f"{path}.n_values", "must be a nonempty list of integers >= 1")
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise _fail(f"{path}.n_values", "must be strictly ascending")
-    run = ZenoRun(initial, total_time, n_values[0], risk=risk)
-    rows = freeze_experiment(run, n_values)
-    freeze_table_to_csv(rows, emit.path("zeno.csv"))
+def _run_zeno(p: dict, seed: int, emit: Emitter) -> None:
+    run = ZenoRun(p["initial"], p["total_time"], p["n_values"][0], risk=p["risk"])
+    freeze_table_to_csv(freeze_experiment(run, p["n_values"]), emit.path("zeno.csv"))
 
 
-def _run_thermal(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    path = "parameters"
-    _refuse_unknown(params, ("betas", "series_terms", "risk"), path)
-    risk = _parse_risk(params, path)
-    _refuse_zero_gap(risk, path)
-    betas = _get(params, "betas", list, path)
-    if len(betas) == 0:
-        raise _fail(f"{path}.betas", "must be a nonempty list")
-    for i, b in enumerate(betas):
-        if not isinstance(b, (int, float)) or isinstance(b, bool) or b <= 0:
-            raise _fail(f"{path}.betas[{i}]", f"must be a positive number, got {b!r}")
-    terms = _get(params, "series_terms", int, path, required=False, default=200)
-    if terms < 1:
-        raise _fail(f"{path}.series_terms", "must be >= 1")
-    rows = []
-    for i, beta in enumerate(betas):
-        try:
-            rows.append(_thermal_row(float(beta), risk, terms))
-        except ParameterRangeError as exc:
-            raise _fail(f"{path}.betas[{i}]", str(exc))
+def _run_thermal(p: dict, seed: int, emit: Emitter) -> None:
+    rows = _each(p, "betas", lambda beta: _thermal_row(beta, p["risk"], p["series_terms"]))
     emit.write_csv("thermal.csv", "beta,temperature,energy,series_max_abs_diff", rows)
 
 
@@ -404,62 +360,101 @@ def _thermal_row(beta: float, risk: RiskParams, terms: int) -> tuple:
     return beta, 1.0 / beta, energy, diff
 
 
-def _run_risk_spectrum(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    path = "parameters"
-    _refuse_unknown(params, ("levels", "risk"), path)
-    risk = _parse_risk(params, path)
-    levels = _get(params, "levels", int, path)
-    if levels < 1:
-        raise _fail(f"{path}.levels", "must be >= 1")
-    spec = spectrum(risk, levels)
-    emit.write_csv(
-        "spectrum.csv",
-        "level,eigenvalue",
-        ((k, e) for k, e in enumerate(spec.eigenvalues)),
-    )
+def _run_risk_spectrum(p: dict, seed: int, emit: Emitter) -> None:
+    spec = spectrum(p["risk"], p["levels"])
+    emit.write_csv("spectrum.csv", "level,eigenvalue", enumerate(spec.eigenvalues))
 
 
-def _run_clearing(params: dict, seed: int, emit: Emitter, base_dir: Path) -> None:
-    path = "parameters"
-    _refuse_unknown(params, ("traders", "rounds", "risk"), path)
-    risk = _parse_risk(params, path)
-    raw = _get(params, "traders", list, path)
-    if len(raw) < 2:
-        raise _fail(f"{path}.traders", "need at least two traders")
-    traders = []
-    for i, entry in enumerate(raw):
-        epath = f"{path}.traders[{i}]"
-        rep = Representation.DEMAND
-        if isinstance(entry, dict):
-            _refuse_unknown(entry, ("strategy", "rep"), epath)
-            rep_name = _get(entry, "rep", str, epath, required=False, default="demand")
-            if rep_name not in ("demand", "supply"):
-                raise _fail(f"{epath}.rep", f"must be demand or supply, got {rep_name!r}")
-            rep = Representation[rep_name.upper()]
-            entry = _get(entry, "strategy", str, epath)
-        traders.append(_parse_literal(entry, epath, rep, base_dir, risk))
-    rounds = _get(params, "rounds", int, path)
-    if rounds < 1:
-        raise _fail(f"{path}.rounds", "must be >= 1")
-    market = MarketState(tuple(traders))
+def _run_clearing(p: dict, seed: int, emit: Emitter) -> None:
+    market = MarketState(tuple(p["traders"]))
     gen = RandomSource(seed).rng
-    outcomes = [clear_round(market, gen, risk=risk) for _ in range(rounds)]
+    outcomes = [clear_round(market, gen, risk=p["risk"]) for _ in range(p["rounds"])]
     round_log_to_csv(outcomes, emit.path("rounds.csv"))
 
 
-_HANDLERS = {
-    "curves": _run_curves,
-    "fixed-point": _run_fixed_point,
-    "auction": _run_auction,
-    "zeno": _run_zeno,
-    "thermal": _run_thermal,
-    "risk-spectrum": _run_risk_spectrum,
-    "clearing": _run_clearing,
+# ---------------------------------------------------------------------------
+# the scenario schema: each kind's fields in parse order (the risk record
+# first, as literals read it), with README's phrase for each; and the
+# field that a library ParameterRangeError is blamed on
+
+
+_Kind = namedtuple("_Kind", "run fields blame")
+_FAMILY = _Value(str, ("coherent", "thermal", "excited", "strategy"), phrase="coherent, thermal, excited or strategy")
+_LEVEL = _Number(0, EXCITED_MAX_LEVEL, count=True, phrase=f"level, 0 to {EXCITED_MAX_LEVEL}")
+
+# curves: one table per family, chosen by its family field
+_CURVES = {
+    "coherent": _Kind(_run_curves, {
+        "family": _FAMILY,
+        "risk": _Risk(),
+        "r": _Number(-1.0, 1.0, open_ends=True, phrase="correlation, -1 < r < 1"),
+        "eta": replace(_POSITIVE, phrase="dispersion scale, > 0"),
+        "p0": _Number(default=0.0, phrase="default 0"),
+        "q0": _Number(default=0.0, phrase="default 0"),
+    }, "eta"),
+    "thermal": _Kind(_run_curves, {
+        "family": _FAMILY, "risk": _Risk(), "beta": replace(_POSITIVE, phrase="> 0"),
+    }, "beta"),
+    "excited": _Kind(_run_curves, {"family": _FAMILY, "risk": _Risk(), "n": _LEVEL}, "risk"),
+    "strategy": _Kind(_run_curves, {
+        "family": _FAMILY, "risk": _Risk(), "strategy": _Literal(proper=True, phrase="a literal, not a point"),
+    }, "strategy"),
+}
+
+_SCHEMA = {
+    "curves": _CURVES,
+    # the profit-intensity fixed point does not involve the risk operator
+    "fixed-point": _Kind(_run_fixed_point, {
+        "sigmas": _List(_POSITIVE, phrase="RW spreads, each > 0"),
+    }, "sigmas"),
+    "auction": _Kind(_run_auction, {
+        "risk": _Risk(),
+        "buyers": _List(_Literal(), phrase="literals"),
+        "seller": _Literal(Representation.SUPPLY, phrase="a literal on the supply side"),
+        "pricing": _Value(str, PRICINGS, phrase="first, second or mixed"),
+        "weight": _Number(0.0, 1.0, default=1.0, phrase="first-price share in [0, 1], default 1"),
+        "samples": _Number(1, 10**7, count=True, default=100_000, phrase="1 to 10^7, default 100000"),
+        "seed": replace(_SEED, default=None, phrase="default: the scenario's"),
+    }, "buyers"),
+    "zeno": _Kind(_run_zeno, {
+        "risk": _Risk(),
+        "initial": _Literal(proper=True, superpose=True, phrase="literal, or list for an equal superposition"),
+        "total_time": _Number(0.0, phrase="units of theta, >= 0"),
+        # n divides the phase as a double, exact up to 2^53
+        "n_values": _List(_Number(1, 2**53, count=True), ascending=True, phrase="ascending, each 1 to 2^53"),
+    }, "initial"),
+    "thermal": _Kind(_run_thermal, {
+        "risk": _Risk(),
+        "betas": _List(_POSITIVE, phrase="each > 0"),
+        "series_terms": _Number(1, 10**4, count=True, default=200, phrase="1 to 10^4, default 200"),
+    }, "betas"),
+    "risk-spectrum": _Kind(_run_risk_spectrum, {
+        "risk": _Risk(), "levels": _Number(1, 10**6, count=True, phrase="1 to 10^6"),
+    }, "risk"),
+    "clearing": _Kind(_run_clearing, {
+        "risk": _Risk(),
+        "traders": _List(_Literal(record=True), least=2, phrase="two or more literals or {strategy, rep} records"),
+        "rounds": _Number(1, 10**6, count=True, phrase="1 to 10^6"),
+    }, "traders"),
+}
+KINDS = tuple(_SCHEMA)
+
+_TOP = {
+    "kind": _Value(str, KINDS),
+    "parameters": _Value(dict),
+    "seed": replace(_SEED, default=0),
+    "output": _Value(str, default=""),
 }
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+@functools.cache
+def _scipy_version() -> str:
+    # read from the installed metadata, once per process: the CLI does not import scipy
+    return importlib.metadata.version("scipy")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -483,36 +478,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
 
+    scope = {"base_dir": scenario_path.parent, "risk": UNIT_RISK}
+    kind = "?"
     try:
-        if not isinstance(doc, dict):
-            raise _fail("$", "scenario must be a JSON object")
-        _refuse_unknown(doc, ("kind", "seed", "parameters", "output"), "scenario")
-        kind = _get(doc, "kind", str, "scenario")
-        if kind not in KINDS:
-            raise _fail("scenario.kind", f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-        params = _get(doc, "parameters", dict, "scenario")
-        seed = _get(doc, "seed", int, "scenario", required=False, default=0)
-        if args.seed is not None:
-            seed = args.seed
-            if kind == "auction":
-                params = dict(params)
-                params["seed"] = seed
-        if not 0 <= seed < 2**64:  # the seeds a RandomSource takes
-            raise _fail("scenario.seed", f"must lie in 0..2**64 - 1, got {seed}")
-        out_field = _get(doc, "output", str, "scenario", required=False)
-        out_dir = Path(args.out) if args.out else (
-            Path(out_field) if out_field else scenario_path.parent
-        )
+        if args.seed is not None and isinstance(doc, dict):
+            doc = {**doc, "seed": args.seed}
+        top = _walk(doc, _TOP, "scenario", scope)
+        kind, params, seed = top["kind"], top["parameters"], top["seed"]
+        if args.seed is not None and kind == "auction":
+            params = {**params, "seed": seed}
+        spec = _SCHEMA[kind]
+        if kind == "curves":  # the family field, read first, picks the table
+            head = {k: v for k, v in params.items() if k == "family"}
+            spec = spec[_walk(head, {"family": _FAMILY}, "parameters", scope)["family"]]
+        fields = _walk(params, spec.fields, "parameters", scope)
+        out_dir = Path(args.out or top["output"] or scenario_path.parent)
         out_dir.mkdir(parents=True, exist_ok=True)
         emit = Emitter(out_dir)
-        _HANDLERS[kind](params, seed, emit, scenario_path.parent)
+        try:
+            spec.run(fields, seed, emit)
+        except ParameterRangeError as exc:  # the library refuses what the schema let through
+            raise ScenarioInvalid(f"parameters.{spec.blame}", str(exc)) from None
     except ScenarioInvalid as exc:
         print(f"error: invalid scenario at {exc.path}: {exc}", file=sys.stderr)
         return 3
     except MarketModelError as exc:
         print(
-            f"error: numerical failure in {doc.get('kind', '?')} scenario "
-            f"({type(exc).__name__}): {exc}",
+            f"error: numerical failure in {kind} scenario ({type(exc).__name__}): {exc}",
             file=sys.stderr,
         )
         return 4
@@ -525,7 +517,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "versions": {
             "qmg": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }
@@ -567,6 +559,13 @@ _COLUMN_META = {
 }
 
 
+def _float_or_text(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     csv_path = Path(args.csv)
     try:
@@ -587,36 +586,19 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
             )
             return 3
 
-    def values(col: str) -> list:
-        out = []
-        for rec in records:
-            raw = rec[col]
-            try:
-                out.append(float(raw))
-            except ValueError:
-                out.append(raw)
-        return out
+    def axis(col: str) -> dict:
+        label, unit = _COLUMN_META.get(col, (col, "dimensionless"))
+        return {"column": col, "label": label, "unit": unit, "values": [_float_or_text(r[col]) for r in records]}
 
-    x_vals = values(args.x)
-    numeric_x = [v for v in x_vals if isinstance(v, float)]
+    x = axis(args.x)
+    numeric_x = [v for v in x["values"] if isinstance(v, float)]
     log_x = (
-        len(numeric_x) == len(x_vals)
+        len(numeric_x) == len(x["values"])
         and len(numeric_x) >= 2
         and min(numeric_x) > 0
         and max(numeric_x) / min(numeric_x) >= 100.0
     )
-    label, unit = _COLUMN_META.get(args.x, (args.x, "dimensionless"))
-    payload = {
-        "source": str(csv_path),
-        "x": {"column": args.x, "label": label, "unit": unit, "values": x_vals},
-        "series": [],
-        "log_x": log_x,
-    }
-    for col in wanted[1:]:
-        label, unit = _COLUMN_META.get(col, (col, "dimensionless"))
-        payload["series"].append(
-            {"column": col, "label": label, "unit": unit, "values": values(col)}
-        )
+    payload = {"source": str(csv_path), "x": x, "series": [axis(c) for c in wanted[1:]], "log_x": log_x}
     out_path = Path(args.out) if args.out else csv_path.with_name(csv_path.name + ".plot.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

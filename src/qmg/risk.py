@@ -52,9 +52,11 @@ class RiskSpectrum:
 
 
 def spectrum(risk: RiskParams, n_levels: int) -> RiskSpectrum:
-    """First ``n_levels`` eigenvalues (n + 1/2) hbar_eff omega."""
+    """First ``n_levels`` eigenvalues (n + 1/2) hbar_eff omega; refused where the top one overflows."""
     check_count(n_levels, "n_levels", 1)
     gap = risk.hbar_eff * risk.omega
+    if not math.isfinite((n_levels - 0.5) * gap):
+        raise ParameterRangeError(f"level {n_levels - 1} overflows a double: the gap is {gap!r}")
     return RiskSpectrum(
         tuple((n + 0.5) * gap for n in range(n_levels)), risk
     )

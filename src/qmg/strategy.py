@@ -32,6 +32,7 @@ from .errors import (
     ImproperStateError,
     ParameterRangeError,
     RepresentationError,
+    TruncationError,
 )
 from .numerics import (
     BLOCK,
@@ -76,10 +77,6 @@ class RiskParams:
     theta_nc: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("hbar_e", "theta", "m", "theta_nc"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterRangeError(f"{name} must be finite, got {value}")
         if self.hbar_e <= 0:
             raise ParameterRangeError(f"hbar_e must be positive, got {self.hbar_e}")
         if self.theta <= 0:
@@ -89,6 +86,15 @@ class RiskParams:
         if self.theta_nc < 0:
             raise ParameterRangeError(
                 f"theta_nc must be non-negative, got {self.theta_nc}"
+            )
+        # every field finite (NaN and inf reach one of these), and more: 2 pi / theta
+        # and hypot(hbar_e, theta_nc) can overflow, the oscillator's length scales
+        # divide by m omega, which can underflow, and a subnormal hbar carries too
+        # few bits for its reciprocal grids
+        if not (math.isfinite(self.omega) and sys.float_info.min <= self.hbar_eff < math.inf
+                and 0 < self.m * self.omega < math.inf):
+            raise ParameterRangeError(
+                f"omega {self.omega!r}, hbar_eff {self.hbar_eff!r} or m omega leaves the normal doubles"
             )
 
     @property
@@ -205,6 +211,8 @@ class DiscreteForm:
             raise ParameterRangeError("atoms must be finite")
         if any(w < 0 or not math.isfinite(w) for w in self.weights):
             raise ParameterRangeError("weights must be finite and non-negative")
+        if not math.isfinite(sum(self.weights)):  # fsum would raise on the overflow
+            raise ParameterRangeError("discrete weights sum past the doubles")
         total = math.fsum(self.weights)
         if total <= 0:
             raise DegenerateStateError("discrete weights sum to zero")
@@ -251,7 +259,8 @@ def hermite_function(n: int, x: np.ndarray, length_scale: float = 1.0) -> np.nda
     check_count(n, "order n", 0)
     if not (length_scale > 0 and math.isfinite(length_scale)):
         raise ParameterRangeError(f"length_scale must be positive and finite, got {length_scale}")
-    u = np.asarray(x, dtype=float) / length_scale
+    with np.errstate(over="ignore"):  # past |u| = 1e150 every level is 0 in doubles
+        u = np.clip(np.asarray(x, dtype=float) / length_scale, -1e150, 1e150)
     ladder = _hermite_ladder(u, math.pi ** (-0.25) * np.exp(-0.5 * u * u))
     return next(itertools.islice(ladder, n, None)) / math.sqrt(length_scale)
 
@@ -388,6 +397,23 @@ class Strategy:
         return below[np.searchsorted(atoms, x, side="right" if inclusive else "left")]
 
 
+def _spline_integral(grid: Grid, values: np.ndarray) -> tuple:
+    """Cubic spline through ``values`` on the grid, its antiderivative, and that at the nodes;
+    ParameterRangeError where they leave the doubles (a grid too fine or too wide for its values)."""
+    with np.errstate(all="ignore"):  # the check below names any overflow
+        try:
+            spline = CubicSpline(grid.points, values)
+            antiderivative = spline.antiderivative()
+            nodes = antiderivative(grid.points)
+        except ValueError:  # the spline refuses slopes that overflow
+            nodes = np.array([np.inf])
+    if not np.all(np.isfinite(nodes)):
+        raise ParameterRangeError(
+            f"the density over [{grid.lo}, {grid.hi}] has no finite integral in double precision"
+        )
+    return spline, antiderivative, nodes
+
+
 class DistributionTable:
     """Squared-modulus distribution of a proper strategy, tabulated once.
 
@@ -399,12 +425,13 @@ class DistributionTable:
 
     def __init__(self, s: Strategy) -> None:
         self.grid = s.default_grid()
-        self._spline = CubicSpline(self.grid.points, np.abs(s.amplitudes_on(self.grid)) ** 2)
-        self._antiderivative = self._spline.antiderivative()
-        self._mass = float(self._antiderivative(self.grid.hi))
+        self._spline, self._antiderivative, cum = _spline_integral(
+            self.grid, np.abs(s.amplitudes_on(self.grid)) ** 2
+        )
+        self._mass = float(cum[-1])
         if not self._mass > 0:
             raise DegenerateStateError("strategy has zero norm")
-        self._cdf_nodes = np.maximum.accumulate(self.cdf(self.grid.points))
+        self._cdf_nodes = np.maximum.accumulate(np.clip(cum / self._mass, 0.0, 1.0))
 
     def _clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.grid.lo, self.grid.hi)
@@ -486,13 +513,22 @@ def _bounds(form: Form) -> tuple[float, float]:
     raise ImproperStateError(f"{type(form).__name__} has no L2 support interval")
 
 
+def _slope_bound(form) -> float:
+    if isinstance(form, GaussianForm):
+        return abs(form.slope)
+    if isinstance(form, SuperposedForm):
+        return max(_slope_bound(p.form) for p in form.parts)
+    return 0.0
+
+
 def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
     if isinstance(form, GaussianForm):
         norm = (TWO_PI * form.width**2) ** -0.25
         shifted = x - form.center
-        return norm * np.exp(
-            -(shifted**2) / (4.0 * form.width**2) + 1j * form.slope * x
-        )
+        with np.errstate(over="ignore"):  # a square past the doubles is a modulus of 0
+            return norm * np.exp(
+                -(shifted**2) / (4.0 * form.width**2) + 1j * form.slope * x
+            )
     if isinstance(form, HermiteForm):
         return hermite_function(form.n, x, form.length_scale).astype(complex)
     if isinstance(form, SampledForm):
@@ -568,16 +604,21 @@ def _balanced_grid(s: Strategy, hbar: float) -> Grid:
     dx <= sigma/16 on each side, spans >= mean +- 12 sigma on each side.
     """
     g0 = s.default_grid()
+    # the first pass reaches duals within pi hbar / dx of 0: keep the centre, hbar slope, in half of that
+    if _slope_bound(s.form) * g0.spacing > 0.5 * math.pi:
+        raise ParameterRangeError(f"a phase slope of {_slope_bound(s.form)!r} aliases on the default grid")
     mu_s, sd_s = moments(s)
     amps_d, g_d = _transform_from(s)(s.amplitudes_on(g0), g0, hbar)
     mu_d, var_d = _density_moments(np.abs(amps_d) ** 2, g_d)
     sd_d = math.sqrt(max(var_d, 1e-30))
     lo, hi = s.support_bounds()
     span_dual = 2.0 * (abs(mu_d) + 12.0 * sd_d)
-    dx = min(sd_s / 16.0, TWO_PI * hbar / span_dual)
+    dx = min(sd_s / 16.0, TWO_PI * hbar / span_dual)  # 0 where the dual's spread overflows
     span_src = max(hi - lo, 2.0 * (abs(mu_s) + 12.0 * sd_s))
-    n = max(span_src / dx, 16.0 * TWO_PI * hbar / (dx * sd_d), 2048.0)
-    n = 1 << min(math.ceil(math.log2(n)), 18)
+    n = max(span_src / dx, 16.0 * TWO_PI * hbar / (dx * sd_d), 2048.0) if dx > 0 else math.inf
+    if not n <= 2**18:  # an FFT past the cap would alias the dual without a word
+        raise TruncationError(f"the strategy and its dual need {n:.4g} grid points, more than 2^18")
+    n = 1 << math.ceil(math.log2(n))
     lo2 = 0.5 * (lo + hi) - 0.5 * n * dx
     return Grid(lo2, lo2 + (n - 1) * dx, n)
 
@@ -657,7 +698,8 @@ def _density_moments(dens: np.ndarray, g: Grid) -> tuple[float, float]:
         raise DegenerateStateError("strategy has zero norm")
     pts = g.points
     mean = float(integrate(pts * dens, g)) / total
-    var = float(integrate((pts - mean) ** 2 * dens, g)) / total
+    with np.errstate(over="ignore", invalid="ignore"):  # on a grid too wide, inf
+        var = float(integrate((pts - mean) ** 2 * dens, g)) / total
     return mean, var
 
 

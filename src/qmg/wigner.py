@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ContractViolationError,
@@ -39,12 +38,16 @@ from .strategy import (
     Strategy,
     SuperposedForm,
     _density_moments,
+    _slope_bound,
+    _spline_integral,
     moments as strategy_moments,
 )
 
 TWO_PI = 2.0 * math.pi
 # highest level excited_wigner evaluates
 EXCITED_MAX_LEVEL = 512
+# most psi points wigner_transform evaluates: 32 MB of amplitudes
+_PSI_POINTS_MAX = 2**21
 
 
 @dataclass(frozen=True)
@@ -180,14 +183,6 @@ def _resolve_hbar(s: Strategy, hbar: float | None) -> float:
     return 1.0
 
 
-def _slope_bound(form) -> float:
-    if isinstance(form, GaussianForm):
-        return abs(form.slope)
-    if isinstance(form, SuperposedForm):
-        return max(_slope_bound(p.form) for p in form.parts)
-    return 0.0
-
-
 def _sample_spacing(form) -> float:
     if isinstance(form, SampledForm):
         return form.grid.spacing
@@ -218,8 +213,10 @@ def _chord_ratio(s: Strategy, p_grid: Grid, q_grid: Grid, hb: float) -> int:
     freq = p_abs / hb + _slope_bound(s.form)
     dx_nyquist = math.pi / freq if freq > 0 else math.inf
     dx_max = min(0.5 * dx_nyquist, _sample_spacing(s.form))
-    # a kernel with no oscillation leaves dx_max inf, and 2h / inf = 0
-    return max(1, math.ceil(2.0 * q_grid.spacing / dx_max))
+    # a kernel with no oscillation leaves dx_max inf, and 2h / inf = 0; a ratio
+    # past the psi cap (inf included) is clamped to it, which wigner_transform refuses
+    ratio = 2.0 * q_grid.spacing / dx_max if dx_max > 0 else math.inf
+    return max(1, math.ceil(min(ratio, _PSI_POINTS_MAX)))
 
 
 def wigner_transform(
@@ -253,6 +250,10 @@ def wigner_transform(
     x >= 0 only: at -x, C_a + i C_b is conj(C_a - i C_b) at x.
     O(N log N) per pair of q rows, done in blocks through about 4 MB
     of reused buffers, written straight into the density's array.
+
+    psi is evaluated at (n_q - 1) r + 2 m_top + 1 points, m_top =
+    ceil((n_q - 1) r / 2); more than 2^21 of them (a slope or p range too
+    large for the q spacing) raises ParameterRangeError before any is.
     """
     if not isinstance(s, Strategy):
         raise ContractViolationError("wigner_transform expects a Strategy")
@@ -275,6 +276,10 @@ def wigner_transform(
     # chords reach x = +-(q_hi - q_lo); x_m = m dx, m = -m_top..m_top
     m_top = math.ceil((nq - 1) * r / 2)
     n_x = 2 * m_top + 1
+    if (nq - 1) * r + n_x > _PSI_POINTS_MAX:
+        raise ParameterRangeError(
+            f"the chord step needs more than {_PSI_POINTS_MAX} psi points (r = {r} on {nq} q nodes)"
+        )
     half_grid = q_grid.lo + np.arange(-m_top, (nq - 1) * r + m_top + 1) * (h / r)
     psi = s.evaluate(half_grid)
     # row j, column m_top + m: psi(q_j + x_m / 2); column m_top - m: psi(q_j - x_m / 2)
@@ -438,7 +443,8 @@ def _oscillator_h(
     q_top = max(-q_grid.lo, q_grid.hi)
     omega = np.float64(risk.omega)
     with np.errstate(all="ignore"):
-        h_top = p_top * p_top / (2.0 * risk.m) + 0.5 * risk.m * omega * omega * q_top * q_top
+        # associated as the array's H below, whose Python omega**2 would raise
+        h_top = p_top * p_top / (2.0 * risk.m) + 0.5 * risk.m * omega**2 * q_top * q_top
         z_top = 4.0 * h_top / (risk.hbar_eff * omega)
     if not np.isfinite(z_top):
         raise ParameterRangeError(
@@ -655,12 +661,7 @@ class DominantCurves:
 def _cumulative_slice(slice_vals: np.ndarray, grid: Grid) -> tuple[np.ndarray, bool, bool]:
     # spline antiderivative: trapezoid accumulation at typical grid sizes
     # (n ~ 241) leaves O(1e-4) error, two orders too coarse for the curves
-    cum = CubicSpline(grid.points, slice_vals).antiderivative()(grid.points)
-    if not np.all(np.isfinite(cum)):
-        # the spline's powers of the spacing overflow, or its coefficients underflow
-        raise ParameterRangeError(
-            f"the density slice over [{grid.lo}, {grid.hi}] has no finite integral in double precision"
-        )
+    cum = _spline_integral(grid, slice_vals)[2]
     cum = cum - cum[0]
     total = cum[-1]
     scale = float(np.max(np.abs(slice_vals))) * (grid.hi - grid.lo)

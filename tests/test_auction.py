@@ -418,7 +418,7 @@ def test_vickrey_grid_must_contain_valuation():
 
 def _instance(**kwargs):
     seller = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
-    return AuctionInstance(buyers=(Strategy.gaussian(0.0, 1.0),), seller=seller, **kwargs)
+    return AuctionInstance(**{"buyers": (Strategy.gaussian(0.0, 1.0),), "seller": seller, **kwargs})
 
 
 def _vickrey(valuation=1.0, bids=(0.5, 1.0), **kwargs):
@@ -436,10 +436,14 @@ def _vickrey(valuation=1.0, bids=(0.5, 1.0), **kwargs):
         (lambda: _vickrey(valuation=math.inf, bids=[1.0, math.inf]), ParameterRangeError),
         (lambda: _vickrey(valuation=math.nan), ParameterRangeError),
         (lambda: _vickrey(bids=[1.0, math.nan]), ParameterRangeError),
+        # a winning price e^-q of e^1000 overflows; e^400 would overflow the revenue's sums
+        (lambda: run_auction(_instance(buyers=(Strategy.delta(-1000.0),))), ParameterRangeError),
+        (lambda: run_auction(_instance(buyers=(Strategy.gaussian(-400.0, 1.0),), pricing="mixed")),
+         ParameterRangeError),
     ],
     ids=[
         "instance-float", "instance-bool", "vickrey-float", "vickrey-zero",
-        "valuation-inf", "valuation-nan", "bid-nan",
+        "valuation-inf", "valuation-nan", "bid-nan", "price-overflows", "price-sums-overflow",
     ],
 )
 def test_counts_and_non_finite_prices_are_refused(call, error):

@@ -227,8 +227,11 @@ SELLER = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
         (lambda: pair_execution_frequency(BUYER, SELLER, 0, RandomSource(0)), ParameterRangeError),
         (lambda: market_temperature(math.nan, UNIT_RISK), ParameterRangeError),
         (lambda: market_temperature(math.inf, UNIT_RISK), ParameterRangeError),
+        # the trade at log-price 1000 would move e^1000 of capital
+        (lambda: clear_round(MarketState((Strategy.delta(1000.0), Strategy.delta(-1000.0, Representation.SUPPLY))),
+                             np.random.default_rng(0)), ParameterRangeError),
     ],
-    ids=["rounds-float", "rounds-bool", "rounds-zero", "beta-nan", "beta-inf"],
+    ids=["rounds-float", "rounds-bool", "rounds-zero", "beta-nan", "beta-inf", "capital-overflows"],
 )
 def test_invalid_counts_and_non_finite_betas_are_refused(call, error):
     with pytest.raises(error):

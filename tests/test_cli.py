@@ -1,11 +1,18 @@
 """End-to-end scenario runner and plot-data emitter checks."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qmg import cli
 from qmg.cli import main
 from qmg.numerics import Grid
 from qmg.strategy import hermite_function
@@ -356,6 +363,31 @@ def test_overflowing_float_exits_2(tmp_path, capsys):
     assert "line 2, column 34" in err and "1e999" in err
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("fixed-point", {"sigmas": [0.5, 10**400]}),
+        ("thermal", {"betas": [-(10**400)]}),
+        ("auction", {**AUCTION_PARAMETERS, "weight": 2**1024}),
+        ("curves", {"family": "coherent", "r": 0.5, "eta": 1.0, "p0": 10**400}),
+        ("zeno", {"initial": "hermite(0)", "total_time": 0.5, "n_values": [1, 2**1024 - 1]}),
+    ],
+    ids=["sigmas", "betas", "weight", "p0", "n_values"],
+)
+def test_integer_past_the_doubles_exits_2(tmp_path, capsys, kind, params):
+    # 2**1024 - 1 rounds up to 2**1024 as a double: it overflows too
+    path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
+    big = max(re.findall(r"-?\d{300,}", path.read_text()), key=len)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"line 1, column {path.read_text().index(big) + 1}:" in err and "overflows a double" in err
+
+
+def test_seeds_up_to_64_bits_run(tmp_path):
+    params = {**AUCTION_PARAMETERS, "seed": 2**64 - 1}
+    run_ok(tmp_path, {"kind": "auction", "seed": 2**64 - 1, "parameters": params})
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -482,12 +514,45 @@ def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
         # 5 sigma, the top of the fixed point's bracket, overflows
         ("fixed-point", {"sigmas": [1e308]}, "parameters.sigmas[0]"),
         ("fixed-point", {"sigmas": [1.0, 1e308]}, "parameters.sigmas[1]"),
+        ("zeno", {"initial": "hermite(0)", "total_time": -1, "n_values": [1]}, "parameters.total_time"),
+        ("zeno", {"initial": "delta(0)", "total_time": 0.5, "n_values": [1]}, "parameters.initial"),
+        ("curves", {"family": "coherent", "r": 1, "eta": 1.0}, "parameters.r"),
+        ("curves", {"family": "coherent", "r": -1.5, "eta": 1.0}, "parameters.r"),
+        # the grids, or the curves' spline integrals, leave the doubles
+        ("curves", {"family": "coherent", "r": 0, "eta": 1.0, "p0": 1e308}, "parameters.eta"),
+        ("curves", {"family": "coherent", "r": 0, "eta": 1e-200}, "parameters.eta"),
+        ("curves", {"family": "strategy", "strategy": "gaussian(0, 1e-150)"}, "parameters.strategy"),
+        # slopes the default grids cannot resolve
+        ("curves", {"family": "strategy", "strategy": "gaussian(0, 1, 1e300)"}, "parameters.strategy"),
+        ("curves", {"family": "strategy", "strategy": "gaussian(0.3, 1, 1e4)"}, "parameters.strategy"),
+        # omega, or the gap, overflows; the gap underflows to 0
+        ("risk-spectrum", {"levels": 2, "risk": {"hbar_e": 1e308, "omega": 1e308}}, "parameters.risk"),
+        ("risk-spectrum", {"levels": 2, "risk": {"hbar_e": 1, "theta": 1e-320}}, "parameters.risk"),
+        ("risk-spectrum", {"levels": 2, "risk": {"hbar_e": 1e-200, "theta": 1e200}}, "parameters.risk"),
+        # the winning price e^1000 overflows
+        ("auction", {**AUCTION_PARAMETERS, "buyers": ["delta(-1000)"]}, "parameters.buyers"),
     ],
 )
 def test_values_at_the_ends_of_the_doubles_exit_3(tmp_path, capsys, kind, params, field):
     path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert f"invalid scenario at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, params, field, compute",
+    [
+        ("auction", {**AUCTION_PARAMETERS, "samples": 10**12}, "samples", "run_auction"),
+        ("risk-spectrum", {"levels": 10**9}, "levels", "spectrum"),
+        ("thermal", {"betas": [1.0], "series_terms": 10**9}, "series_terms", "thermal_wigner"),
+        ("clearing", {"traders": ["gaussian(0, 1)", "gaussian(1, 1)"], "rounds": 10**9}, "rounds", "clear_round"),
+    ],
+)
+def test_counts_past_their_caps_are_refused_before_any_work(tmp_path, capsys, monkeypatch, kind, params, field, compute):
+    monkeypatch.setattr(cli, compute, lambda *a, **k: pytest.fail(f"{compute} ran"))
+    path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"invalid scenario at parameters.{field}:" in capsys.readouterr().err
 
 
 def test_thermal_spread_refused_where_the_energy_is_finite(tmp_path, capsys):
@@ -636,3 +701,117 @@ def test_thermal_hbar_omega_underflow_exits_3(tmp_path, capsys, doc):
     path = write_scenario(tmp_path, doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "invalid scenario at parameters.risk:" in capsys.readouterr().err
+
+
+def test_readme_names_exactly_the_schema_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| ([^|]*) \| [^|]* \|$", readme, re.M))
+    assert set(rows) == set(cli.KINDS)
+    for kind, spec in cli._SCHEMA.items():
+        tables = spec.values() if isinstance(spec, dict) else [spec]
+        fields = {name: f for t in tables for name, f in t.fields.items() if name != "risk"}
+        assert set(re.findall(r"`(\w+)`", rows[kind])) == set(fields), kind
+        for name, field in fields.items():
+            assert f"`{name}` ({field.phrase})" in rows[kind], (kind, name)
+    risk = re.search(r"optional `risk` record:(.*?)Omitting", readme, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", risk)) == set(cli._RISK)
+
+
+# ---------------------------------------------------------------------------
+# a fuzzer that draws whole documents from the scenario schema
+
+EDGE_REALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e-150,
+    1e300, -1e300, 1.7e308, -1.7e308, 2.0**63, 10**400,
+]
+WRONG = st.sampled_from(["x", True, None, [], {}])
+
+
+def _mostly(valid, edge, wrong=WRONG):
+    """Sixteen draws in twenty valid, three at the edges, one of a wrong type."""
+    return st.integers(0, 19).flatmap(lambda k: valid if k < 16 else edge if k < 19 else wrong)
+
+
+# literal numbers: ordinary ones, and the ends of the doubles
+TEXT = _mostly(
+    st.sampled_from(["0", "0.3", "-2", "1", "2.5"]),
+    st.sampled_from(["1e5", "5e-324", "1e-300", "1e-150", "1e300", "-1e300", "1.7e308"]),
+    st.just("1e999"),
+)
+LITERALS = st.one_of(
+    st.builds("gaussian({}, {}{})".format, TEXT, TEXT, st.sampled_from(["", ", 1", ", 1e4", ", 1e300"])),
+    st.integers(0, 3).map("hermite({})".format),
+    TEXT.map("delta({})".format),
+    st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=3).map(
+        lambda atoms: "discrete({})".format(", ".join(f"{a}: {w}" for a, w in atoms))
+    ),
+    st.sampled_from(["gauss)(", "", "hermite(-1)", "sampled(@absent.csv)"]),
+)
+
+
+def field_values(field):
+    if isinstance(field, cli._Number) and field.count:
+        # valid counts stay small; the edges pass every cap
+        edges = [field.lo - 1, field.hi + 1, 2**63, 10**12, 10**400]
+        return _mostly(st.integers(field.lo, min(field.hi, field.lo + 3)), st.sampled_from(edges))
+    if isinstance(field, cli._Number):
+        lo, hi = max(field.lo, -1e3), min(field.hi, 1e3)
+        valid = st.floats(lo, hi, exclude_min=field.open_ends, exclude_max=field.open_ends)
+        return _mostly(valid, st.sampled_from(EDGE_REALS))
+    if isinstance(field, cli._Value) and field.options:
+        return _mostly(st.sampled_from(field.options), st.just("bogus"))
+    if isinstance(field, cli._List):
+        item = field_values(field.item)
+        valid = st.lists(item, min_size=field.least, max_size=field.least + 2)
+        if field.ascending:
+            valid = valid.map(lambda xs: sorted(set(xs)) if all(type(x) is int for x in xs) else xs)
+        return _mostly(valid, st.lists(item, max_size=field.least - 1))
+    if isinstance(field, cli._Literal):
+        options = [LITERALS]
+        if field.superpose:
+            options.append(st.lists(LITERALS, max_size=3))
+        if field.record:
+            rep = st.sampled_from(["demand", "supply", "ask"])
+            options.append(st.fixed_dictionaries({"strategy": LITERALS}, optional={"rep": rep}))
+        return _mostly(st.one_of(*options), st.just("gauss)("))
+    if isinstance(field, cli._Risk):
+        values = {name: field_values(f) for name, f in cli._RISK.items()}
+        values["thetanc"] = values["theta_nc"]
+        names = st.tuples(
+            st.sampled_from(["theta", "omega", "theta omega", ""]),
+            st.sampled_from(["", "m", "theta_nc", "m theta_nc", "thetanc"]),
+        )
+        return names.flatmap(lambda t: st.fixed_dictionaries(
+            {name: values[name] for name in ("hbar_e", *t[0].split(), *t[1].split())}
+        ))
+    raise AssertionError(f"no draw for {field!r}")
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(cli.KINDS))
+    spec = cli._SCHEMA[kind]
+    params = {}
+    if isinstance(spec, dict):  # keyed by family
+        params["family"] = draw(st.sampled_from(sorted(spec)))
+        spec = spec[params["family"]]
+    for name, field in spec.fields.items():
+        optional = field.default is not cli._REQUIRED
+        if name not in params and draw(st.integers(0, 9)) < (5 if optional else 9):
+            params[name] = draw(field_values(field))
+    if draw(st.integers(0, 19)) == 19:
+        params["bogus"] = 1
+    doc = {"kind": kind, "parameters": params}
+    if draw(st.booleans()):
+        doc["seed"] = draw(field_values(cli._TOP["seed"]))
+    return doc
+
+
+@given(scenarios())
+def test_every_drawn_document_exits_0_2_3_or_truncates(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), doc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3) or (code == 4 and "(TruncationError)" in err.getvalue()), err.getvalue()

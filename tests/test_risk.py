@@ -125,6 +125,30 @@ def test_invalid_counts_and_non_finite_betas_are_refused(call, error):
         call()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"hbar_e": 1.0, "theta": 1e-320},  # omega = 2 pi / theta overflows
+        {"hbar_e": 1.7e308, "theta": 1.0, "theta_nc": 1.7e308},  # hbar_eff overflows
+        {"hbar_e": 5e-324, "theta": 1.0},  # a subnormal hbar_eff
+        {"hbar_e": 1.0, "theta": 1e300, "m": 5e-324},  # m omega underflows to 0
+    ],
+    ids=["omega", "hbar_eff", "subnormal-hbar", "m-omega"],
+)
+def test_risk_params_whose_derived_scales_leave_the_doubles_are_refused(fields):
+    with pytest.raises(ParameterRangeError):
+        RiskParams(**fields)
+
+
+def test_spectrum_refuses_a_top_level_that_overflows():
+    risk = RiskParams.from_omega(1e154, 1e154)  # gap 1e308: level 1 is 1.5e308, level 2 overflows
+    assert spectrum(risk, 2).eigenvalues == (0.5e308, 1.5e308)
+    with pytest.raises(ParameterRangeError, match="level 2 overflows"):
+        spectrum(risk, 3)
+    with pytest.raises(ParameterRangeError):
+        spectrum(RiskParams.from_omega(1e308, 1e308), 1)  # the gap itself is inf
+
+
 def test_thermal_energy_refuses_an_hbar_omega_that_underflows():
     # both are accepted by RiskParams; their product is below the least subnormal
     risk = RiskParams(hbar_e=1e-200, theta=1e200)

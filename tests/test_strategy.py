@@ -322,6 +322,33 @@ def test_gaussian_width_at_the_ends_of_the_normal_squares_evaluates(width):
     assert np.isfinite(s.evaluate(np.array([0.0, width]))).all()
 
 
+def test_evaluations_past_the_doubles_are_zero_without_a_warning():
+    # (x - center)^2 overflows far from the centre, x / length_scale for a tiny scale
+    assert np.all(Strategy.gaussian(-1e300, 1.0).evaluate(np.array([0.0, 1.0])) == 0.0)
+    values = hermite_function(2, np.array([0.0, 1.0, 1e300]), 1e-160)
+    assert np.isfinite(values[0]) and values[0] != 0.0 and np.all(values[1:] == 0.0)
+
+
+def test_discrete_weights_whose_sum_overflows_are_refused():
+    with pytest.raises(ParameterRangeError, match="sum past the doubles"):
+        Strategy.discrete([0.0, 1.0], [1.7e308, 1.7e308])
+
+
+@pytest.mark.parametrize("hbar_e", [1e-200, 1e200])
+def test_a_table_whose_spline_leaves_the_doubles_is_refused(hbar_e):
+    # the oscillator length scale is 1e-100 or 1e100
+    s = Strategy.hermite(2, RiskParams(hbar_e=hbar_e, theta=2.0 * math.pi))
+    with pytest.raises(ParameterRangeError, match="no finite integral"):
+        s.table
+
+
+@pytest.mark.parametrize("s", [Strategy.gaussian(0.3, 1.0, 1e4), Strategy.gaussian(0.0, 1.0, 1e300)])
+def test_a_dual_the_default_grid_cannot_reach_is_refused(s):
+    # the first pass would alias the dual centred at hbar * slope
+    with pytest.raises(ParameterRangeError, match="aliases"):
+        to_supply_rep(s)
+
+
 def test_parse_strategy_rejects_garbage():
     for bad in ("gauss(1,2)", "gaussian(1)", "hermite(-1)", "discrete()", "delta(a)"):
         with pytest.raises((ContractViolationError, ParameterRangeError)):

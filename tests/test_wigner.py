@@ -327,12 +327,25 @@ G16 = Grid(-1.0, 1.0, 16)
         # omega squared overflows; hbar_e omega underflows to 0
         (lambda: excited_wigner(1, RiskParams(hbar_e=1.0, theta=1e-160), G16, G16), ParameterRangeError),
         (lambda: excited_wigner(1, RiskParams(hbar_e=1e-200, theta=1e200), G16, G16), ParameterRangeError),
+        # omega squared overflows where m omega squared would not
+        (lambda: excited_wigner(1, RiskParams(hbar_e=1.0, theta=1e-300, m=1e-300), G16, G16), ParameterRangeError),
+        # the chord step needs more than 2^21 psi points, or its ratio is inf
+        (lambda: wigner_transform(Strategy.gaussian(0, 1, 1e5), Grid(1e5 - 4, 1e5 + 4, 241), Grid(-8, 8, 241)),
+         ParameterRangeError),
+        (lambda: wigner_transform(Strategy.gaussian(0, 1, 1e300), G16, G16), ParameterRangeError),
+        (lambda: wigner_transform(Strategy.hermite(1), Grid(-1e308, 1e308, 16), G16, hbar=1e-300), ParameterRangeError),
+        # the slices' spline integrals overflow
+        (lambda: dominant_curves(wigner_transform(Strategy.gaussian(0, 1e-150))), ParameterRangeError),
+        (lambda: dominant_curves(coherent_wigner(CoherentParams(0.0, 1e-200))), ParameterRangeError),
+        (lambda: dominant_curves(coherent_wigner(CoherentParams(0.0, 1e300))), ParameterRangeError),
     ],
     ids=[
         "eta-nan", "eta-inf", "p0-nan", "q0-inf", "hbar-nan", "tol-nan",
         "level-float", "level-too-high", "beta-nan", "transform-hbar-nan", "terms-float",
         "beta-underflows", "beta-spread-overflows", "series-h-overflows",
-        "omega-squared-overflows", "hbar-omega-underflows",
+        "omega-squared-overflows", "hbar-omega-underflows", "omega-squared-alone-overflows", "psi-points-capped",
+        "chord-ratio-huge", "chord-ratio-inf", "curves-narrow-strategy", "curves-narrow-coherent",
+        "curves-wide-coherent",
     ],
 )
 def test_non_finite_reals_and_bad_counts_are_refused(call, error):
