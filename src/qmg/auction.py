@@ -76,24 +76,6 @@ class AuctionInstance:
             raise ContractViolationError("rng must be a RandomSource")
 
 
-def _survival_product(
-    inst: AuctionInstance, k: int, xs: np.ndarray
-) -> np.ndarray:
-    """Product over opponents of P(q_m > x), times the seller factor P(p <= -x).
-
-    Ties go to the lowest buyer index, so lower-index opponents must beat x
-    strictly while higher-index ones only weakly; on atomless strategies the
-    distinction vanishes.
-    """
-    out = np.ones_like(xs, dtype=float)
-    for m, b in enumerate(inst.buyers):
-        if m == k:
-            continue
-        out *= 1.0 - b.cdf(xs, inclusive=m < k)
-    out *= inst.seller.cdf(-xs)
-    return out
-
-
 @dataclass(frozen=True)
 class TransactionReport:
     """Integrated transaction probabilities per buyer."""
@@ -134,6 +116,18 @@ def _cdf_from(s: Strategy, x: np.ndarray, below: np.ndarray) -> np.ndarray:
     return np.where(below, s.cdf(x, inclusive=False), s.cdf(x))
 
 
+def _leave_one_out(strict: Sequence[np.ndarray], weak: Sequence[np.ndarray]) -> np.ndarray:
+    """Row k: the product of ``strict[m]`` over m < k times ``weak[m]`` over m > k.
+
+    With P(q_m > x) as ``strict`` and P(q_m >= x) as ``weak``, the chance
+    that buyer k at x beats the others, ties going to the lowest index:
+    prefix and suffix products, 2N survival reads instead of N(N-1).
+    """
+    before = np.cumprod([np.ones_like(strict[0]), *strict[:-1]], axis=0)
+    after = np.cumprod([np.ones_like(weak[0]), *weak[:0:-1]], axis=0)[::-1]
+    return before * after
+
+
 def _shared_quadrature(inst: AuctionInstance, ks: Sequence[int]) -> list[float]:
     """Transaction probabilities of the continuous buyers ``ks`` on one grid.
 
@@ -143,9 +137,8 @@ def _shared_quadrature(inst: AuctionInstance, ks: Sequence[int]) -> list[float]:
     It breaks at the support ends and wherever the survival product
     steps: at each atom x of a discrete buyer and at -x for each atom x of
     a discrete seller (:func:`_quadrature_nodes`).  Each buyer's CDF is read
-    once, a discrete one's also from below; buyer k's survival product is
-    the prefix product of the survivals of the buyers before it times the
-    suffix product of those after it.  Off the atoms P(q_m > x) equals
+    once, a discrete one's also from below, and buyer k's survival product
+    comes from :func:`_leave_one_out`.  Off the atoms P(q_m > x) equals
     P(q_m >= x), so the tie rule does not enter the integral.
     """
     buyers, seller = inst.buyers, inst.seller
@@ -163,37 +156,35 @@ def _shared_quadrature(inst: AuctionInstance, ks: Sequence[int]) -> list[float]:
     ]
     xs, ws, side = _quadrature_nodes(edges, spacing)
     survival = [1.0 - _cdf_from(b, xs, side < 0) for b in buyers]
-    before = [np.ones_like(xs)]
-    for surv in survival[:-1]:
-        before.append(before[-1] * surv)
-    after = [np.ones_like(xs)]
-    for surv in survival[:0:-1]:
-        after.append(after[-1] * surv)
-    after.reverse()
+    wins = _leave_one_out(survival, survival)
     sells = _cdf_from(seller, -xs, side > 0)  # from above in x is from below in -x
-    return [
-        float(np.dot(buyers[k].table.pdf(xs) * before[k] * after[k] * sells, ws))
-        for k in ks
-    ]
+    return [float(np.dot(buyers[k].table.pdf(xs) * wins[k] * sells, ws)) for k in ks]
 
 
 def transaction_probabilities(inst: AuctionInstance) -> TransactionReport:
     """Integrate the transaction density per buyer; atoms handled exactly.
 
     The continuous buyers share one quadrature grid
-    (:func:`_shared_quadrature`).  Sums to the total transaction
-    probability; its complement is the chance no trade happens at all.
+    (:func:`_shared_quadrature`); the discrete buyers' atoms share one
+    :func:`_leave_one_out`.  Sums to the total transaction probability;
+    its complement is the chance no trade happens at all.
     """
-    buyers = inst.buyers
+    buyers, seller = inst.buyers, inst.seller
     per = [0.0] * len(buyers)
     smooth = [k for k, b in enumerate(buyers) if not b.is_improper]
     if smooth:
         for k, prob in zip(smooth, _shared_quadrature(inst, smooth)):
             per[k] = prob
-    for k, buyer in enumerate(buyers):
-        if buyer.is_improper:
-            surv = _survival_product(inst, k, np.asarray(buyer.form.atoms))
-            per[k] = float(np.dot(buyer.form.weights, surv))
+    atomic = [k for k, b in enumerate(buyers) if b.is_improper]
+    if atomic:
+        xs = np.concatenate([buyers[k].form.atoms for k in atomic])
+        wins = _leave_one_out(
+            [1.0 - b.cdf(xs) for b in buyers], [1.0 - b.cdf(xs, inclusive=False) for b in buyers]
+        )
+        sells = seller.cdf(-xs)
+        cuts = np.cumsum([len(buyers[k].form.atoms) for k in atomic])
+        for k, a, b in zip(atomic, [0, *cuts], cuts):
+            per[k] = float(np.dot(buyers[k].form.weights, wins[k][a:b] * sells[a:b]))
     total = math.fsum(per)
     return TransactionReport(tuple(per), total, 1.0 - total)
 
@@ -217,19 +208,38 @@ class AuctionOutcome:
     price_counts: np.ndarray
 
 
-def _draws(inst: AuctionInstance) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each buyer's q as one row, then the seller's p, from one generator."""
-    # fresh generator per call: run_auction(inst) is idempotent for a seed
-    gen = RandomSource(inst.rng.seed, inst.rng.stream).rng
-    m = inst.mc_samples
-    rows = [
-        sample_strategy(b, gen, m, rep=Representation.DEMAND, risk=inst.risk)
-        for b in inst.buyers
-    ]
-    p = sample_strategy(
-        inst.seller, gen, m, rep=Representation.SUPPLY, risk=inst.risk
-    )
+def _draws(
+    buyers: Sequence[Strategy], seller: Strategy, rng: RandomSource, m: int, risk: RiskParams
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each buyer's q as one row of ``m`` draws, then the seller's p, from a
+    fresh generator per call: a run is idempotent for its seed."""
+    gen = RandomSource(rng.seed, rng.stream).rng
+    rows = [sample_strategy(b, gen, m, rep=Representation.DEMAND, risk=risk) for b in buyers]
+    p = sample_strategy(seller, gen, m, rep=Representation.SUPPLY, risk=risk)
     return rows, p
+
+
+def _lowest(rows: Sequence[np.ndarray], m: int, second_needed: bool) -> tuple:
+    """Per draw, the smallest value over ``rows``, its row (ties to the lowest
+    index) and, when needed, the second smallest, in one pass over the rows a
+    cache-sized block of draws at a time.  The fold starts from +inf, so zero
+    rows (an unopposed bidder) give +inf."""
+    q_min = np.full(m, np.inf)
+    winner = np.zeros(m, dtype=np.intp)
+    second = np.full(m, np.inf) if second_needed else None
+    for a in range(0, m, BLOCK):
+        q_b, w_b = q_min[a:a + BLOCK], winner[a:a + BLOCK]
+        s_b = second[a:a + BLOCK] if second_needed else None
+        for k, row in enumerate(rows):
+            r_b = row[a:a + BLOCK]
+            if second_needed:
+                np.minimum(s_b, np.maximum(q_b, r_b), out=s_b)
+            # a strict beat keeps a tie with the lower index; k exceeds every
+            # earlier owner, so a maximum sets it without a masked store,
+            # and on a tie the minimum's value is the same
+            np.maximum(w_b, (r_b < q_b) * k, out=w_b)
+            np.minimum(q_b, r_b, out=q_b)
+    return q_min, winner, second
 
 
 def _histogram(
@@ -261,27 +271,10 @@ def _simulate(inst: AuctionInstance, pricing: str, weight: float) -> AuctionOutc
     Winner is the minimal q, ties to the lowest buyer index, and the
     trade executes iff q_min + p <= 0.  A pure rule prices only its own
     branch; mixed pricing prices both on the same draws and blends them.
-    One pass over the buyers, a cache-sized block of draws at a time,
-    keeps the running minimum, its owner and, when needed, the
-    second-smallest value.
     """
-    rows, p = _draws(inst)
+    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
     second_needed = pricing != "first"
-    q_min = rows[0].copy()
-    winner = np.zeros(len(p), dtype=np.intp)
-    second = np.full(len(p), np.inf) if second_needed else None
-    for a in range(0, len(p), BLOCK):
-        q_b, w_b = q_min[a:a + BLOCK], winner[a:a + BLOCK]
-        s_b = second[a:a + BLOCK] if second_needed else None
-        for k, row in enumerate(rows[1:], start=1):
-            r_b = row[a:a + BLOCK]
-            if second_needed:
-                np.minimum(s_b, np.maximum(q_b, r_b), out=s_b)
-            # a strict beat keeps a tie with the lower index; k exceeds every
-            # earlier owner, so a maximum sets it without a masked store,
-            # and on a tie the minimum's value is the same
-            np.maximum(w_b, (r_b < q_b) * k, out=w_b)
-            np.minimum(q_b, r_b, out=q_b)
+    q_min, winner, second = _lowest(rows, len(p), second_needed)
     branches = []
     # q + p past the doubles is inf, no trade; so may be the price of a trade that does not happen
     with np.errstate(over="ignore"):
@@ -367,12 +360,6 @@ def _positive_definite(s: Strategy, risk: RiskParams) -> bool:
     return hudson_check(demand).classification is HudsonClass.GAUSSIAN_POSITIVE
 
 
-def _atoms_of(s: Strategy) -> list[tuple[float, float]] | None:
-    if isinstance(s.form, DiscreteForm):
-        return list(zip(s.form.atoms, s.form.weights))
-    return None
-
-
 def vickrey_truthfulness_check(
     valuation: float,
     bid_grid: Sequence[float],
@@ -411,12 +398,9 @@ def vickrey_truthfulness_check(
                 "positive-definite measures"
             )
 
-    opp_atoms = [_atoms_of(s) for s in opponents]
-    seller_atoms = _atoms_of(seller)
-    exact = seller_atoms is not None and all(a is not None for a in opp_atoms)
-
+    exact = all(s.is_improper for s in (*opponents, seller))
     if exact:
-        payoffs = _enumerate_payoffs(valuation, bids, opp_atoms, seller_atoms)
+        payoffs = _enumerate_payoffs(valuation, bids, opponents, seller)
         ses = tuple(0.0 for _ in bids)
     else:
         payoffs, ses = _sample_payoffs(
@@ -444,36 +428,30 @@ def vickrey_truthfulness_check(
     )
 
 
-def _minimum_law(opp_atoms) -> list[tuple[float, float]]:
+def _minimum_law(opponents: Sequence[Strategy]) -> list[tuple[float, float]]:
     """Atoms and weights of the minimum M of independent discrete opponents.
 
     P(M >= x) = prod_m P(q_m >= x), so the mass at each atom is the drop
-    of that product across it: one pass over the atoms per opponent, not
+    of that product across it: one CDF read per opponent and side, not
     a walk over every combination.  With no opponent M is +inf.
     """
-    if not opp_atoms:
+    if not opponents:
         return [(math.inf, 1.0)]
-    values = np.array(sorted({a for atoms in opp_atoms for a, _ in atoms}))
-    at_or_above = np.ones(len(values))
-    above = np.ones(len(values))
-    for atoms in opp_atoms:
-        atoms = sorted(atoms)
-        a = np.array([x for x, _ in atoms])
-        tail = np.append(np.cumsum([w for _, w in reversed(atoms)])[::-1], 0.0)
-        at_or_above *= tail[np.searchsorted(a, values, side="left")]
-        above *= tail[np.searchsorted(a, values, side="right")]
+    values = np.unique(np.concatenate([s.form.atoms for s in opponents]))
+    at_or_above = np.prod([1.0 - s.cdf(values, inclusive=False) for s in opponents], axis=0)
+    above = np.prod([1.0 - s.cdf(values) for s in opponents], axis=0)
     return list(zip(values.tolist(), (at_or_above - above).tolist()))
 
 
-def _enumerate_payoffs(valuation, bids, opp_atoms, seller_atoms):
+def _enumerate_payoffs(valuation, bids, opponents, seller):
     """Exact payoffs: bidding q wins iff q <= M (ties go to the bidder),
     trades iff q + p <= 0, and pays e^{-min(M, -p)}, e^{p} unopposed."""
-    law = _minimum_law(opp_atoms)
+    law = _minimum_law(opponents)
     payoffs = []
     for b in bids:
         q_me = -math.log(b)
         total = 0.0
-        for p_at, p_w in seller_atoms:
+        for p_at, p_w in zip(seller.form.atoms, seller.form.weights):
             if q_me + p_at > 0:
                 continue  # seller walks away
             for m_at, m_w in law:
@@ -484,24 +462,16 @@ def _enumerate_payoffs(valuation, bids, opp_atoms, seller_atoms):
 
 
 def _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples, risk):
-    gen = RandomSource(rng.seed, rng.stream).rng
-    min_opp = None
-    for o in opponents:
-        q = sample_strategy(o, gen, mc_samples, rep=Representation.DEMAND, risk=risk)
-        min_opp = q if min_opp is None else np.minimum(min_opp, q)
-    p = sample_strategy(
-        seller, gen, mc_samples, rep=Representation.SUPPLY, risk=risk
-    )
-    rest = -p if min_opp is None else np.minimum(min_opp, -p)
-    price = np.exp(-rest)
+    """Monte Carlo payoffs on the auction's draws: the lowest opponent q
+    (+inf unopposed) and the seller's p, each bid on the same draws."""
+    rows, p = _draws(opponents, seller, rng, mc_samples, risk)
+    min_opp, _, _ = _lowest(rows, mc_samples, False)
+    price = np.exp(-np.minimum(min_opp, -p))
     # one contiguous row of payoffs per bid
     matrix = np.empty((len(bids), mc_samples))
     for j, b in enumerate(bids):
         q_me = -math.log(b)
-        ok = q_me + p <= 0.0
-        if min_opp is not None:
-            ok &= q_me <= min_opp
-        matrix[j] = np.where(ok, valuation - price, 0.0)
+        matrix[j] = np.where((q_me + p <= 0.0) & (q_me <= min_opp), valuation - price, 0.0)
     means = [exact_sum(row) / mc_samples for row in matrix]
     t_idx = min(range(len(bids)), key=lambda i: abs(bids[i] - valuation))
     ses = []

@@ -493,7 +493,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec = spec[_walk(head, {"family": _FAMILY}, "parameters", scope)["family"]]
         fields = _walk(params, spec.fields, "parameters", scope)
         out_dir = Path(args.out or top["output"] or scenario_path.parent)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioInvalid("--out" if args.out else "scenario.output", str(exc)) from None
         emit = Emitter(out_dir)
         try:
             spec.run(fields, seed, emit)

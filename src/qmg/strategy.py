@@ -392,9 +392,17 @@ class Strategy:
         x = np.asarray(x, dtype=float)
         if not isinstance(self.form, DiscreteForm):
             return self.table.cdf(x)
-        atoms, weights = zip(*sorted(zip(self.form.atoms, self.form.weights)))
-        below = np.concatenate([[0.0], np.cumsum(weights)])
+        atoms, below = self._law
         return below[np.searchsorted(atoms, x, side="right" if inclusive else "left")]
+
+    @cached_property
+    def _law(self) -> tuple[np.ndarray, np.ndarray]:
+        """A discrete strategy's sorted atoms and the mass below each, then exactly 1.0:
+        normalised weights need not sum to 1 in floats, so the sums are capped at 1."""
+        atoms, weights = zip(*sorted(zip(self.form.atoms, self.form.weights)))
+        below = np.minimum(np.concatenate([[0.0], np.cumsum(weights)]), 1.0)
+        below[-1] = 1.0
+        return np.array(atoms), below
 
 
 def _spline_integral(grid: Grid, values: np.ndarray) -> tuple:

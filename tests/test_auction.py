@@ -26,7 +26,7 @@ from qmg.errors import (
     RepresentationError,
 )
 from qmg.numerics import Grid, RandomSource, integrate
-from qmg.strategy import Representation, Strategy, to_supply_rep
+from qmg.strategy import Representation, Strategy, sample, to_supply_rep
 
 
 def transaction_density(inst, k, q):
@@ -39,7 +39,12 @@ def transaction_density(inst, k, q):
     if buyer.is_improper:
         raise ImproperStateError("buyer k is a point measure; its transaction law is an atom")
     xs = np.atleast_1d(np.asarray(q, dtype=float))
-    return buyer.table.pdf(xs) * auction_module._survival_product(inst, k, xs)
+    # ties go to the lowest index: lower-index opponents beat q strictly
+    surv = np.ones_like(xs)
+    for m, b in enumerate(inst.buyers):
+        if m != k:
+            surv *= 1.0 - b.cdf(xs, inclusive=m < k)
+    return buyer.table.pdf(xs) * surv * inst.seller.cdf(-xs)
 
 
 # frozen by exhaustive enumeration of the 2x2 discrete fixture
@@ -139,7 +144,7 @@ def test_single_pass_matches_argmin_and_partition(pricing):
         rng=RandomSource(8),
     )
     out = run_auction(inst)
-    rows, p = _draws(inst)
+    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
     q = np.column_stack(rows)
     winner = np.argmin(q, axis=1)
     q_min = q[np.arange(len(p)), winner]
@@ -155,7 +160,7 @@ def test_single_pass_matches_argmin_and_partition(pricing):
 
 def _unblocked_outcome(inst, pricing, weight):
     """The unblocked fold and fsum-on-a-list sums _simulate ran before, kept as the reference."""
-    rows, p = _draws(inst)
+    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
     second_needed = pricing != "first"
     q_min = rows[0]
     winner = np.zeros(len(p), dtype=np.intp)
@@ -233,13 +238,54 @@ def test_exact_vickrey_agrees_with_enumerating_every_combination():
         w = rng.uniform(0.1, 1.0, size=5)
         opp_atoms.append(list(zip(a.tolist(), (w / w.sum()).tolist())))
     seller_atoms = [(-0.25, 0.3), (-1.0, 0.5), (0.3, 0.2)]
-    got = _enumerate_payoffs(1.0, bids, opp_atoms, seller_atoms)
+
+    def discrete(atoms, rep=Representation.DEMAND):
+        return Strategy.discrete([a for a, _ in atoms], [w for _, w in atoms], rep)
+
+    opponents = [discrete(atoms) for atoms in opp_atoms]
+    got = _enumerate_payoffs(1.0, bids, opponents, discrete(seller_atoms, Representation.SUPPLY))
     want = brute_force(1.0, bids, opp_atoms, seller_atoms)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
     assert any(abs(x) > 1e-3 for x in want)
     # unopposed, the bidder pays the seller's reserve e^p
-    alone = _enumerate_payoffs(1.0, [1.0], [], [(-0.25, 1.0)])
+    alone = _enumerate_payoffs(1.0, [1.0], [], Strategy.delta(-0.25, Representation.SUPPLY))
     assert alone == [pytest.approx(1.0 - math.exp(-0.25), abs=1e-15)]
+
+
+def _row_by_row_payoffs(valuation, bids, opponents, seller, rng, mc_samples):
+    """The Monte Carlo Vickrey loop before it shared the auction's draws and fold, kept as the reference."""
+    gen = RandomSource(rng.seed, rng.stream).rng
+    min_opp = None
+    for o in opponents:
+        q = sample(o, gen, mc_samples, rep=Representation.DEMAND)
+        min_opp = q if min_opp is None else np.minimum(min_opp, q)
+    p = sample(seller, gen, mc_samples, rep=Representation.SUPPLY)
+    rest = -p if min_opp is None else np.minimum(min_opp, -p)
+    price = np.exp(-rest)
+    matrix = np.empty((len(bids), mc_samples))
+    for j, b in enumerate(bids):
+        q_me = -math.log(b)
+        ok = q_me + p <= 0.0
+        if min_opp is not None:
+            ok &= q_me <= min_opp
+        matrix[j] = np.where(ok, valuation - price, 0.0)
+    means = [math.fsum(row.tolist()) / mc_samples for row in matrix]
+    t_idx = min(range(len(bids)), key=lambda i: abs(bids[i] - valuation))
+    ses = [math.sqrt(float(np.var(matrix[t_idx] - row, ddof=1)) / mc_samples) for row in matrix]
+    return means, ses
+
+
+@pytest.mark.parametrize("n_opponents", [0, 1, 4])
+def test_monte_carlo_vickrey_is_the_row_by_row_loop_bit_for_bit(n_opponents):
+    # unopposed, the bidder pays the seller's reserve e^p
+    opponents = [Strategy.gaussian(0.2 * m - 0.3, 0.5 + 0.25 * m) for m in range(n_opponents)]
+    seller = Strategy.gaussian(-0.2, 0.7, rep=Representation.SUPPLY)
+    bids, rng, n = (0.5, 0.8, 1.0, 1.3, 2.0), RandomSource(6, 2), 3 * auction_module.BLOCK + 7
+    report = vickrey_truthfulness_check(1.0, bids, opponents, seller, rng=rng, mc_samples=n)
+    assert not report.exact
+    means, ses = _row_by_row_payoffs(1.0, bids, opponents, seller, rng, n)
+    assert report.payoffs == tuple(means)
+    assert report.diff_se == tuple(ses)
 
 
 def test_gaussian_total_probability_quadrature():
@@ -335,8 +381,6 @@ def test_histogram_edges_match_sample_quantiles():
     total = counts.sum()
     assert total > 0
     # reconstruct executed prices by replaying the same seeded draws
-    from qmg.strategy import sample
-
     gen = RandomSource(inst.rng.seed, inst.rng.stream).rng
     qs = np.column_stack([sample(b, gen, inst.mc_samples) for b in inst.buyers])
     ps = sample(inst.seller, gen, inst.mc_samples, rep=Representation.SUPPLY)

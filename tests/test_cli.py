@@ -392,6 +392,20 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("by_flag", [False, True], ids=["output", "flag"])
+def test_an_output_directory_that_cannot_be_made_exits_3(tmp_path, capsys, by_flag):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    doc = {"kind": "risk-spectrum", "parameters": {"levels": 3}}
+    if not by_flag:
+        doc["output"] = str(blocker / "x")
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), *(["--out", str(blocker / "y")] if by_flag else [])]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid scenario at {'--out' if by_flag else 'scenario.output'}:" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_kind_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, {"kind": "frobnicate", "parameters": {}})
     assert main(["run", str(path)]) == 3

@@ -145,6 +145,35 @@ def test_discrete_strategy_probabilities():
     assert buy_probability(s, 1.0) == pytest.approx(1.0)
 
 
+_DISCRETE = st.lists(
+    st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 1e3)), min_size=1, max_size=8
+).map(lambda pairs: Strategy.discrete([a for a, _ in pairs], [w for _, w in pairs]))
+_CONTINUOUS = st.one_of(
+    st.builds(Strategy.gaussian, st.floats(-5.0, 5.0), st.floats(0.05, 5.0), st.floats(-5.0, 5.0)),
+    st.builds(Strategy.hermite, st.integers(0, 40)),
+)
+
+
+@given(s=st.one_of(_DISCRETE, _CONTINUOUS), inclusive=st.booleans())
+def test_cdf_is_monotone_within_0_and_1_and_reaches_both(s, inclusive):
+    if s.is_improper:
+        lo, hi = min(s.form.atoms), max(s.form.atoms)
+        atoms = np.array(s.form.atoms)
+        probes = np.concatenate([atoms, np.nextafter(atoms, -np.inf), np.nextafter(atoms, np.inf)])
+        slack = 0.0
+    else:
+        lo, hi = s.support_bounds()
+        probes = np.array([])
+        # the spline's antiderivative rounds: measured dips of at most 2.2e-16 near 1
+        slack = 4 * np.finfo(float).eps
+    x = np.sort(np.concatenate([probes, np.linspace(lo - 1.0, hi + 1.0, 4001)]))
+    c = s.cdf(x, inclusive)
+    assert np.all((c >= 0.0) & (c <= 1.0))
+    assert np.all(np.diff(c) >= -slack)
+    assert np.all(s.cdf(x[x < lo], inclusive) == 0.0)
+    assert np.all(s.cdf(x[x > hi], inclusive) == 1.0)
+
+
 def test_superpose_requires_matching_rep():
     a = Strategy.hermite(0)
     b = to_supply_rep(Strategy.hermite(1))
