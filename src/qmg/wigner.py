@@ -408,36 +408,53 @@ def _laguerre_ladder(z: np.ndarray) -> Iterator[np.ndarray]:
 
     The bare polynomial reaches ~e^{z/2} and overflows around z = 1400;
     the scaled sequence is bounded by 1 in magnitude for z >= 0.  Levels
-    are computed lazily, one per ``next``.
+    are computed lazily, one per ``next``, in three buffers that take
+    turns: nothing is allocated past level 1, and a yielded level is
+    valid only until the caller advances.  Each step does the
+    operations of ((2k + 1 - z) m_k - k m_{k-1}) / (k + 1) in that
+    order, so every level has the bits of the expression itself.
     """
-    m_prev = np.exp(-0.5 * z)
-    yield m_prev
-    m_cur = (1.0 - z) * m_prev
+    prev = np.multiply(z, -0.5)
+    np.exp(prev, out=prev)
+    yield prev
+    cur = np.subtract(1.0, z)
+    cur *= prev
+    yield cur
+    nxt = np.empty_like(cur)
     for k in itertools.count(1):
-        yield m_cur
-        m_prev, m_cur = m_cur, ((2 * k + 1 - z) * m_cur - k * m_prev) / (k + 1)
+        np.subtract(2 * k + 1, z, out=nxt)
+        nxt *= cur
+        prev *= k
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
 
 
-def _per_distinct(z: np.ndarray, f) -> np.ndarray:
-    """f applied once per distinct value of z, gathered back to z's shape.
+def _folded_abs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |x| of a grid's points, and each point's index among them.
 
-    z = 4H/(hbar omega) repeats across the grid (H is even in p and in
-    q), so a level sum over the distinct values does a third to a half
-    of the work.  f is elementwise, so every gathered value carries the
-    same bits as f(z) itself.
+    On a grid with lo == -hi, the mirrored points x_i and x_{n-1-i} both
+    take the smaller of their two |x| (linspace leaves them ulps apart),
+    so they share bits and a function of |x| comes out exactly even.
     """
-    distinct, inverse = np.unique(z, return_inverse=True)
-    return f(distinct)[inverse.reshape(z.shape)]
+    a = np.abs(grid.points)
+    if grid.lo == -grid.hi:
+        a = np.minimum(a, a[::-1])
+    return np.unique(a, return_inverse=True)
 
 
 def _oscillator_h(
     p_grid: Grid, q_grid: Grid, risk: RiskParams
-) -> np.ndarray:
-    """H on the grid, refused where it or z = 4H/(hbar omega) would overflow.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """H on the distinct-|p| x distinct-|q| grid, and the index back to the full grid.
 
-    Both grow with |p| and |q|, so the corner farthest out bounds them;
-    checked there in numpy scalars, where an overflow or a zero hbar
-    omega gives inf or nan, before any array overflows.
+    H is even in p and in q, so any f of it is evaluated once per
+    distinct (|p|, |q|) pair and ``_spread(f(h), index)`` is f at every
+    p_grid x q_grid point.  Refused where H or z = 4H/(hbar omega)
+    would overflow: both grow with |p| and |q|, so the corner farthest
+    out bounds them; checked there in numpy scalars, where an overflow
+    or a zero hbar omega gives inf or nan, before any array overflows.
     """
     p_top = max(-p_grid.lo, p_grid.hi)
     q_top = max(-q_grid.lo, q_grid.hi)
@@ -450,9 +467,19 @@ def _oscillator_h(
         raise ParameterRangeError(
             f"the risk Hamiltonian overflows a double on the grid corner ({p_top}, {q_top})"
         )
-    p = p_grid.points[:, None]
-    q = q_grid.points[None, :]
-    return p * p / (2.0 * risk.m) + 0.5 * risk.m * risk.omega**2 * q * q
+    p, p_at = _folded_abs(p_grid)
+    q, q_at = _folded_abs(q_grid)
+    h = np.add.outer(p * p / (2.0 * risk.m), 0.5 * risk.m * risk.omega**2 * q * q)
+    return h, (p_at, q_at)
+
+
+def _spread(values: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A fresh C-order array of ``values`` gathered row by row, then column by column.
+
+    Two ``take`` calls: at 241² about a third of the time of one ``np.ix_`` gather.
+    """
+    p_at, q_at = index
+    return values.take(p_at, axis=0).take(q_at, axis=1)
 
 
 def _oscillator_grids(
@@ -478,9 +505,11 @@ def excited_wigner(
 
     W_n = ((-1)^n / (pi hbar)) e^{-2H/(hbar omega)} L_n(4H/(hbar omega))
     with H the oscillator Hamiltonian of the risk parameters, for
-    n <= EXCITED_MAX_LEVEL.  The Laguerre ladder runs once per distinct
-    value of z = 4H/(hbar omega) on the grid; the values are the same,
-    bit for bit, as a ladder over every grid point.
+    n <= EXCITED_MAX_LEVEL.  W_n depends on (p, q) only through |p| and
+    |q|, so the Laguerre ladder runs once per distinct (|p|, |q|) pair of
+    the grid and is spread back to every point.  On a grid with
+    lo == -hi the mirrored points share one |p| (or |q|), so W_n is
+    exactly even in p and in q.
     """
     check_count(n, "level n", 0)
     if n > EXCITED_MAX_LEVEL:
@@ -489,13 +518,9 @@ def excited_wigner(
         )
     hb = risk.hbar_eff
     p_grid, q_grid = _oscillator_grids(float(n), risk, p_grid, q_grid)
-    z = 4.0 * _oscillator_h(p_grid, q_grid, risk) / (hb * risk.omega)
-    sign = (-1.0) ** n / (math.pi * hb)
-
-    def level_n(u: np.ndarray) -> np.ndarray:
-        return sign * next(itertools.islice(_laguerre_ladder(u), n, None))
-
-    values = _per_distinct(z, level_n)
+    h, index = _oscillator_h(p_grid, q_grid, risk)
+    level_n = next(itertools.islice(_laguerre_ladder(4.0 * h / (hb * risk.omega)), n, None))
+    values = _spread((-1.0) ** n / (math.pi * hb) * level_n, index)
     return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="pure")
 
 
@@ -512,12 +537,14 @@ def thermal_wigner(
     mode="closed" uses W = (omega / 2 pi) x e^{-x H} with
     x = (2 / hbar omega) tanh(beta hbar omega / 2); mode="series" sums
     the level densities with geometric weights, which converges to the
-    closed form and is kept for cross-checks.  All ``series_terms``
-    levels are summed, in order, once per distinct value of
-    z = 4H/(hbar omega) on the grid, and gathered back: the same values,
-    bit for bit, as the sum over every grid point.  A beta so small that
-    the thermal spread overflows, a risk whose hbar omega underflows to 0,
-    or a grid on which H overflows, raises ParameterRangeError.
+    closed form and is kept for cross-checks.  Both depend on (p, q) only
+    through |p| and |q|: each is evaluated once per distinct (|p|, |q|)
+    pair of the grid and spread back to every point, the series summing
+    all ``series_terms`` levels in order.  On a grid with lo == -hi the
+    mirrored points share one |p| (or |q|), so W is exactly even in p and
+    in q.  A beta so small that the thermal spread overflows, a risk whose
+    hbar omega underflows to 0, or a grid on which H overflows, raises
+    ParameterRangeError.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
@@ -536,22 +563,19 @@ def thermal_wigner(
     # thermal spread expressed as an effective level count for the grids
     level = max(spread - 0.5, 0.0)
     p_grid, q_grid = _oscillator_grids(level + 0.5, risk, p_grid, q_grid)
-    h = _oscillator_h(p_grid, q_grid, risk)
+    h, index = _oscillator_h(p_grid, q_grid, risk)
     if mode == "closed":
-        values = (risk.omega / TWO_PI) * x * np.exp(-x * h)
+        values = _spread((risk.omega / TWO_PI) * x * np.exp(-x * h), index)
         return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="mixture")
     check_count(series_terms, "series_terms", 1)
     s = math.exp(-beta * hb * risk.omega)
-
-    def gibbs_sum(u: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(u)
-        for k, level in zip(range(series_terms), _laguerre_ladder(u)):
-            weight = (1.0 - s) * s**k  # Gibbs weight of level k
-            total += weight * ((-1.0) ** k / (math.pi * hb)) * level
-        return total
-
-    values = _per_distinct(4.0 * h / (hb * risk.omega), gibbs_sum)
-    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="mixture")
+    total = np.zeros_like(h)
+    term = np.empty_like(h)
+    for k, level in zip(range(series_terms), _laguerre_ladder(4.0 * h / (hb * risk.omega))):
+        weight = (1.0 - s) * s**k  # Gibbs weight of level k
+        np.multiply(weight * ((-1.0) ** k / (math.pi * hb)), level, out=term)
+        total += term
+    return PhaseSpaceDensity._adopt(_spread(total, index), p_grid, q_grid, hb, kind="mixture")
 
 
 # ---------------------------------------------------------------------------

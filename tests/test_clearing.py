@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from qmg import clearing as clearing_module
@@ -18,7 +20,7 @@ from qmg.clearing import (
 )
 from qmg.errors import ContractViolationError, ParameterRangeError
 from qmg.numerics import RandomSource
-from qmg.strategy import MarketState, Representation, RiskParams, Strategy, UNIT_RISK, normalize
+from qmg.strategy import MarketState, Representation, RiskParams, Strategy, UNIT_RISK, normalize, to_supply_rep
 
 # independently frozen: root of rho(a) = a for the standard normal RW
 A_STAR = 0.27602980479814
@@ -149,6 +151,33 @@ def test_clear_round_conservation():
     for _ in range(50):
         out = clear_round(market, gen)
         assert math.fsum(out.flows.values()) == 0.0
+
+
+_REP = st.sampled_from(Representation)
+_TRADER = st.one_of(
+    st.builds(
+        Strategy.discrete,
+        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+        rep=_REP,
+    ),
+    st.builds(Strategy.gaussian, st.floats(-2.0, 2.0), st.floats(0.2, 2.0), st.floats(-1.0, 1.0), rep=_REP),
+    st.tuples(st.integers(0, 6), st.booleans()).map(
+        lambda t: to_supply_rep(Strategy.hermite(t[0])) if t[1] else Strategy.hermite(t[0])
+    ),
+)
+
+
+@given(traders=st.lists(_TRADER, min_size=2, max_size=7), seed=st.integers(0, 2**32 - 1))
+def test_clearing_flows_sum_to_zero_in_every_round(traders, seed):
+    # demand and supply traders, discrete, Gaussian and Hermite: every
+    # executed pair moves e^q from its buyer to its seller, nothing else moves
+    market = MarketState(tuple(traders))
+    gen = RandomSource(seed).rng
+    for _ in range(4):
+        out = clear_round(market, gen)
+        assert math.fsum(out.flows.values()) == 0.0
+        moved = {i for pair in out.executed_pairs() for i in pair}
+        assert all(f == 0.0 for i, f in out.flows.items() if i not in moved)
 
 
 def test_clear_round_pairs_best_bid_with_best_ask(monkeypatch):

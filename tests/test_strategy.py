@@ -148,14 +148,34 @@ def test_discrete_strategy_probabilities():
 _DISCRETE = st.lists(
     st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 1e3)), min_size=1, max_size=8
 ).map(lambda pairs: Strategy.discrete([a for a, _ in pairs], [w for _, w in pairs]))
-_CONTINUOUS = st.one_of(
-    st.builds(Strategy.gaussian, st.floats(-5.0, 5.0), st.floats(0.05, 5.0), st.floats(-5.0, 5.0)),
-    st.builds(Strategy.hermite, st.integers(0, 40)),
-)
+_GAUSSIAN = st.builds(Strategy.gaussian, st.floats(-5.0, 5.0), st.floats(0.05, 5.0), st.floats(-5.0, 5.0))
+_HERMITE = st.builds(Strategy.hermite, st.integers(0, 40))
 
 
-@given(s=st.one_of(_DISCRETE, _CONTINUOUS), inclusive=st.booleans())
-def test_cdf_is_monotone_within_0_and_1_and_reaches_both(s, inclusive):
+@st.composite
+def _superposed(draw):
+    parts = draw(st.lists(st.one_of(_GAUSSIAN, _HERMITE), min_size=2, max_size=4))
+    phases = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=len(parts), max_size=len(parts)))
+    moduli = draw(st.lists(st.floats(0.1, 1.0), min_size=len(parts), max_size=len(parts)))
+    return Strategy.superpose(parts, [r * np.exp(1j * a) for r, a in zip(moduli, phases)])
+
+
+@st.composite
+def _sampled(draw):
+    # a Gaussian envelope with a random wobble, tabulated on a grid of its own
+    lo = draw(st.floats(-10.0, 2.0))
+    grid = Grid(lo, lo + draw(st.floats(1.0, 12.0)), draw(st.integers(8, 300)))
+    centre = draw(st.floats(grid.lo, grid.hi))
+    width = draw(st.floats(0.05, 3.0)) * (grid.hi - grid.lo)
+    wobble = draw(st.lists(st.floats(0.0, 1.0), min_size=grid.n, max_size=grid.n))
+    amps = np.exp(-((grid.points - centre) / width) ** 2) * (0.5 + np.array(wobble))
+    return Strategy.sampled(amps * np.exp(1j * grid.points), grid)
+
+
+_CONTINUOUS = st.one_of(_GAUSSIAN, _HERMITE, _superposed())
+
+
+def _check_cdf(s, inclusive):
     if s.is_improper:
         lo, hi = min(s.form.atoms), max(s.form.atoms)
         atoms = np.array(s.form.atoms)
@@ -172,6 +192,22 @@ def test_cdf_is_monotone_within_0_and_1_and_reaches_both(s, inclusive):
     assert np.all(np.diff(c) >= -slack)
     assert np.all(s.cdf(x[x < lo], inclusive) == 0.0)
     assert np.all(s.cdf(x[x > hi], inclusive) == 1.0)
+
+
+@given(s=st.one_of(_DISCRETE, _CONTINUOUS), inclusive=st.booleans())
+def test_cdf_is_monotone_within_0_and_1_and_reaches_both(s, inclusive):
+    _check_cdf(s, inclusive)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the cubic spline through a sampled strategy's |psi|^2 dips below 0 between "
+    "nodes, so its CDF falls by up to 1.7e-4 (CHANGES.md, FOUND)",
+)
+@given(s=_sampled(), inclusive=st.booleans())
+def test_sampled_cdf_is_monotone_within_0_and_1_and_reaches_both(s, inclusive):
+    _check_cdf(s, inclusive)
 
 
 def test_superpose_requires_matching_rep():

@@ -15,6 +15,7 @@ from qmg.errors import (
 )
 from qmg.numerics import Grid, RandomSource
 from qmg.strategy import Representation, RiskParams, Strategy, UNIT_RISK, hermite_function, moments
+from qmg import wigner as wigner_module
 from qmg.wigner import (
     EXCITED_MAX_LEVEL,
     CoherentParams,
@@ -25,7 +26,6 @@ from qmg.wigner import (
     hudson_check,
     is_giffen,
     _laguerre_ladder,
-    _oscillator_h,
     _chord_ratio,
     _sample_spacing,
     _slope_bound,
@@ -353,13 +353,36 @@ def test_non_finite_reals_and_bad_counts_are_refused(call, error):
         call()
 
 
+def _allocating_ladder(z):
+    # the ladder as it ran before the in-place buffers: a fresh array per level
+    m_prev = np.exp(-0.5 * z)
+    yield m_prev
+    m_cur = (1.0 - z) * m_prev
+    for k in itertools.count(1):
+        yield m_cur
+        m_prev, m_cur = m_cur, ((2 * k + 1 - z) * m_cur - k * m_prev) / (k + 1)
+
+
+def _full_grid_z(risk, p_grid, q_grid):
+    # z = 4H/(hbar omega) at every grid point; on a grid with lo == -hi the
+    # mirrored points x_i and x_{n-1-i} both take the smaller |x|
+    def axis(g):
+        a = np.abs(g.points)
+        return np.minimum(a, a[::-1]) if g.lo == -g.hi else g.points
+
+    p = axis(p_grid)[:, None]
+    q = axis(q_grid)[None, :]
+    h = p * p / (2.0 * risk.m) + 0.5 * risk.m * risk.omega**2 * q * q
+    return 4.0 * h / (risk.hbar_eff * risk.omega)
+
+
 def _full_grid_series(beta, risk, p_grid, q_grid, terms):
-    # the level sum as it ran before the distinct-z reduction: every grid point
+    # the level sum over every grid point, with no reduction to distinct values
     hb = risk.hbar_eff
     s = math.exp(-beta * hb * risk.omega)
-    z = 4.0 * _oscillator_h(p_grid, q_grid, risk) / (hb * risk.omega)
+    z = _full_grid_z(risk, p_grid, q_grid)
     values = np.zeros_like(z)
-    ladder = _laguerre_ladder(z)
+    ladder = _allocating_ladder(z)
     for k in range(terms):
         weight = (1.0 - s) * s**k
         values += weight * ((-1.0) ** k / (math.pi * hb)) * next(ladder)
@@ -368,8 +391,8 @@ def _full_grid_series(beta, risk, p_grid, q_grid, terms):
 
 def _full_grid_level(n, risk, p_grid, q_grid):
     hb = risk.hbar_eff
-    z = 4.0 * _oscillator_h(p_grid, q_grid, risk) / (hb * risk.omega)
-    level_n = next(itertools.islice(_laguerre_ladder(z), n, None))
+    z = _full_grid_z(risk, p_grid, q_grid)
+    level_n = next(itertools.islice(_allocating_ladder(z), n, None))
     return ((-1.0) ** n / (math.pi * hb)) * level_n
 
 
@@ -379,9 +402,9 @@ def _same_bits(got, want):
 
 @st.composite
 def _oscillator_grid(draw, scale):
-    # asymmetric ends, odd or even sizes, and p and q sizes drawn apart
+    # asymmetric ends or lo == -hi, odd or even sizes, and p and q sizes drawn apart
     lo = draw(st.floats(-8.0, -0.5)) * scale
-    hi = draw(st.floats(0.5, 8.0)) * scale
+    hi = draw(st.one_of(st.floats(0.5, 8.0).map(lambda u: u * scale), st.just(-lo)))
     return Grid(lo, hi, draw(st.integers(8, 61)))
 
 
@@ -413,6 +436,65 @@ def test_level_sums_match_the_full_grid_loop_bit_for_bit(
         default.values,
         _full_grid_series(beta, risk, default.p_grid, default.q_grid, terms),
     )
+
+
+def test_in_place_ladder_matches_the_allocating_ladder_bit_for_bit():
+    z = np.concatenate([np.linspace(0.0, 1400.0, 4001), RandomSource(7).rng.uniform(0.0, 1400.0, 2000)])
+    for k, got, want in zip(range(301), _laguerre_ladder(z), _allocating_ladder(z)):
+        assert got.tobytes() == want.tobytes(), k
+
+
+_RISK = RiskParams(hbar_e=1.3, theta=4.0, m=0.7, theta_nc=0.2)
+
+
+def _cli_thermal_grids(beta, risk):
+    # the grids the scenario runner's thermal kind builds: six thermal spreads, 201 points
+    spread = 1.0 / math.tanh(0.5 * beta * risk.hbar_eff * risk.omega)
+    sq = math.sqrt(0.5 * risk.hbar_eff / (risk.m * risk.omega) * spread)
+    sp = math.sqrt(0.5 * risk.hbar_eff * risk.m * risk.omega * spread)
+    return Grid(-6 * sp, 6 * sp, 201), Grid(-6 * sq, 6 * sq, 201)
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        (None, None),
+        _cli_thermal_grids(0.7, _RISK),
+        (Grid(-3.3, 3.3, 40), Grid(-2.9, 2.9, 57)),
+        (Grid(-1.7, 1.7, 57), Grid(-4.1, 4.1, 8)),
+    ],
+    ids=["default-241", "cli-201", "even-by-odd", "odd-by-even"],
+)
+@pytest.mark.parametrize(
+    "density",
+    [
+        lambda p, q: thermal_wigner(0.7, _RISK, p, q),
+        lambda p, q: thermal_wigner(0.7, _RISK, p, q, mode="series"),
+        lambda p, q: excited_wigner(0, _RISK, p, q),
+        lambda p, q: excited_wigner(7, _RISK, p, q),
+    ],
+    ids=["thermal-closed", "thermal-series", "excited-0", "excited-7"],
+)
+def test_oscillator_densities_are_exactly_even_on_symmetric_grids(density, grids):
+    w = density(*grids).values
+    assert _same_bits(w[::-1, :], w)  # W[n-1-i, j] == W[i, j]
+    assert _same_bits(w[:, ::-1], w)  # W[i, m-1-j] == W[i, j]
+
+
+@pytest.mark.parametrize("n, m", [(8, 8), (9, 8), (40, 57), (241, 241)])
+def test_the_ladder_runs_once_per_distinct_abs_p_abs_q_pair(monkeypatch, n, m):
+    seen = []
+    ladder = wigner_module._laguerre_ladder
+
+    def spy(z):
+        seen.append(z.size)
+        return ladder(z)
+
+    monkeypatch.setattr(wigner_module, "_laguerre_ladder", spy)
+    p_grid, q_grid = Grid(-2.5, 2.5, n), Grid(-3.5, 3.5, m)
+    thermal_wigner(0.7, _RISK, p_grid, q_grid, mode="series")
+    excited_wigner(5, _RISK, p_grid, q_grid)
+    assert seen == [math.ceil(n / 2) * math.ceil(m / 2)] * 2
 
 
 @pytest.mark.parametrize("mode", ["closed", "series"])
