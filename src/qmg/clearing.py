@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ContractViolationError, ParameterRangeError
 from .numerics import RandomSource, as_generator, check_count, find_root
@@ -34,6 +33,7 @@ from .strategy import (
 from .risk import thermal_energy
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,10 @@ def profit_intensity(a: float | np.ndarray, rw_sigma: float = 1.0):
     if not np.all(np.isfinite(u)):
         raise ParameterRangeError("threshold a must be finite")
     phi = np.exp(-0.5 * u * u) / _SQRT_TWO_PI
-    value = rw_sigma * (phi - u * (1.0 - ndtr(u)))
+    # 1 - Phi(u) as erfc(u / sqrt 2) / 2, which keeps its digits in the upper tail
+    z = u / math.sqrt(2.0)
+    upper = 0.5 * (math.erfc(z) if z.ndim == 0 else _erfc(z))
+    value = rw_sigma * (phi - u * upper)
     if np.ndim(a) == 0:
         return float(value)
     return value

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
-import importlib.metadata
 import json
 import math
 import re
@@ -451,12 +449,6 @@ _TOP = {
 # commands
 
 
-@functools.cache
-def _scipy_version() -> str:
-    # read from the installed metadata, once per process: the CLI does not import scipy
-    return importlib.metadata.version("scipy")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario_path = Path(args.scenario)
     try:
@@ -520,7 +512,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "versions": {
             "qmg": __version__,
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }

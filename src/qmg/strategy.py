@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterator, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ContractViolationError,
@@ -38,6 +37,7 @@ from .numerics import (
     BLOCK,
     Grid,
     RandomSource,
+    Spline,
     as_generator,
     check_count,
     fourier_p_to_q,
@@ -190,6 +190,11 @@ class SampledForm:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @cached_property
+    def _spline(self) -> Spline:
+        """The amplitudes' interpolant, built on the first off-node evaluation."""
+        return Spline(self.grid, self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -405,37 +410,21 @@ class Strategy:
         return np.array(atoms), below
 
 
-def _spline_integral(grid: Grid, values: np.ndarray) -> tuple:
-    """Cubic spline through ``values`` on the grid, its antiderivative, and that at the nodes;
-    ParameterRangeError where they leave the doubles (a grid too fine or too wide for its values)."""
-    with np.errstate(all="ignore"):  # the check below names any overflow
-        try:
-            spline = CubicSpline(grid.points, values)
-            antiderivative = spline.antiderivative()
-            nodes = antiderivative(grid.points)
-        except ValueError:  # the spline refuses slopes that overflow
-            nodes = np.array([np.inf])
-    if not np.all(np.isfinite(nodes)):
-        raise ParameterRangeError(
-            f"the density over [{grid.lo}, {grid.hi}] has no finite integral in double precision"
-        )
-    return spline, antiderivative, nodes
-
-
 class DistributionTable:
     """Squared-modulus distribution of a proper strategy, tabulated once.
 
-    A cubic spline through |psi|^2 at the nodes of the strategy's default
-    grid, and its antiderivative: the CDF error stays O(dx^4) between the
-    nodes too.  The CDF at the nodes is made non-decreasing so that it
-    inverts into quantiles.
+    The numerics :class:`Spline` through |psi|^2 at the nodes of the
+    strategy's default grid, and its antiderivative: the CDF error stays
+    O(dx^4) between the nodes too.  The CDF at the nodes is made
+    non-decreasing so that it inverts into quantiles.
     """
 
     def __init__(self, s: Strategy) -> None:
         self.grid = s.default_grid()
-        self._spline, self._antiderivative, cum = _spline_integral(
-            self.grid, np.abs(s.amplitudes_on(self.grid)) ** 2
-        )
+        amps = s.amplitudes_on(self.grid)
+        with np.errstate(over="ignore"):  # a square past the doubles: the spline refuses its integral
+            self._spline = Spline(self.grid, np.abs(amps) ** 2)
+        cum = self._spline.cumulative
         self._mass = float(cum[-1])
         if not self._mass > 0:
             raise DegenerateStateError("strategy has zero norm")
@@ -452,7 +441,7 @@ class DistributionTable:
 
     def cdf(self, x: float | np.ndarray) -> np.ndarray:
         """P(variable <= x): 0 below the grid, 1 above it."""
-        return np.clip(self._antiderivative(self._clip(x)) / self._mass, 0.0, 1.0)
+        return np.clip(self._spline.antiderivative(self._clip(x)) / self._mass, 0.0, 1.0)
 
     @cached_property
     def _guide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -548,10 +537,7 @@ def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
         inside = (x >= pts[0]) & (x <= pts[-1])
         out = np.zeros(x.shape, dtype=complex)
         if np.any(inside):
-            xi = x[inside]
-            re = CubicSpline(pts, form.amplitudes.real)(xi)
-            im = CubicSpline(pts, form.amplitudes.imag)(xi)
-            out[inside] = re + 1j * im
+            out[inside] = form._spline(x[inside])
         return out
     if isinstance(form, SuperposedForm):
         total = np.zeros_like(x, dtype=complex)

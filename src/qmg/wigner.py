@@ -28,7 +28,7 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import Grid, check_count
+from .numerics import Grid, Spline, check_count
 from .strategy import (
     GaussianForm,
     HermiteForm,
@@ -39,7 +39,6 @@ from .strategy import (
     SuperposedForm,
     _density_moments,
     _slope_bound,
-    _spline_integral,
     moments as strategy_moments,
 )
 
@@ -683,10 +682,9 @@ class DominantCurves:
 
 
 def _cumulative_slice(slice_vals: np.ndarray, grid: Grid) -> tuple[np.ndarray, bool, bool]:
-    # spline antiderivative: trapezoid accumulation at typical grid sizes
-    # (n ~ 241) leaves O(1e-4) error, two orders too coarse for the curves
-    cum = _spline_integral(grid, slice_vals)[2]
-    cum = cum - cum[0]
+    # the numerics Spline's antiderivative: trapezoid accumulation at typical
+    # grid sizes (n ~ 241) leaves O(1e-4) error, two orders too coarse for the curves
+    cum = Spline(grid, slice_vals).cumulative
     total = cum[-1]
     scale = float(np.max(np.abs(slice_vals))) * (grid.hi - grid.lo)
     normalized = abs(total) > 1e-9 * max(scale, 1e-300)

@@ -46,10 +46,22 @@ def test_profit_intensity_values():
             profit_intensity(*bad)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.3])
+def test_profit_intensity_keeps_its_digits_in_the_tail(sigma):
+    # against sigma [phi(u) - u Phi(-u)]: Phi(-u) holds its digits where 1 - Phi(u)
+    # cancels.  Both sides round u, which phi and Phi(-u) weigh by u^2 and their
+    # difference, about phi / u^2, by u^2 again: hence the u^4 allowance
+    u = np.linspace(-2.0, 20.0, 441)
+    expect = sigma * (np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi) - u * ndtr(-u))
+    got = profit_intensity(u * sigma, sigma)
+    assert np.all(np.abs(got - expect) <= (1e-12 + 1e-15 * u**4) * expect)
+    assert [profit_intensity(float(a) * sigma, sigma) for a in u[::40]] == got[::40].tolist()
+
+
 def test_profit_intensity_is_decreasing_and_positive():
-    a = np.linspace(-2.0, 4.0, 200)
+    a = np.linspace(-2.0, 37.0, 2000)
     rho = profit_intensity(a)
-    assert np.all(rho > 0)
+    assert np.all(rho > 0)  # phi(37) is still a normal double
     assert np.all(np.diff(rho) < 0)
 
 

@@ -5,13 +5,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qmg
 from qmg import cli
 from qmg.cli import main
 from qmg.numerics import Grid
@@ -44,7 +49,7 @@ def check_manifest(out_dir):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     on_disk = {p.name for p in out_dir.iterdir()} - {"manifest.json"}
     assert set(manifest["outputs"]) == on_disk  # no orphans either way
-    for key in ("qmg", "numpy", "scipy", "python"):
+    for key in ("qmg", "numpy", "python"):
         assert key in manifest["versions"]
     return manifest
 
@@ -485,9 +490,9 @@ def test_bad_literal_exits_3(tmp_path, capsys):
         ({"family": "strategy", "strategy": "discrete(0:1, 1:1)"}, "parameters.strategy"),
         ({"family": "thermal", "beta": 5e-324}, "parameters.beta"),
         ({"family": "thermal", "beta": 1e-320}, "parameters.beta"),
-        # accepted by the density, but the curves' spline integral overflows
-        ({"family": "thermal", "beta": 1e-158}, "parameters.beta"),
-        ({"family": "thermal", "beta": 1e-160}, "parameters.beta"),
+        # accepted by the thermal spread, but the risk Hamiltonian overflows at the grid corner
+        ({"family": "thermal", "beta": 1e-307}, "parameters.beta"),
+        ({"family": "thermal", "beta": 2e-308}, "parameters.beta"),
         # omega squared overflows, or hbar_e omega underflows to 0
         ({"family": "excited", "n": 1, "risk": {"hbar_e": 1, "theta": 1e-160}}, "parameters.risk"),
         ({"family": "excited", "n": 1, "risk": {"hbar_e": 1e-200, "theta": 1e200}}, "parameters.risk"),
@@ -532,10 +537,11 @@ def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
         ("zeno", {"initial": "delta(0)", "total_time": 0.5, "n_values": [1]}, "parameters.initial"),
         ("curves", {"family": "coherent", "r": 1, "eta": 1.0}, "parameters.r"),
         ("curves", {"family": "coherent", "r": -1.5, "eta": 1.0}, "parameters.r"),
-        # the grids, or the curves' spline integrals, leave the doubles
+        # the grids leave the doubles
         ("curves", {"family": "coherent", "r": 0, "eta": 1.0, "p0": 1e308}, "parameters.eta"),
-        ("curves", {"family": "coherent", "r": 0, "eta": 1e-200}, "parameters.eta"),
-        ("curves", {"family": "strategy", "strategy": "gaussian(0, 1e-150)"}, "parameters.strategy"),
+        ("curves", {"family": "coherent", "r": 0, "eta": 1e-308}, "parameters.eta"),
+        # the width squared falls just below the normal doubles
+        ("curves", {"family": "strategy", "strategy": "gaussian(0, 1e-154)"}, "parameters.strategy"),
         # slopes the default grids cannot resolve
         ("curves", {"family": "strategy", "strategy": "gaussian(0, 1, 1e300)"}, "parameters.strategy"),
         ("curves", {"family": "strategy", "strategy": "gaussian(0.3, 1, 1e4)"}, "parameters.strategy"),
@@ -577,6 +583,29 @@ def test_thermal_spread_refused_where_the_energy_is_finite(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "invalid scenario at parameters.betas[0]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"family": "thermal", "beta": 1e-158},
+        {"family": "thermal", "beta": 1e-160},
+        {"family": "coherent", "r": 0, "eta": 1e-200},
+        {"family": "strategy", "strategy": "gaussian(0, 1e-150)"},
+    ],
+    ids=["thermal-1e-158", "thermal-1e-160", "coherent-1e-200", "gaussian-1e-150"],
+)
+def test_curves_at_the_ends_of_the_doubles_are_computed(tmp_path, params):
+    # extreme grid widths: the slices' spline never divides by the grid spacing
+    out = run_ok(tmp_path, {"kind": "curves", "parameters": params})
+    check_manifest(out)
+    _, rows = read_rows(out / "curves.csv")
+    fd = np.array([float(r[1]) for r in rows])
+    fs = np.array([float(r[2]) for r in rows])
+    assert fd[0] == 0.0 and fd[-1] == 1.0
+    assert fd[len(fd) // 2] == pytest.approx(0.5, abs=1e-12)
+    assert np.all(np.diff(fd) >= -1e-12) and np.all(np.diff(fs) <= 1e-12)
+    assert np.all((fs >= 0.0) & (fs <= 1.0))
 
 
 def test_thermal_curves_at_the_smallest_clean_beta_are_finite(tmp_path):
@@ -829,3 +858,40 @@ def test_every_drawn_document_exits_0_2_3_or_truncates(doc):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3) or (code == 4 and "(TruncationError)" in err.getvalue()), err.getvalue()
+
+
+_DECK = {
+    "fixed-point": {"sigmas": [1.0]},
+    "curves": {"family": "strategy", "strategy": "sampled(@amp.csv)"},
+    "auction": AUCTION_PARAMETERS,
+    "zeno": {"initial": "sampled(@amp.csv)", "total_time": 0.5, "n_values": [1, 2]},
+    "thermal": {"betas": [1.0], "series_terms": 5},
+    "risk-spectrum": {"levels": 3},
+    "clearing": {"traders": ["gaussian(0, 1)", "gaussian(1, 1)"], "rounds": 3},
+}
+
+_RUN_DECK = """
+import sys
+import qmg.cli
+for scenario, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert qmg.cli.main(["run", scenario, "--out", out]) == 0, scenario
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_run_of_every_kind_never_loads_scipy(tmp_path):
+    # a fresh interpreter: this suite's own scipy imports would mask one in qmg
+    assert set(_DECK) == set(cli.KINDS)
+    grid = Grid(-7.0, 7.0, 241)
+    amps = hermite_function(0, grid.points) + 0.5j * hermite_function(1, grid.points)
+    lines = ["x,re,im"] + [f"{x!r},{a.real!r},{a.imag!r}" for x, a in zip(grid.points.tolist(), amps.tolist())]
+    (tmp_path / "amp.csv").write_text("\n".join(lines) + "\n")
+    argv = []
+    for kind, params in _DECK.items():
+        argv += [str(write_scenario(tmp_path, {"kind": kind, "parameters": params}, f"{kind}.json")),
+                 str(tmp_path / f"{kind}-out")]
+    src = str(Path(qmg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _RUN_DECK, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from qmg import numerics
 from qmg.errors import BracketingError, ContractViolationError, ParameterRangeError
@@ -88,6 +89,40 @@ def test_fourier_norm_preserved():
     n_q = integrate(np.abs(psi) ** 2, g)
     n_p = integrate(np.abs(phi) ** 2, gp)
     assert n_p == pytest.approx(n_q, rel=1e-10)
+
+
+@given(
+    n=st.integers(8, 8192),
+    lo=st.floats(-20.0, 10.0),
+    log_span=st.floats(-2.0, 2.0),
+    noise=st.booleans(),
+    complex_values=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8192, lo=-3.0, log_span=1.0, noise=True, complex_values=True, seed=1)
+@example(n=8, lo=-3.0, log_span=0.0, noise=False, complex_values=False, seed=2)
+def test_spline_matches_scipy_not_a_knot_cubic_spline(n, lo, log_span, noise, complex_values, seed):
+    # scipy, a test requirement only, is the independent reference: the same
+    # spline up to rounding, in values and in the antiderivative off and on the nodes
+    g = Grid(lo, lo + 10.0**log_span, n)
+    rng = np.random.default_rng(seed)
+    rows = 2 if complex_values else 1
+    if noise:
+        parts = rng.normal(size=(rows, n))
+    else:  # three Fourier modes of at most 5 periods over the span
+        k, phase, amp = rng.uniform(0.0, 5.0, (3, 3, rows, 1))
+        parts = np.sum(amp * np.cos(2 * np.pi * (k * (g.points - g.lo) / (g.hi - g.lo) + phase)), axis=0)
+    v = parts[0] + 1j * parts[1] if complex_values else parts[0]
+    x = rng.uniform(g.lo, g.hi, 500)
+    ours, ref = numerics.Spline(g, v), CubicSpline(g.points, v)
+    # the nodes sit within an ulp of the largest |x| of their uniform places, and
+    # scipy's spline follows them there, with slopes up to about 4 max|v| / dx
+    node_shift = 4.0 * np.spacing(max(abs(g.lo), abs(g.hi))) / g.spacing
+    tol = (1e-12 + node_shift) * np.max(np.abs(v)) * max(1.0, g.hi - g.lo)
+    assert np.max(np.abs(ours(x) - ref(x))) <= tol
+    anti = ref.antiderivative()
+    assert np.max(np.abs(ours.antiderivative(x) - anti(x))) <= tol
+    assert np.max(np.abs(ours.cumulative - anti(g.points))) <= tol
 
 
 @given(

@@ -400,11 +400,47 @@ def test_discrete_weights_whose_sum_overflows_are_refused():
 
 
 @pytest.mark.parametrize("hbar_e", [1e-200, 1e200])
-def test_a_table_whose_spline_leaves_the_doubles_is_refused(hbar_e):
-    # the oscillator length scale is 1e-100 or 1e100
+def test_a_table_at_length_scales_of_1e100_and_1e_minus_100_has_unit_mass(hbar_e):
+    # the oscillator length scale is 1e-100 or 1e100: the spline's coefficients
+    # never divide by the grid spacing, so nothing overflows
     s = Strategy.hermite(2, RiskParams(hbar_e=hbar_e, theta=2.0 * math.pi))
+    assert s.table._mass == pytest.approx(1.0, abs=1e-14)
+    lo, hi = s.support_bounds()
+    assert s.cdf(np.array([lo, 0.0, hi])) == pytest.approx([0.0, 0.5, 1.0], abs=1e-14)
+
+
+def test_a_sampled_density_past_the_doubles_is_refused_without_a_warning():
+    # |psi|^2 = 1e400 overflows: the spline's integral is refused, and the
+    # square itself warns of nothing (RuntimeWarning is an error in this suite)
+    s = Strategy.sampled(np.full(64, 1e200), Grid(-1e300, 1e300, 64))
     with pytest.raises(ParameterRangeError, match="no finite integral"):
         s.table
+
+
+def test_a_table_on_nodes_that_coincide_in_doubles_is_refused():
+    # 2048 nodes over 1e15 +- 8 land on 129 distinct doubles
+    with pytest.raises(ParameterRangeError, match="coincide"):
+        Strategy.gaussian(1e15, 1.0).table
+
+
+def test_a_sampled_strategy_builds_one_interpolant(monkeypatch):
+    import qmg.strategy as strategy_module
+
+    built = []
+
+    class CountingSpline(strategy_module.Spline):
+        def __init__(self, grid, values):
+            built.append(values.dtype)
+            super().__init__(grid, values)
+
+    monkeypatch.setattr(strategy_module, "Spline", CountingSpline)
+    g = Grid(-4.0, 4.0, 33)
+    s = Strategy.sampled(np.exp(-0.25 * g.points**2 + 0.7j * g.points), g)
+    x = np.linspace(-3.9, 3.9, 7)
+    first, again = s.evaluate(x), s.evaluate(x)
+    assert built == [np.dtype(complex)]
+    assert first.tobytes() == again.tobytes()
+    assert np.max(np.abs(first - np.exp(-0.25 * x**2 + 0.7j * x))) < 2e-3
 
 
 @pytest.mark.parametrize("s", [Strategy.gaussian(0.3, 1.0, 1e4), Strategy.gaussian(0.0, 1.0, 1e300)])

@@ -334,23 +334,38 @@ G16 = Grid(-1.0, 1.0, 16)
          ParameterRangeError),
         (lambda: wigner_transform(Strategy.gaussian(0, 1, 1e300), G16, G16), ParameterRangeError),
         (lambda: wigner_transform(Strategy.hermite(1), Grid(-1e308, 1e308, 16), G16, hbar=1e-300), ParameterRangeError),
-        # the slices' spline integrals overflow
-        (lambda: dominant_curves(wigner_transform(Strategy.gaussian(0, 1e-150))), ParameterRangeError),
-        (lambda: dominant_curves(coherent_wigner(CoherentParams(0.0, 1e-200))), ParameterRangeError),
-        (lambda: dominant_curves(coherent_wigner(CoherentParams(0.0, 1e300))), ParameterRangeError),
     ],
     ids=[
         "eta-nan", "eta-inf", "p0-nan", "q0-inf", "hbar-nan", "tol-nan",
         "level-float", "level-too-high", "beta-nan", "transform-hbar-nan", "terms-float",
         "beta-underflows", "beta-spread-overflows", "series-h-overflows",
         "omega-squared-overflows", "hbar-omega-underflows", "omega-squared-alone-overflows", "psi-points-capped",
-        "chord-ratio-huge", "chord-ratio-inf", "curves-narrow-strategy", "curves-narrow-coherent",
-        "curves-wide-coherent",
+        "chord-ratio-huge", "chord-ratio-inf",
     ],
 )
 def test_non_finite_reals_and_bad_counts_are_refused(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        lambda: wigner_transform(Strategy.gaussian(0, 1e-150)),
+        lambda: coherent_wigner(CoherentParams(0.0, 1e-200)),
+        lambda: coherent_wigner(CoherentParams(0.0, 1e300)),
+    ],
+    ids=["narrow-strategy", "narrow-coherent", "wide-coherent"],
+)
+def test_curves_of_densities_at_the_ends_of_the_doubles(density):
+    # grids 1e-150 to 1e301 wide: the slices' spline integrals stay finite
+    d = density()
+    assert d.mass() == pytest.approx(1.0, abs=3e-15)
+    c = dominant_curves(d)
+    assert c.demand[0] == 0.0 and c.demand[-1] == 1.0
+    assert c.demand[d.q_grid.n // 2] == pytest.approx(0.5, abs=1e-12)
+    assert c.demand_normalized and c.supply_normalized
+    assert c.demand_monotone and c.supply_monotone
 
 
 def _allocating_ladder(z):
