@@ -11,6 +11,7 @@ needs opposite polarizations and the rationality condition q + p <= 0.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -242,6 +243,45 @@ def _lowest(rows: Sequence[np.ndarray], m: int, second_needed: bool) -> tuple:
     return q_min, winner, second
 
 
+# the last auction's draw set: weak references to its buyers and seller,
+# the rest of its key, and its order statistics; one tuple, so a reader
+# never sees the key of one set with the arrays of another
+_slot: tuple | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Empty the slot once one of its strategies is collected."""
+    global _slot
+    held = _slot
+    if held is not None and any(r is ref for r in held[0]):
+        _slot = None
+
+
+def _order_statistics(inst: AuctionInstance) -> tuple[np.ndarray, ...]:
+    """``(q_min, winner, second, p)`` of the instance's draws, read-only.
+
+    The draws depend on the strategies, seed, stream, sample count and
+    risk, not on the pricing or weight, so every pricing of one auction's
+    inputs reads one draw set (common random numbers).  One slot holds the
+    last set; strategies are compared by identity, so equal but distinct
+    ones draw afresh, and a collected strategy empties the slot.
+    """
+    global _slot
+    parties = (*inst.buyers, inst.seller)
+    key = (inst.rng.seed, inst.rng.stream, inst.mc_samples, inst.risk)
+    held = _slot
+    if (held is not None and held[1] == key and len(held[0]) == len(parties)
+            and all(r() is s for r, s in zip(held[0], parties))):
+        return held[2]
+    _slot = None
+    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
+    arrays = (*_lowest(rows, len(p), True), p)
+    for a in arrays:
+        a.flags.writeable = False
+    _slot = (tuple(weakref.ref(s, _forget) for s in parties), key, arrays)
+    return arrays
+
+
 def _histogram(
     branches: list[tuple[float, np.ndarray]], bins: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -272,16 +312,14 @@ def _simulate(inst: AuctionInstance, pricing: str, weight: float) -> AuctionOutc
     trade executes iff q_min + p <= 0.  A pure rule prices only its own
     branch; mixed pricing prices both on the same draws and blends them.
     """
-    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
-    second_needed = pricing != "first"
-    q_min, winner, second = _lowest(rows, len(p), second_needed)
+    q_min, winner, second, p = _order_statistics(inst)
     branches = []
     # q + p past the doubles is inf, no trade; so may be the price of a trade that does not happen
     with np.errstate(over="ignore"):
         executed = q_min + p <= 0.0
         if pricing != "second":
             branches.append((weight, np.where(executed, np.exp(-q_min), 0.0)))
-        if second_needed:
+        if pricing != "first":
             # second in decreasing price order among bids and the seller reserve
             second = np.minimum(second, np.maximum(q_min, -p))
             branches.append((1.0 - weight, np.where(executed, np.exp(-second), 0.0)))
@@ -310,6 +348,8 @@ def run_auction(inst: AuctionInstance) -> AuctionOutcome:
     The clearing price follows the instance's pricing rule; revenue
     means are correctly rounded sums.  Mixed pricing blends the two
     rules with the instance's weight, as :func:`mixed_polarization_auction`.
+    Every pricing of the same inputs reads one draw set
+    (:func:`_order_statistics`), so successive calls draw once.
     """
     if inst.pricing == "mixed":
         return mixed_polarization_auction(inst, inst.weight)

@@ -146,10 +146,13 @@ class GaussianForm:
             raise ParameterRangeError("gaussian center must be finite")
         if not (self.width > 0 and math.isfinite(self.width)):
             raise ParameterRangeError(f"gaussian width must be positive, got {self.width}")
-        # the normalization and the exponent divide by width^2
-        if not sys.float_info.min <= self.width * self.width < math.inf:
+        # the normalization takes (2 pi width^2)^(-1/4) and the exponent divides
+        # by 4 width^2: past the doubles both give 0, and -(x^2)/(4 width^2) inf/inf
+        square = self.width * self.width
+        if not (sys.float_info.min <= square and TWO_PI * square < math.inf):
             raise ParameterRangeError(
                 f"gaussian width {self.width!r} squares outside the normal doubles"
+                " (2 pi width^2 must stay finite)"
             )
         if not math.isfinite(self.slope):
             raise ParameterRangeError("gaussian slope must be finite")

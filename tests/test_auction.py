@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import itertools
 import math
 
@@ -26,7 +28,7 @@ from qmg.errors import (
     RepresentationError,
 )
 from qmg.numerics import Grid, RandomSource, integrate
-from qmg.strategy import Representation, Strategy, sample, to_supply_rep
+from qmg.strategy import Representation, RiskParams, Strategy, sample, to_supply_rep
 
 
 def transaction_density(inst, k, q):
@@ -591,3 +593,182 @@ def test_a_narrow_buyer_gets_a_finer_piece_of_the_grid():
         g = Grid(*buyer.support_bounds(), 2**17 + 1)
         fine = float(integrate(transaction_density(inst, k, g.points), g))
         assert abs(per[k] - fine) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# one draw set per auction's inputs, shared by every pricing
+
+
+def _outcome_bytes(out):
+    """Every field of an outcome, arrays as their bytes."""
+    return tuple(
+        v.tobytes() if isinstance(v, np.ndarray) else v
+        for v in (getattr(out, f.name) for f in dataclasses.fields(out))
+    )
+
+
+def _fresh(inst):
+    """The outcome of ``inst`` with the slot emptied first."""
+    auction_module._slot = None
+    return _outcome_bytes(run_auction(inst))
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    """Counts the draw sets the auction makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _draws(*args)
+
+    monkeypatch.setattr(auction_module, "_draws", counted)
+    return calls
+
+
+def _shared_inputs():
+    """One buyer set and seller, priced three ways."""
+    atoms = [-0.5, 0.0, 0.5]
+    buyers = (
+        Strategy.discrete(atoms, [1, 2, 1]),
+        Strategy.hermite(1),
+        Strategy.gaussian(0.1, 0.4),
+        Strategy.delta(0.0),
+    )
+    seller = Strategy.gaussian(-0.2, 0.7, rep=Representation.SUPPLY)
+    base = {"buyers": buyers, "seller": seller, "weight": 0.3, "mc_samples": 2 * auction_module.BLOCK + 5,
+            "rng": RandomSource(4, 1)}
+    return {p: AuctionInstance(**base, pricing=p) for p in ("first", "second", "mixed")}
+
+
+@pytest.mark.parametrize(
+    "order", [("first", "second", "mixed"), ("mixed", "first", "second"), ("second", "first")]
+)
+def test_every_pricing_in_every_order_is_the_call_on_an_empty_slot(order, count_draws):
+    insts = _shared_inputs()
+    want = {p: _fresh(insts[p]) for p in order}
+    auction_module._slot = None
+    count_draws.clear()
+    got = {p: _outcome_bytes(run_auction(insts[p])) for p in order}
+    assert got == want
+    assert len(count_draws) == 1  # one draw set for every pricing
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"rng": RandomSource(5, 1)},
+        {"rng": RandomSource(4, 2)},
+        {"mc_samples": 2 * auction_module.BLOCK + 6},
+        {"risk": RiskParams(hbar_e=0.5, theta=2.0 * math.pi)},
+        {"seller": Strategy.gaussian(-0.2, 0.7, rep=Representation.SUPPLY)},
+        "reversed",
+    ],
+    ids=["seed", "stream", "samples", "risk", "seller", "buyer-order"],
+)
+def test_a_change_of_any_input_to_the_draws_draws_again(change, count_draws):
+    first = _shared_inputs()["first"]
+    if change == "reversed":
+        change = {"buyers": first.buyers[::-1]}
+    changed = dataclasses.replace(first, pricing="second", **change)
+    want = _fresh(changed)
+    run_auction(first)
+    count_draws.clear()
+    assert _outcome_bytes(run_auction(changed)) == want
+    assert len(count_draws) == 1
+
+
+def test_equal_but_distinct_strategies_draw_again_to_the_same_bytes(count_draws):
+    first = _shared_inputs()["first"]
+    twin = dataclasses.replace(
+        first,
+        buyers=tuple(dataclasses.replace(b) for b in first.buyers),
+        seller=dataclasses.replace(first.seller),
+    )
+    assert twin.buyers == first.buyers and twin.buyers[0] is not first.buyers[0]
+    want = _outcome_bytes(run_auction(first))
+    count_draws.clear()
+    assert _outcome_bytes(run_auction(twin)) == want
+    assert len(count_draws) == 1
+
+
+def test_the_slot_arrays_are_read_only():
+    arrays = auction_module._order_statistics(_shared_inputs()["first"])
+    assert len(arrays) == 4
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_the_price_refusal_holds_on_a_slot_hit(count_draws):
+    seller = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
+    first = AuctionInstance(buyers=(Strategy.gaussian(-400.0, 1.0),), seller=seller, mc_samples=1000)
+    # the lone bidder's second price is the seller's reserve, near e^0
+    assert run_auction(dataclasses.replace(first, pricing="second")).p_no_trade == 0.0
+    for pricing in ("first", "mixed"):
+        with pytest.raises(ParameterRangeError, match="passes 1e150"):
+            run_auction(dataclasses.replace(first, pricing=pricing))
+    assert len(count_draws) == 1
+
+
+def test_a_collected_strategy_empties_the_slot():
+    def run_and_drop():
+        inst = _shared_inputs()["second"]
+        run_auction(inst)
+        assert auction_module._slot is not None
+        del inst
+
+    run_and_drop()
+    gc.collect()
+    assert auction_module._slot is None
+
+
+def test_monte_carlo_vickrey_after_an_auction_on_its_inputs_is_the_row_by_row_loop():
+    opponents = tuple(Strategy.gaussian(0.2 * m - 0.3, 0.5 + 0.25 * m) for m in range(3))
+    seller = Strategy.gaussian(-0.2, 0.7, rep=Representation.SUPPLY)
+    bids, rng, n = (0.5, 0.8, 1.0, 1.3, 2.0), RandomSource(6, 2), 3 * auction_module.BLOCK + 7
+    run_auction(AuctionInstance(buyers=opponents, seller=seller, mc_samples=n, rng=rng, pricing="second"))
+    report = vickrey_truthfulness_check(1.0, bids, opponents, seller, rng=rng, mc_samples=n)
+    means, ses = _row_by_row_payoffs(1.0, bids, opponents, seller, rng, n)
+    assert report.payoffs == tuple(means)
+    assert report.diff_se == tuple(ses)
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+_BUYER = st.one_of(
+    st.builds(Strategy.hermite, st.integers(0, 4)),
+    st.builds(Strategy.gaussian, _UNIT, st.floats(0.05, 2.0), _UNIT),
+    st.lists(st.tuples(_UNIT, st.floats(0.1, 1.0)), min_size=1, max_size=4, unique_by=lambda aw: aw[0]).map(
+        lambda aw: Strategy.discrete([a for a, _ in aw], [w for _, w in aw])
+    ),
+)
+_SELLER = st.one_of(
+    st.builds(lambda c, w: Strategy.gaussian(c, w, rep=Representation.SUPPLY), _UNIT, st.floats(0.05, 2.0)),
+    st.builds(
+        lambda a: Strategy.discrete(a, rep=Representation.SUPPLY), st.lists(_UNIT, min_size=1, max_size=3)
+    ),
+)
+
+
+@given(
+    buyers=st.lists(_BUYER, min_size=1, max_size=5),
+    seller=_SELLER,
+    samples=st.integers(1, 2000),
+    weight=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    calls=st.lists(st.sampled_from(("first", "second", "mixed")), min_size=1, max_size=5),
+)
+def test_auction_outcomes_do_not_depend_on_call_order(buyers, seller, samples, weight, seed, calls):
+    base = AuctionInstance(
+        buyers=tuple(buyers), seller=seller, weight=weight, mc_samples=samples, rng=RandomSource(seed)
+    )
+    insts = {p: dataclasses.replace(base, pricing=p) for p in ("first", "second", "mixed")}
+    want = {p: _fresh(insts[p]) for p in set(calls)}
+    auction_module._slot = None
+    for p in calls:
+        out = run_auction(insts[p])
+        assert _outcome_bytes(out) == want[p]
+        freq = np.array([*out.winner_freq, out.p_no_trade])
+        assert np.all((freq >= 0.0) & (freq <= 1.0))
+        assert abs(sum(out.winner_freq) + out.p_no_trade - 1.0) <= 4 * np.finfo(float).eps

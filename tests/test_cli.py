@@ -499,6 +499,8 @@ def test_bad_literal_exits_3(tmp_path, capsys):
         # the width squared underflows or overflows
         ({"family": "strategy", "strategy": "gaussian(0, 1e-300)"}, "parameters.strategy"),
         ({"family": "strategy", "strategy": "gaussian(0, 1e200)"}, "parameters.strategy"),
+        # 4 width^2, the exponent's divisor, overflows while width^2 does not
+        ({"family": "strategy", "strategy": "gaussian(0, 1e154)"}, "parameters.strategy"),
         # the default q grid collapses to a point
         ({"family": "strategy", "strategy": "gaussian(1e300, 1)"}, "parameters.strategy"),
     ],
@@ -652,6 +654,14 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
     assert "TruncationError" in capsys.readouterr().err
+
+
+def test_a_wide_gaussian_whose_dual_needs_too_fine_a_grid_exits_4(tmp_path, capsys):
+    # width 1e30 is a valid strategy; its dual is finer than 2^18 points
+    doc = {"kind": "curves", "parameters": {"family": "strategy", "strategy": "gaussian(0, 1e30)"}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert "more than 2^18" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("initial, risk", [

@@ -374,17 +374,19 @@ def test_parse_strategy_sampled_csv(tmp_path):
     assert mean == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("width", [1e-300, 1e-160, 1e155, 1e200])
+@pytest.mark.parametrize("width", [1e-300, 1e-160, 5.349e153, 1e154, 1e155, 1e200])
 def test_gaussian_width_whose_square_leaves_the_normal_doubles_is_refused(width):
-    # the normalization (2 pi width^2)^(-1/4) and the exponent divide by width^2
+    # the normalization takes (2 pi width^2)^(-1/4) and the exponent divides by
+    # 4 width^2; at 1e154 both overflow, and the exponent would read inf/inf
     with pytest.raises(ParameterRangeError, match="squares outside the normal doubles"):
         Strategy.gaussian(0.0, width)
 
 
-@pytest.mark.parametrize("width", [1.5e-154, 1e154])
+@pytest.mark.parametrize("width", [1.5e-154, 5.348e153])
 def test_gaussian_width_at_the_ends_of_the_normal_squares_evaluates(width):
     s = Strategy.gaussian(0.0, width)
-    assert np.isfinite(s.evaluate(np.array([0.0, width]))).all()
+    values = s.evaluate(np.array([0.0, width]))
+    assert np.isfinite(values).all() and np.all(values != 0.0)
 
 
 def test_evaluations_past_the_doubles_are_zero_without_a_warning():
