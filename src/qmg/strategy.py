@@ -12,6 +12,7 @@ reject them.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import enum
 import itertools
@@ -31,10 +32,10 @@ from .errors import (
     ImproperStateError,
     ParameterRangeError,
     RepresentationError,
-    TruncationError,
 )
 from .numerics import (
     BLOCK,
+    TWO_PI,
     Grid,
     RandomSource,
     Spline,
@@ -45,7 +46,6 @@ from .numerics import (
     integrate,
 )
 
-TWO_PI = 2.0 * math.pi
 # support half-width in standard deviations, and the default grid's node count
 _SUPPORT_SIGMAS = 8.0
 _DEFAULT_GRID_N = 2048
@@ -111,6 +111,11 @@ class RiskParams:
         """Effective dispersion scale sqrt(hbar_e^2 + Theta^2)."""
         return math.hypot(self.hbar_e, self.theta_nc)
 
+    @property
+    def length_scale(self) -> float:
+        """Oscillator length sqrt(hbar_eff / (m omega))."""
+        return math.sqrt(self.hbar_eff / (self.m * self.omega))
+
     @classmethod
     def from_omega(
         cls, hbar_e: float, omega: float, m: float = 1.0, theta_nc: float = 0.0
@@ -134,7 +139,7 @@ class GaussianForm:
     ``width`` is the standard deviation of the squared modulus, so the
     price distribution is N(center, width^2).  ``slope`` is a linear
     phase; under the Fourier transform it shifts the dual variable by
-    hbar * slope.
+    hbar * slope towards supply and by -hbar * slope towards demand.
     """
 
     center: float
@@ -170,9 +175,8 @@ class HermiteForm:
 
     @property
     def length_scale(self) -> float:
-        # sqrt(hbar_eff / (m omega)); std of |psi_n|^2 is this times sqrt(n + 1/2)
-        r = self.risk
-        return math.sqrt(r.hbar_eff / (r.m * r.omega))
+        # the std of |psi_n|^2 is this times sqrt(n + 1/2)
+        return self.risk.length_scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,38 +590,32 @@ def normalize(s: Strategy) -> Strategy:
     return Strategy(SampledForm(s.form.amplitudes / nrm, s.form.grid), s.rep)
 
 
-def _transform_from(s: Strategy):
-    """The Fourier transform out of ``s``'s representation."""
-    return fourier_q_to_p if s.rep is Representation.DEMAND else fourier_p_to_q
+def _dual_form(form: Form, hbar: float, target: Representation) -> tuple[complex, Form]:
+    """A form's image in the ``target`` representation, as a global phase and a form.
 
-
-def _balanced_grid(s: Strategy, hbar: float) -> Grid:
-    """Source grid whose reciprocal also resolves the dual density.
-
-    The default grid covers the strategy well, but its reciprocal can be
-    far too coarse for the transform's density (a wide smooth strategy
-    has a narrow dual).  A cheap first pass estimates the dual moments;
-    the returned grid then resolves both sides: n dx dx' = 2 pi hbar,
-    dx <= sigma/16 on each side, spans >= mean +- 12 sigma on each side.
+    The kernel is exp(sign i x y / hbar), sign -1 towards supply.  A
+    Gaussian maps to a Gaussian and oscillator level n to level n of the
+    oscillator with its quadratures swapped (length hbar / L), times
+    (sign i)^n; a superposition maps part by part, and a sampled form
+    goes through the FFT onto its reciprocal grid.
     """
-    g0 = s.default_grid()
-    # the first pass reaches duals within pi hbar / dx of 0: keep the centre, hbar slope, in half of that
-    if _slope_bound(s.form) * g0.spacing > 0.5 * math.pi:
-        raise ParameterRangeError(f"a phase slope of {_slope_bound(s.form)!r} aliases on the default grid")
-    mu_s, sd_s = moments(s)
-    amps_d, g_d = _transform_from(s)(s.amplitudes_on(g0), g0, hbar)
-    mu_d, var_d = _density_moments(np.abs(amps_d) ** 2, g_d)
-    sd_d = math.sqrt(max(var_d, 1e-30))
-    lo, hi = s.support_bounds()
-    span_dual = 2.0 * (abs(mu_d) + 12.0 * sd_d)
-    dx = min(sd_s / 16.0, TWO_PI * hbar / span_dual)  # 0 where the dual's spread overflows
-    span_src = max(hi - lo, 2.0 * (abs(mu_s) + 12.0 * sd_s))
-    n = max(span_src / dx, 16.0 * TWO_PI * hbar / (dx * sd_d), 2048.0) if dx > 0 else math.inf
-    if not n <= 2**18:  # an FFT past the cap would alias the dual without a word
-        raise TruncationError(f"the strategy and its dual need {n:.4g} grid points, more than 2^18")
-    n = 1 << math.ceil(math.log2(n))
-    lo2 = 0.5 * (lo + hi) - 0.5 * n * dx
-    return Grid(lo2, lo2 + (n - 1) * dx, n)
+    sign = -1 if target is Representation.SUPPLY else 1
+    if isinstance(form, GaussianForm):
+        c, k = form.center, form.slope
+        if not math.isfinite(k * c):
+            raise ParameterRangeError(f"the dual's phase slope * center, {k!r} * {c!r}, leaves the doubles")
+        return cmath.exp(1j * k * c), GaussianForm(-sign * hbar * k, hbar / (2.0 * form.width), sign * c / hbar)
+    if isinstance(form, HermiteForm):
+        r, length = form.risk, form.length_scale
+        swapped = RiskParams(hbar_e=hbar, theta=r.theta, m=length * length / (hbar * r.omega))
+        return (1, sign * 1j, -1, -sign * 1j)[form.n % 4], HermiteForm(form.n, swapped)
+    if isinstance(form, SuperposedForm):
+        duals = [_dual_form(p.form, hbar, target) for p in form.parts]
+        coefficients = tuple(c * phase for c, (phase, _) in zip(form.coefficients, duals))
+        return 1, SuperposedForm(coefficients, tuple(Strategy(f, target) for _, f in duals))
+    assert isinstance(form, SampledForm)
+    transform = fourier_q_to_p if sign < 0 else fourier_p_to_q
+    return 1, SampledForm(*transform(form.amplitudes, form.grid, hbar))
 
 
 def _to_rep(s: Strategy, risk: RiskParams, target: Representation) -> Strategy:
@@ -627,20 +625,19 @@ def _to_rep(s: Strategy, risk: RiskParams, target: Representation) -> Strategy:
         raise ImproperStateError(
             "the Fourier image of a point strategy is a plane wave, not normalizable"
         )
-    if isinstance(s.form, SampledForm):
-        g = s.form.grid
-    else:
-        g = _balanced_grid(s, risk.hbar_eff)
-    amps, grid = _transform_from(s)(s.amplitudes_on(g), g, risk.hbar_eff)
-    return Strategy(SampledForm(amps, grid), target)
+    phase, form = _dual_form(s.form, risk.hbar_eff, target)
+    if phase != 1:  # kept exactly, so that the duals of parts superpose into the dual of the whole
+        form = SuperposedForm((complex(phase),), (Strategy(form, target),))
+    return Strategy(form, target)
 
 
 def to_supply_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
     """Fourier transform a demand strategy into its supply representation.
 
     The dispersion scale is risk.hbar_eff, which equals hbar_e in the
-    commutative model.  The result is a sampled strategy on the
-    reciprocal grid.
+    commutative model.  Gaussian, oscillator and superposed strategies
+    convert in closed form, with their global phase; a sampled strategy
+    goes through the FFT onto its reciprocal grid.
     """
     return _to_rep(s, risk, Representation.SUPPLY)
 
@@ -709,18 +706,13 @@ def sample(
 ) -> np.ndarray:
     """Draw log-prices from the strategy's distribution.
 
-    ``rep`` selects which representation to sample; converting a proper
-    strategy to the other side goes through the Fourier transform.  A
-    gaussian demand form sells with the exact closed-form dual (modulus
-    gaussian centered at hbar*slope with width hbar/(2 width)).
+    ``rep`` selects which representation to sample; a proper strategy is
+    sampled on the other side through its cached dual.
     """
     rng = as_generator(rand)
     check_count(size, "size", 0)
     target = rep if rep is not None else s.rep
     if target is not s.rep:
-        if isinstance(s.form, GaussianForm):
-            hb = risk.hbar_eff
-            return rng.normal(hb * s.form.slope, hb / (2.0 * s.form.width), size)
         if s.is_improper:
             raise ImproperStateError(
                 "improper strategies cannot be sampled in the dual representation"

@@ -28,7 +28,7 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import Grid, Spline, check_count
+from .numerics import TWO_PI, Grid, Spline, check_count
 from .strategy import (
     GaussianForm,
     HermiteForm,
@@ -42,7 +42,6 @@ from .strategy import (
     moments as strategy_moments,
 )
 
-TWO_PI = 2.0 * math.pi
 # highest level excited_wigner evaluates
 EXCITED_MAX_LEVEL = 512
 # most psi points wigner_transform evaluates: 32 MB of amplitudes

@@ -27,7 +27,7 @@ from .errors import (
     ParameterRangeError,
     TruncationError,
 )
-from .numerics import Grid, check_count, integrate
+from .numerics import TWO_PI, Grid, check_count, integrate
 from .strategy import (
     HermiteForm,
     RiskParams,
@@ -37,8 +37,6 @@ from .strategy import (
     _hermite_ladder,
     normalize,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def _exact_level_vector(s: Strategy, risk: RiskParams) -> np.ndarray | None:
     Returns None when the strategy is not an exact finite combination
     of this risk operator's eigenfunctions.
     """
-    scale = _length_scale(risk)
+    scale = risk.length_scale
 
     def matches(form: HermiteForm) -> bool:
         return math.isclose(form.length_scale, scale, rel_tol=1e-9, abs_tol=0.0)
@@ -124,7 +122,7 @@ def hermite_coefficients(
         out[: len(exact)] = exact
         nrm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
         return out / nrm
-    scale = _length_scale(risk)
+    scale = risk.length_scale
     grid = _projection_grid(s, scale, size)
     # trapezoid weights folded into the amplitudes once; one dot per level
     weighted = s.amplitudes_on(grid) * grid.spacing
@@ -137,10 +135,6 @@ def hermite_coefficients(
         re, im = parts @ level
         coeffs[k] = complex(re, im)
     return coeffs
-
-
-def _length_scale(risk: RiskParams) -> float:
-    return math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
 
 
 def _projection_grid(s: Strategy, scale: float, size: int) -> Grid:
@@ -163,7 +157,7 @@ def _projection_norm(run: ZenoRun, size: int) -> float:
     mass beyond the turning point then shows as a deficit.
     """
     s = normalize(run.initial)
-    grid = _projection_grid(s, _length_scale(run.risk), size)
+    grid = _projection_grid(s, run.risk.length_scale, size)
     lo, hi = s.support_bounds()
     if grid.hi < max(abs(lo), abs(hi)):
         return 1.0

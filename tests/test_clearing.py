@@ -155,6 +155,20 @@ def test_clear_round_no_crossing_no_flow(monkeypatch):
     assert all(f == 0.0 for f in out.flows.values())
 
 
+def test_a_supply_trader_drawn_as_a_buyer_bids_from_its_demand_dual(monkeypatch):
+    # the supply Gaussian at p-centre 0 with phase slope 0.8 has the demand
+    # density N(-hbar 0.8, hbar / 2): its bids sit at -0.8, not at +0.8
+    market = MarketState(
+        (Strategy.gaussian(0.0, 1.0, 0.8, rep=Representation.SUPPLY), Strategy.delta(0.0, rep=Representation.SUPPLY))
+    )
+    force_division(monkeypatch, (0,), (1,))
+    gen = RandomSource(5).rng
+    rounds = 4000
+    bids = np.array([clear_round(market, gen).log_prices[0] for _ in range(rounds)])
+    assert abs(bids.mean() + 0.8) < 4.0 * 0.5 / math.sqrt(rounds)
+    assert bids.std() == pytest.approx(0.5, rel=0.05)
+
+
 def test_clear_round_conservation():
     market = MarketState(
         tuple(Strategy.gaussian(0.0, 1.0) for _ in range(6))

@@ -544,9 +544,10 @@ def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
         ("curves", {"family": "coherent", "r": 0, "eta": 1e-308}, "parameters.eta"),
         # the width squared falls just below the normal doubles
         ("curves", {"family": "strategy", "strategy": "gaussian(0, 1e-154)"}, "parameters.strategy"),
-        # slopes the default grids cannot resolve
+        # slopes the default grids cannot resolve: the p-grid around 1e300 collapses,
+        # and 1e5 needs more psi points than the Wigner chord cap (at 1e4 the run succeeds)
         ("curves", {"family": "strategy", "strategy": "gaussian(0, 1, 1e300)"}, "parameters.strategy"),
-        ("curves", {"family": "strategy", "strategy": "gaussian(0.3, 1, 1e4)"}, "parameters.strategy"),
+        ("curves", {"family": "strategy", "strategy": "gaussian(0.3, 1, 1e5)"}, "parameters.strategy"),
         # omega, or the gap, overflows; the gap underflows to 0
         ("risk-spectrum", {"levels": 2, "risk": {"hbar_e": 1e308, "omega": 1e308}}, "parameters.risk"),
         ("risk-spectrum", {"levels": 2, "risk": {"hbar_e": 1, "theta": 1e-320}}, "parameters.risk"),
@@ -656,12 +657,14 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert "TruncationError" in capsys.readouterr().err
 
 
-def test_a_wide_gaussian_whose_dual_needs_too_fine_a_grid_exits_4(tmp_path, capsys):
-    # width 1e30 is a valid strategy; its dual is finer than 2^18 points
+def test_a_wide_gaussian_whose_dual_is_too_narrow_for_the_chord_cap_exits_3(tmp_path, capsys):
+    # width 1e30 is a valid strategy, and so is its dual of width 5e-31; the
+    # Wigner chord step that resolves both would need more psi points than its cap
     doc = {"kind": "curves", "parameters": {"family": "strategy", "strategy": "gaussian(0, 1e30)"}}
     path = write_scenario(tmp_path, doc)
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
-    assert "more than 2^18" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "invalid scenario at parameters.strategy:" in err and "psi points" in err
 
 
 @pytest.mark.parametrize("initial, risk", [

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,12 +13,14 @@ from qmg.errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from qmg.numerics import BLOCK, Grid, RandomSource, integrate
+from qmg.numerics import BLOCK, Grid, RandomSource, fourier_p_to_q, fourier_q_to_p, integrate
 from qmg.strategy import (
     DistributionTable,
+    GaussianForm,
     Representation,
     RiskParams,
     Strategy,
+    SuperposedForm,
     UNIT_RISK,
     buy_probability,
     hermite_function,
@@ -152,12 +155,15 @@ _GAUSSIAN = st.builds(Strategy.gaussian, st.floats(-5.0, 5.0), st.floats(0.05, 5
 _HERMITE = st.builds(Strategy.hermite, st.integers(0, 40))
 
 
-@st.composite
-def _superposed(draw):
-    parts = draw(st.lists(st.one_of(_GAUSSIAN, _HERMITE), min_size=2, max_size=4))
-    phases = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=len(parts), max_size=len(parts)))
-    moduli = draw(st.lists(st.floats(0.1, 1.0), min_size=len(parts), max_size=len(parts)))
-    return Strategy.superpose(parts, [r * np.exp(1j * a) for r, a in zip(moduli, phases)])
+def _superposed_of(*kinds):
+    @st.composite
+    def superposed(draw):
+        parts = draw(st.lists(st.one_of(*kinds), min_size=2, max_size=4))
+        phases = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=len(parts), max_size=len(parts)))
+        moduli = draw(st.lists(st.floats(0.1, 1.0), min_size=len(parts), max_size=len(parts)))
+        return Strategy.superpose(parts, [r * np.exp(1j * a) for r, a in zip(moduli, phases)])
+
+    return superposed()
 
 
 @st.composite
@@ -172,7 +178,7 @@ def _sampled(draw):
     return Strategy.sampled(amps * np.exp(1j * grid.points), grid)
 
 
-_CONTINUOUS = st.one_of(_GAUSSIAN, _HERMITE, _superposed())
+_CONTINUOUS = st.one_of(_GAUSSIAN, _HERMITE, _superposed_of(_GAUSSIAN, _HERMITE))
 
 
 def _check_cdf(s, inclusive):
@@ -446,10 +452,120 @@ def test_a_sampled_strategy_builds_one_interpolant(monkeypatch):
 
 
 @pytest.mark.parametrize("s", [Strategy.gaussian(0.3, 1.0, 1e4), Strategy.gaussian(0.0, 1.0, 1e300)])
-def test_a_dual_the_default_grid_cannot_reach_is_refused(s):
-    # the first pass would alias the dual centred at hbar * slope
-    with pytest.raises(ParameterRangeError, match="aliases"):
-        to_supply_rep(s)
+def test_a_dual_far_from_the_default_grid_is_exact(s):
+    # the dual is the Gaussian at hbar * slope, however far that is from the source's grid
+    dual = to_supply_rep(s)
+    phase, part = (1.0, dual) if isinstance(dual.form, GaussianForm) else (dual.form.coefficients[0], dual.form.parts[0])
+    assert phase == cmath.exp(1j * s.form.slope * s.form.center)
+    assert part == Strategy(GaussianForm(s.form.slope, 0.5, -s.form.center), Representation.SUPPLY)
+    if s.form.slope < 1e300:  # the default grid around 1e300 is a single double
+        mean, std = moments(dual)
+        assert abs(mean - 1e4) < 1e-9 and abs(std - 0.5) < 1e-9
+
+
+def test_a_dual_whose_phase_leaves_the_doubles_is_refused():
+    # the global phase exp(i slope center) of slope * center = inf has no value
+    with pytest.raises(ParameterRangeError, match=r"phase slope \* center"):
+        to_supply_rep(Strategy.gaussian(1e10, 1.0, 1e300))
+
+
+def test_a_supply_gaussian_samples_its_demand_dual_at_minus_hbar_slope():
+    # the inverse transform centres the demand density at -hbar * slope
+    s = Strategy.gaussian(0.0, 1.0, 0.8, rep=Representation.SUPPLY)
+    draws = sample(s, RandomSource(1), 200_000, rep=Representation.DEMAND)
+    mean, std = moments(to_demand_rep(s))
+    assert mean == pytest.approx(-0.8, abs=1e-12) and std == pytest.approx(0.5, abs=1e-12)
+    assert abs(draws.mean() - mean) < 4.0 * std / math.sqrt(draws.size)
+    # and the forward direction keeps +hbar * slope, with hbar_eff
+    risk = RiskParams(hbar_e=0.6, theta=1.0, theta_nc=0.8)
+    draws = sample(Strategy.gaussian(0.0, 1.0, 0.8), RandomSource(2), 200_000, rep=Representation.SUPPLY, risk=risk)
+    assert abs(draws.mean() - 0.8) < 4.0 * 0.5 / math.sqrt(draws.size)
+
+
+_RISK = st.builds(
+    RiskParams, st.floats(0.3, 3.0), st.floats(1.0, 10.0), st.floats(0.3, 3.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+)
+_DUAL_GAUSSIAN = st.builds(Strategy.gaussian, st.floats(-5.0, 5.0), st.floats(0.2, 3.0), st.floats(-5.0, 5.0))
+_DUAL_HERMITE = st.builds(Strategy.hermite, st.integers(0, 20), _RISK)
+
+
+def _in_rep(s, rep):
+    if isinstance(s.form, SuperposedForm):
+        return Strategy.superpose([_in_rep(p, rep) for p in s.form.parts], s.form.coefficients)
+    return Strategy(s.form, rep)
+
+
+@st.composite
+def _dual_source(draw):
+    """A Gaussian, a Hermite level or a superposition of both, in either representation."""
+    s = draw(st.one_of(_DUAL_GAUSSIAN, _DUAL_HERMITE, _superposed_of(_DUAL_GAUSSIAN, _DUAL_HERMITE)))
+    return _in_rep(s, draw(st.sampled_from(Representation)))
+
+
+def _convert(s, risk):
+    return (to_supply_rep if s.rep is Representation.DEMAND else to_demand_rep)(s, risk)
+
+
+@given(s=_dual_source(), risk=_RISK)
+def test_closed_form_duals_match_the_fft_on_a_fine_grid(s, risk):
+    # the reference: numerics' FFT on a grid whose span and reciprocal both
+    # reach 12 standard deviations of the source and of the dual
+    dual = _convert(s, risk)
+    hbar = risk.hbar_eff
+    lo, hi = s.support_bounds()
+    mid, half = 0.5 * (lo + hi), 0.75 * (hi - lo)
+    dual_lo, dual_hi = dual.support_bounds()
+    reach = abs(0.5 * (dual_lo + dual_hi)) + 0.75 * (dual_hi - dual_lo)
+    dx = math.pi * hbar / reach
+    n = 1 << math.ceil(math.log2(2.0 * half / dx))
+    grid = Grid(mid - 0.5 * n * dx, mid + (0.5 * n - 1) * dx, n)
+    transform = fourier_q_to_p if s.rep is Representation.DEMAND else fourier_p_to_q
+    reference, reciprocal = transform(s.amplitudes_on(grid), grid, hbar)
+    assert np.max(np.abs(dual.amplitudes_on(reciprocal) - reference)) < 1e-10 * np.max(np.abs(reference))
+
+
+@given(s=_dual_source(), risk=_RISK)
+def test_closed_form_duals_convert_back_to_the_source(s, risk):
+    back = _convert(_convert(s, risk), risk)
+    g = s.default_grid()
+    assert back.rep is s.rep
+    assert np.max(np.abs(back.amplitudes_on(g) - s.amplitudes_on(g))) < 1e-13
+
+
+@given(
+    parts=st.lists(st.one_of(_DUAL_GAUSSIAN, _DUAL_HERMITE), min_size=1, max_size=4),
+    risk=_RISK,
+    data=st.data(),
+)
+def test_superposed_duals_are_the_dual_of_the_superposition(parts, risk, data):
+    coefficients = [complex(*data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 1.0)))) for _ in parts]
+    whole = to_supply_rep(Strategy.superpose(parts, coefficients), risk)
+    from_parts = Strategy.superpose([to_supply_rep(p, risk) for p in parts], coefficients)
+    g = whole.default_grid()
+    assert np.max(np.abs(from_parts.amplitudes_on(g) - whole.amplitudes_on(g))) < 1e-13
+
+
+def test_only_sampled_strategies_convert_through_the_fft(monkeypatch):
+    import qmg.strategy as strategy_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an FFT ran")
+
+    g = Grid(-6.0, 6.0, 64)
+    sampled = Strategy.sampled(np.exp(-0.25 * g.points**2), g)
+    monkeypatch.setattr(strategy_module, "fourier_q_to_p", refuse)
+    monkeypatch.setattr(strategy_module, "fourier_p_to_q", refuse)
+    analytic = [
+        Strategy.gaussian(0.4, 0.7, -1.2),
+        Strategy.hermite(3, RiskParams(hbar_e=0.5, theta=2.0, m=1.5, theta_nc=0.3)),
+        Strategy.superpose([Strategy.gaussian(1.0, 0.5, 0.2), Strategy.hermite(2)], [1.0, 0.5j]),
+    ]
+    for s in analytic:
+        to_demand_rep(to_supply_rep(s))
+    with pytest.raises(AssertionError, match="an FFT ran"):
+        to_supply_rep(sampled)
+    with pytest.raises(AssertionError, match="an FFT ran"):
+        to_demand_rep(Strategy(sampled.form, Representation.SUPPLY))
 
 
 def test_parse_strategy_rejects_garbage():
