@@ -180,8 +180,6 @@ class _Risk(_Field):
             risk = build(doc["hbar_e"], doc["theta"] or doc["omega"], doc["m"], doc["theta_nc"])
         except ParameterRangeError as exc:
             raise ScenarioInvalid(path, str(exc))
-        if not risk.hbar_eff * risk.omega > 0:  # the level spacing, which thermal kinds divide by
-            raise ScenarioInvalid(path, f"hbar_e * omega underflows to 0 ({risk.hbar_eff!r} * {risk.omega!r})")
         scope["risk"] = risk
         return risk
 
@@ -309,9 +307,14 @@ def _run_fixed_point(p: dict, seed: int, emit: Emitter) -> None:
 
 
 def _run_auction(p: dict, seed: int, emit: Emitter) -> None:
+    weight = p["weight"]
+    if weight is None:
+        weight = 1.0
+    elif p["pricing"] != "mixed":  # a pure pricing has no share to set
+        raise ScenarioInvalid("parameters.weight", f"applies to mixed pricing only, not {p['pricing']}")
     rng = RandomSource(seed if p["seed"] is None else p["seed"])
     outcome = run_auction(
-        AuctionInstance(tuple(p["buyers"]), p["seller"], p["pricing"], p["weight"], p["samples"], rng, p["risk"])
+        AuctionInstance(tuple(p["buyers"]), p["seller"], p["pricing"], weight, p["samples"], rng, p["risk"])
     )
     doc = {
         "pricing": outcome.pricing,
@@ -410,7 +413,7 @@ _SCHEMA = {
         "buyers": _List(_Literal(), phrase="literals"),
         "seller": _Literal(Representation.SUPPLY, phrase="a literal on the supply side"),
         "pricing": _Value(str, PRICINGS, phrase="first, second or mixed"),
-        "weight": _Number(0.0, 1.0, default=1.0, phrase="first-price share in [0, 1], default 1"),
+        "weight": _Number(0.0, 1.0, default=None, phrase="first-price share in [0, 1], mixed pricing only, default 1"),
         "samples": _Number(1, 10**7, count=True, default=100_000, phrase="1 to 10^7, default 100000"),
         "seed": replace(_SEED, default=None, phrase="default: the scenario's"),
     }, "buyers"),

@@ -97,16 +97,11 @@ def thermal_energy(beta: float, risk: RiskParams) -> float:
     E(beta) = (hbar_eff omega / 2) coth(beta hbar_eff omega / 2); the
     high-temperature limit is the equipartition value 1/beta, the zero
     temperature limit is the ground energy.  A beta so small that the
-    energy overflows a double, or a risk whose hbar omega / 2 underflows
-    to 0, is refused.
+    energy overflows a double is refused.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
     half_gap = 0.5 * risk.hbar_eff * risk.omega
-    if not half_gap > 0:
-        raise ParameterRangeError(
-            f"hbar omega underflows to 0 (hbar {risk.hbar_eff!r}, omega {risk.omega!r})"
-        )
     t = math.tanh(beta * half_gap)
     energy = half_gap / t if t > 0 else math.inf
     if not math.isfinite(energy):

@@ -96,6 +96,10 @@ class RiskParams:
             raise ParameterRangeError(
                 f"omega {self.omega!r}, hbar_eff {self.hbar_eff!r} or m omega leaves the normal doubles"
             )
+        if not self.hbar_eff * self.omega > 0:  # the level spacing, which thermal states divide by
+            raise ParameterRangeError(
+                f"hbar omega underflows to 0 (hbar_eff {self.hbar_eff!r}, omega {self.omega!r})"
+            )
 
     @property
     def omega(self) -> float:
@@ -194,6 +198,10 @@ class SampledForm:
             )
         if not np.all(np.isfinite(amps)):
             raise ParameterRangeError("sampled amplitudes must be finite")
+        with np.errstate(under="ignore", over="ignore"):  # a square may underflow to 0 or overflow
+            squares = np.abs(amps) ** 2
+        if not np.any(squares):
+            raise DegenerateStateError("every sampled amplitude squares to 0: the strategy has zero norm")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -820,12 +828,12 @@ def read_amplitude_csv(path: str | Path) -> tuple[np.ndarray, Grid]:
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if len(rows) < 8:
         raise ContractViolationError(f"{path}: need at least 8 sample rows")
+    if any(len(row) != 3 for row in rows):
+        raise ContractViolationError(f"{path}: rows must have 3 columns")
     try:
         data = np.array([[float(c) for c in row] for row in rows])
     except ValueError as exc:
         raise ContractViolationError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.shape[1] != 3:
-        raise ContractViolationError(f"{path}: rows must have 3 columns")
     x = data[:, 0]
     dx = np.diff(x)
     if np.any(dx <= 0):

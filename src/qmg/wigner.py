@@ -540,19 +540,14 @@ def thermal_wigner(
     pair of the grid and spread back to every point, the series summing
     all ``series_terms`` levels in order.  On a grid with lo == -hi the
     mirrored points share one |p| (or |q|), so W is exactly even in p and
-    in q.  A beta so small that the thermal spread overflows, a risk whose
-    hbar omega underflows to 0, or a grid on which H overflows, raises
-    ParameterRangeError.
+    in q.  A beta so small that the thermal spread overflows, or a grid on
+    which H overflows, raises ParameterRangeError.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
     if mode not in ("closed", "series"):
         raise ContractViolationError(f"mode must be closed or series, got {mode!r}")
     hb = risk.hbar_eff
-    if not hb * risk.omega > 0:
-        raise ParameterRangeError(
-            f"hbar omega underflows to 0 (hbar {hb!r}, omega {risk.omega!r})"
-        )
     x = (2.0 / (hb * risk.omega)) * math.tanh(0.5 * beta * hb * risk.omega)
     scaled = hb * risk.omega * x
     spread = 1.0 / scaled if scaled > 0 else math.inf
@@ -593,16 +588,13 @@ class GiffenReport:
         return self.negative
 
 
-def is_giffen(d: PhaseSpaceDensity, tol: float | None = None) -> GiffenReport:
-    """Scan for negativity; a giffen strategy has W < -tol somewhere."""
+def is_giffen(d: PhaseSpaceDensity) -> GiffenReport:
+    """Scan for negativity; a giffen strategy has W < -tol somewhere, tol = 1e-9 max(max |W|, 1)."""
     if not isinstance(d, PhaseSpaceDensity):
         raise ContractViolationError("is_giffen expects a PhaseSpaceDensity")
     mn, p_at, q_at = d.min_point()
-    if tol is None:
-        peak = max(float(d.values.max()), -mn)  # max |W|, without an abs copy
-        tol = 1e-9 * max(peak, 1.0)
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ParameterRangeError(f"tolerance must be finite and non-negative, got {tol}")
+    peak = max(float(d.values.max()), -mn)  # max |W|, without an abs copy
+    tol = 1e-9 * max(peak, 1.0)
     if mn < -tol:
         return GiffenReport(True, mn, (p_at, q_at), tol)
     return GiffenReport(False, mn, None, tol)
@@ -621,25 +613,21 @@ class HudsonReport:
     density: PhaseSpaceDensity
 
 
-def hudson_check(
-    s: Strategy,
-    p_grid: Grid | None = None,
-    q_grid: Grid | None = None,
-    hbar: float | None = None,
-    tol: float | None = None,
-) -> HudsonReport:
+def hudson_check(s: Strategy) -> HudsonReport:
     """Classify a pure strategy by Wigner positivity.
 
     Hudson's theorem: a pure state has an everywhere non-negative
     Wigner function exactly when it is a Gaussian wave packet.  Mixed
-    densities are out of scope; pass strategies only.
+    densities are out of scope; pass strategies only.  The density is
+    ``wigner_transform(s)`` on its default grids; for others, call
+    ``is_giffen(wigner_transform(s, ...))``.
     """
     if not isinstance(s, Strategy):
         raise ContractViolationError(
             "hudson_check classifies pure strategies, not densities"
         )
-    d = wigner_transform(s, p_grid=p_grid, q_grid=q_grid, hbar=hbar)
-    report = is_giffen(d, tol=tol)
+    d = wigner_transform(s)
+    report = is_giffen(d)
     cls = (
         HudsonClass.NON_GAUSSIAN_NEGATIVE
         if report.negative
@@ -693,31 +681,18 @@ def _cumulative_slice(slice_vals: np.ndarray, grid: Grid) -> tuple[np.ndarray, b
     return cum, monotone, normalized
 
 
-def dominant_curves(
-    d: PhaseSpaceDensity,
-    p_slice: float | None = None,
-    q_slice: float | None = None,
-) -> DominantCurves:
+def dominant_curves(d: PhaseSpaceDensity) -> DominantCurves:
     """Cut cumulative demand and supply curves out of a density.
 
-    Slices default to the density's mean point, read from the two
-    marginals (the same bits as ``d.moments()``).  The requested slice
-    is snapped to the nearest grid line.
+    The slices are the density's mean point, read from the two
+    marginals (the same bits as ``d.moments()``) and snapped to the
+    nearest grid line.
     """
     if not isinstance(d, PhaseSpaceDensity):
         raise ContractViolationError("dominant_curves expects a PhaseSpaceDensity")
-    p_at, q_at = p_slice, q_slice
-    if p_at is None or q_at is None:
-        marginal_p, marginal_q, _ = d._marginals()
-        if p_at is None:
-            p_at = _density_moments(marginal_p, d.p_grid)[0]
-        if q_at is None:
-            q_at = _density_moments(marginal_q, d.q_grid)[0]
-    p_at, q_at = float(p_at), float(q_at)
-    if not d.p_grid.contains(p_at):
-        raise ParameterRangeError(f"p_slice {p_at} outside grid [{d.p_grid.lo}, {d.p_grid.hi}]")
-    if not d.q_grid.contains(q_at):
-        raise ParameterRangeError(f"q_slice {q_at} outside grid [{d.q_grid.lo}, {d.q_grid.hi}]")
+    marginal_p, marginal_q, _ = d._marginals()
+    p_at = _density_moments(marginal_p, d.p_grid)[0]
+    q_at = _density_moments(marginal_q, d.q_grid)[0]
     i = int(round((p_at - d.p_grid.lo) / d.p_grid.spacing))
     j = int(round((q_at - d.q_grid.lo) / d.q_grid.spacing))
     i = min(max(i, 0), d.p_grid.n - 1)

@@ -38,6 +38,10 @@ from .strategy import (
     normalize,
 )
 
+# the oscillator basis a run starts from, and the size its doubling stops at
+BASIS_SIZE = 128
+MAX_BASIS_SIZE = 2048
+
 
 @dataclass(frozen=True)
 class ZenoRun:
@@ -51,8 +55,6 @@ class ZenoRun:
     total_time: float
     n_measurements: int
     risk: RiskParams = UNIT_RISK
-    basis_size: int = 128
-    max_basis_size: int = 2048
 
     def __post_init__(self) -> None:
         if not isinstance(self.initial, Strategy):
@@ -66,8 +68,6 @@ class ZenoRun:
                 f"total_time must be finite and >= 0, got {self.total_time}"
             )
         check_count(self.n_measurements, "n_measurements", 1)
-        check_count(self.basis_size, "basis_size", 1)
-        check_count(self.max_basis_size, "max_basis_size", self.basis_size)
 
 
 def _exact_level_vector(s: Strategy, risk: RiskParams) -> np.ndarray | None:
@@ -173,19 +173,19 @@ def _captured_coefficients(run: ZenoRun) -> np.ndarray:
     while the projection integrates its spline interpolant, and the two
     differ by O(dx^4) of the native grid.
     """
-    size = run.basis_size
+    size = BASIS_SIZE
     while True:
         coeffs = hermite_coefficients(run.initial, run.risk, size)
         captured = float(np.sum(np.abs(coeffs) ** 2))
         tol = 1.0 - 1e-8
         if captured >= tol or captured >= tol * _projection_norm(run, size):
             return coeffs / math.sqrt(captured)
-        if size >= run.max_basis_size:
+        if size >= MAX_BASIS_SIZE:
             raise TruncationError(
                 f"oscillator basis of size {size} captures only {captured:.12f} "
-                "of the initial norm; the strategy reaches beyond max_basis_size"
+                "of the initial norm; the strategy reaches beyond the largest basis"
             )
-        size = min(2 * size, run.max_basis_size)
+        size *= 2
 
 
 def survival_probability(run: ZenoRun) -> float:

@@ -197,6 +197,24 @@ def test_bad_auction_field_exits_3(tmp_path, capsys, change, field):
     assert f"invalid scenario at parameters.{field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pricing", ["first", "second"])
+def test_a_weight_under_pure_pricing_exits_3(tmp_path, capsys, pricing):
+    # a pure pricing has no first-price share: the weight would be ignored
+    params = {**AUCTION_PARAMETERS, "pricing": pricing, "weight": 0.3}
+    path = write_scenario(tmp_path, {"kind": "auction", "parameters": params})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "invalid scenario at parameters.weight:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight, written", [(None, 1.0), (0.3, 0.3)])
+def test_mixed_pricing_writes_its_weight(tmp_path, weight, written):
+    params = {**AUCTION_PARAMETERS, "pricing": "mixed"}
+    if weight is not None:
+        params["weight"] = weight
+    out = run_ok(tmp_path, {"kind": "auction", "parameters": params})
+    assert json.loads((out / "results.json").read_text())["weight"] == written
+
+
 @pytest.mark.parametrize("kind, params", [
     ("auction", AUCTION_PARAMETERS),
     ("clearing", {"traders": ["gaussian(0, 1)", "gaussian(1, 1)"], "rounds": 1}),
@@ -625,6 +643,63 @@ def test_missing_sampled_file_exits_3(tmp_path, capsys):
     assert "invalid scenario at parameters.initial:" in capsys.readouterr().err
 
 
+def _table(rows, header="x,re,im"):
+    return "\n".join([header, *rows]) + "\n"
+
+
+# amplitude files for sampled(@name.csv) literals: one valid, two with no norm, three malformed
+SAMPLED_TABLES = {
+    "valid.csv": _table(f"{x!r},{math.exp(-x * x / 4)!r},{0.5 * x * math.exp(-x * x / 4)!r}"
+                        for x in (0.5 * k - 4.0 for k in range(17))),
+    "zero.csv": _table(f"{0.1 * k!r},0,0" for k in range(16)),
+    # each square, 1e-340, underflows to 0
+    "underflow.csv": _table(f"{0.1 * k!r},1e-170,0" for k in range(16)),
+    "nan.csv": _table(f"{0.1 * k!r},{'nan' if k == 5 else 1},0" for k in range(16)),
+    "ragged.csv": _table(f"{0.1 * k!r},1,0{',0' if k == 5 else ''}" for k in range(16)),
+    "uneven.csv": _table(f"{0.1 * k + (0.05 if k == 5 else 0.0)!r},1,0" for k in range(16)),
+}
+# a literal's path for a table in each kind that reads a literal
+TABLE_KINDS = [
+    ("curves", lambda lit: {"family": "strategy", "strategy": lit}, "strategy"),
+    ("zeno", lambda lit: {"initial": lit, "total_time": 0.5, "n_values": [1]}, "initial"),
+    ("clearing", lambda lit: {"traders": [lit, "gaussian(0, 1)"], "rounds": 1}, "traders[0]"),
+    ("auction", lambda lit: {**AUCTION_PARAMETERS, "buyers": [lit]}, "buyers[0]"),
+]
+
+
+def write_tables(directory):
+    for name, text in SAMPLED_TABLES.items():
+        (directory / name).write_text(text)
+
+
+@pytest.mark.parametrize("table", ["zero.csv", "underflow.csv"])
+@pytest.mark.parametrize("kind, params, field", TABLE_KINDS, ids=[k[0] for k in TABLE_KINDS])
+def test_a_sampled_table_with_no_norm_exits_3_at_its_literal(tmp_path, capsys, table, kind, params, field):
+    # refused where the table is built, not as a numerical failure on first use
+    write_tables(tmp_path)
+    path = write_scenario(tmp_path, {"kind": kind, "parameters": params(f"sampled(@{table})")})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid scenario at parameters.{field}:" in err and "zero norm" in err
+
+
+@pytest.mark.parametrize("text, reason", [
+    (_table((f"{0.1 * k!r},1,0" for k in range(16)), header="x,y,z"), "expected header"),
+    (_table(f"{0.1 * k!r},1,0" for k in range(7)), "at least 8 sample rows"),
+    (_table(f"{0.1 * k!r},{'one' if k == 3 else 1},0" for k in range(16)), "non-numeric cell"),
+    (_table(f"{0.1 * k!r},1" for k in range(16)), "3 columns"),
+    (_table(f"{-0.1 * k!r},1,0" for k in range(16)), "strictly ascending"),
+    (SAMPLED_TABLES["uneven.csv"], "uniformly spaced"),
+], ids=["header", "rows", "cell", "columns", "ascending", "uniform"])
+def test_a_malformed_amplitude_file_exits_3(tmp_path, capsys, text, reason):
+    (tmp_path / "amp.csv").write_text(text)
+    doc = {"kind": "zeno", "parameters": {"initial": "sampled(@amp.csv)", "total_time": 0.5, "n_values": [1]}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "invalid scenario at parameters.initial:" in err and reason in err
+
+
 def test_sampled_zeno_on_a_coarse_grid_is_not_truncated(tmp_path):
     # hermite(1) + 0.5i hermite(3) on 301 nodes: its unit norm on the
     # nodes and its projection's quadrature norm differ by about 1e-7
@@ -788,6 +863,8 @@ def _mostly(valid, edge, wrong=WRONG):
     return st.integers(0, 19).flatmap(lambda k: valid if k < 16 else edge if k < 19 else wrong)
 
 
+# sampled literals: a missing file, or one of the tables each drawn document's directory holds
+TABLE_LITERALS = st.sampled_from(["absent.csv", *SAMPLED_TABLES]).map("sampled(@{})".format)
 # literal numbers: ordinary ones, and the ends of the doubles
 TEXT = _mostly(
     st.sampled_from(["0", "0.3", "-2", "1", "2.5"]),
@@ -801,7 +878,8 @@ LITERALS = st.one_of(
     st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=3).map(
         lambda atoms: "discrete({})".format(", ".join(f"{a}: {w}" for a, w in atoms))
     ),
-    st.sampled_from(["gauss)(", "", "hermite(-1)", "sampled(@absent.csv)"]),
+    st.sampled_from(["gauss)(", "", "hermite(-1)"]),
+    TABLE_LITERALS,
 )
 
 
@@ -863,14 +941,30 @@ def scenarios(draw):
     return doc
 
 
-@given(scenarios())
-def test_every_drawn_document_exits_0_2_3_or_truncates(doc):
+def run_drawn(doc):
+    """Run a document in a fresh directory that holds SAMPLED_TABLES: (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_scenario(Path(tmp), doc)
+        write_tables(Path(tmp))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3) or (code == 4 and "(TruncationError)" in err.getvalue()), err.getvalue()
+    return code, err.getvalue()
+
+
+@given(scenarios())
+def test_every_drawn_document_exits_0_2_3_or_truncates(doc):
+    code, err = run_drawn(doc)
+    assert code in (0, 2, 3) or (code == 4 and "(TruncationError)" in err), err
+
+
+@given(st.sampled_from(TABLE_KINDS), st.one_of(LITERALS, TABLE_LITERALS))
+def test_every_drawn_literal_in_a_valid_document_exits_0_3_or_truncates(case, literal):
+    # few whole drawn documents are valid; one valid but for its literal reaches
+    # the run, where a literal the parser let through must not fail numerically
+    kind, params, _ = case
+    code, err = run_drawn({"kind": kind, "parameters": params(literal)})
+    assert code in (0, 3) or (code == 4 and "(TruncationError)" in err), err
 
 
 _DECK = {

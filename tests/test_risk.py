@@ -132,8 +132,9 @@ def test_invalid_counts_and_non_finite_betas_are_refused(call, error):
         {"hbar_e": 1.7e308, "theta": 1.0, "theta_nc": 1.7e308},  # hbar_eff overflows
         {"hbar_e": 5e-324, "theta": 1.0},  # a subnormal hbar_eff
         {"hbar_e": 1.0, "theta": 1e300, "m": 5e-324},  # m omega underflows to 0
+        {"hbar_e": 1e-300, "theta": 1e300},  # the level spacing hbar_eff omega underflows to 0
     ],
-    ids=["omega", "hbar_eff", "subnormal-hbar", "m-omega"],
+    ids=["omega", "hbar_eff", "subnormal-hbar", "m-omega", "hbar-omega"],
 )
 def test_risk_params_whose_derived_scales_leave_the_doubles_are_refused(fields):
     with pytest.raises(ParameterRangeError):
@@ -150,10 +151,9 @@ def test_spectrum_refuses_a_top_level_that_overflows():
 
 
 def test_thermal_energy_refuses_an_hbar_omega_that_underflows():
-    # both are accepted by RiskParams; their product is below the least subnormal
-    risk = RiskParams(hbar_e=1e-200, theta=1e200)
+    # each is a normal double; their product is below the least subnormal, which RiskParams refuses
     with pytest.raises(ParameterRangeError, match="hbar omega underflows"):
-        thermal_energy(1.0, risk)
+        thermal_energy(1.0, RiskParams(hbar_e=1e-200, theta=1e200))
 
 
 def test_supply_side_expectation_takes_q_from_the_dual():

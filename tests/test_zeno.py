@@ -23,6 +23,7 @@ from qmg import (
     hermite_coefficients,
     survival_probability,
 )
+from qmg.zeno import MAX_BASIS_SIZE
 
 # closed form for the equal |0>,|1> superposition: S(n) = cos(wT/2n)^(2n),
 # evaluated at 50 digits and rounded to float
@@ -116,15 +117,15 @@ def test_off_scale_eigenfunction_goes_through_quadrature():
     # hermite(2) built for a different omega is not an eigenstate here
     tight = RiskParams.from_omega(1.0, 4.0)
     s = Strategy.hermite(2, tight)
-    coeffs = hermite_coefficients(s, UNIT_RISK, 64)
+    coeffs = hermite_coefficients(s, UNIT_RISK, 128)
     weights = np.abs(coeffs) ** 2
     assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-8)
     # parity is preserved: odd levels stay empty
     assert float(np.sum(weights[1::2])) < 1e-12
     assert weights[2] < 0.9  # genuinely spread over several levels
-    got = survival_probability(ZenoRun(s, 0.5, 1, risk=UNIT_RISK, basis_size=64))
+    got = survival_probability(ZenoRun(s, 0.5, 1, risk=UNIT_RISK))  # a run starts at 128 levels
     weights = weights / np.sum(weights)
-    expect = abs(np.dot(weights, np.exp(-1j * (np.arange(64) + 0.5) * math.pi))) ** 2
+    expect = abs(np.dot(weights, np.exp(-1j * (np.arange(128) + 0.5) * math.pi))) ** 2
     assert got == pytest.approx(float(expect), abs=1e-12)
 
 
@@ -135,13 +136,15 @@ def test_wide_strategy_exceeds_basis():
 
 
 def test_mass_beyond_the_turning_point_is_truncation():
-    # the central packet fits 32 levels; the far one sits beyond their
-    # turning point, so its mass is missing however the capture is measured
-    far = Strategy.superpose([Strategy.gaussian(0.0, 1.0), Strategy.gaussian(14.0, 0.5)], [1.0, 0.05])
+    # the central packet fits 128 levels; the far one sits beyond the turning point
+    # of the largest basis, 2048 levels (80 oscillator lengths out), so its mass
+    # is missing however the capture is measured
+    assert MAX_BASIS_SIZE == 2048
+    far = Strategy.superpose([Strategy.gaussian(0.0, 1.0), Strategy.gaussian(90.0, 0.5)], [1.0, 0.05])
     with pytest.raises(TruncationError):
-        survival_probability(ZenoRun(far, 0.5, 1, basis_size=16, max_basis_size=32))
+        survival_probability(ZenoRun(far, 0.5, 1))
     near = Strategy.superpose([Strategy.gaussian(0.0, 1.0), Strategy.gaussian(3.0, 0.5)], [1.0, 0.05])
-    assert 0.0 <= survival_probability(ZenoRun(near, 0.5, 1, basis_size=16, max_basis_size=32)) <= 1.0
+    assert 0.0 <= survival_probability(ZenoRun(near, 0.5, 1)) <= 1.0
 
 
 def test_basis_doubles_until_captured():
@@ -164,8 +167,6 @@ def test_run_validation():
         ZenoRun(s, 0.5, 0)
     with pytest.raises(ContractViolationError):
         ZenoRun(s, 0.5, 2.5)
-    with pytest.raises(ParameterRangeError):
-        ZenoRun(s, 0.5, 1, basis_size=256, max_basis_size=128)
 
 
 def test_sweep_validation():
@@ -207,11 +208,10 @@ def test_freeze_table_csv(tmp_path):
     [
         (lambda: ZenoRun(two_level(), 0.5, True), ContractViolationError),
         (lambda: freeze_experiment(ZenoRun(two_level(), 0.5, 1), [1, 2.5]), ContractViolationError),
-        (lambda: ZenoRun(two_level(), 0.5, 1, basis_size=2.5), ContractViolationError),
         (lambda: hermite_coefficients(two_level(), UNIT_RISK, 2.5), ContractViolationError),
         (lambda: hermite_coefficients(two_level(), UNIT_RISK, 0), ParameterRangeError),
     ],
-    ids=["measurements-bool", "sweep-float", "basis-float", "size-float", "size-zero"],
+    ids=["measurements-bool", "sweep-float", "size-float", "size-zero"],
 )
 def test_counts_are_refused_unless_integers(call, error):
     with pytest.raises(error):
