@@ -39,6 +39,7 @@ from .numerics import (
     Grid,
     RandomSource,
     Spline,
+    SquaredModulus,
     as_generator,
     check_count,
     fourier_p_to_q,
@@ -185,10 +186,12 @@ class HermiteForm:
 
 @dataclass(frozen=True, eq=False)
 class SampledForm:
-    """Amplitudes tabulated on a uniform grid, interpolated in between."""
+    """exp(i slope x) times an envelope, its samples ``amplitudes`` on a uniform grid
+    joined by one cubic spline: the FFT dual of a table far from 0 stays smooth."""
 
     amplitudes: np.ndarray
     grid: Grid
+    slope: float
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -196,11 +199,13 @@ class SampledForm:
             raise ContractViolationError(
                 f"amplitudes shape {amps.shape} does not match grid size {self.grid.n}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ParameterRangeError("sampled amplitudes must be finite")
+        if not (np.all(np.isfinite(amps)) and math.isfinite(self.slope)):
+            raise ParameterRangeError("sampled amplitudes and slope must be finite")
         with np.errstate(under="ignore", over="ignore"):  # a square may underflow to 0 or overflow
-            squares = np.abs(amps) ** 2
-        if not np.any(squares):
+            total = float(np.sum(np.abs(amps) ** 2))
+        if not math.isfinite(total):
+            raise ParameterRangeError("the squares of the sampled amplitudes sum past the doubles")
+        if total == 0:
             raise DegenerateStateError("every sampled amplitude squares to 0: the strategy has zero norm")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -319,7 +324,7 @@ class Strategy:
         grid: Grid,
         rep: Representation = Representation.DEMAND,
     ) -> "Strategy":
-        return Strategy(SampledForm(np.asarray(amplitudes, dtype=complex), grid), rep)
+        return Strategy(SampledForm(np.asarray(amplitudes, dtype=complex), grid, 0.0), rep)
 
     @staticmethod
     def discrete(
@@ -428,17 +433,19 @@ class Strategy:
 class DistributionTable:
     """Squared-modulus distribution of a proper strategy, tabulated once.
 
-    The numerics :class:`Spline` through |psi|^2 at the nodes of the
-    strategy's default grid, and its antiderivative: the CDF error stays
-    O(dx^4) between the nodes too.  The CDF at the nodes is made
-    non-decreasing so that it inverts into quantiles.
+    A sampled strategy's density is |spline|^2 of its one spline; other
+    forms take a :class:`Spline` through |psi|^2 at the default grid's
+    nodes, whose CDF error stays O(dx^4) between them.  The CDF at the
+    nodes is made non-decreasing so that it inverts into quantiles.
     """
 
     def __init__(self, s: Strategy) -> None:
         self.grid = s.default_grid()
-        amps = s.amplitudes_on(self.grid)
-        with np.errstate(over="ignore"):  # a square past the doubles: the spline refuses its integral
-            self._spline = Spline(self.grid, np.abs(amps) ** 2)
+        if isinstance(s.form, SampledForm):
+            self._spline = SquaredModulus(s.form._spline)
+        else:
+            with np.errstate(over="ignore"):  # a square past the doubles: the spline refuses its integral
+                self._spline = Spline(self.grid, np.abs(s.amplitudes_on(self.grid)) ** 2)
         cum = self._spline.cumulative
         self._mass = float(cum[-1])
         if not self._mass > 0:
@@ -526,11 +533,17 @@ def _bounds(form: Form) -> tuple[float, float]:
 
 
 def _slope_bound(form) -> float:
-    if isinstance(form, GaussianForm):
+    if isinstance(form, (GaussianForm, SampledForm)):
         return abs(form.slope)
     if isinstance(form, SuperposedForm):
         return max(_slope_bound(p.form) for p in form.parts)
     return 0.0
+
+
+def _sample_spacing(form) -> float:
+    if isinstance(form, SuperposedForm):
+        return min(_sample_spacing(p.form) for p in form.parts)
+    return form.grid.spacing if isinstance(form, SampledForm) else math.inf
 
 
 def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
@@ -546,14 +559,13 @@ def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
     if isinstance(form, SampledForm):
         pts = form.grid.points
         if np.array_equal(x, pts):
-            return form.amplitudes.copy()
-        # cubic off-node interpolation: linear costs O(dx^2) and visibly
-        # distorts densities queried between nodes
-        inside = (x >= pts[0]) & (x <= pts[-1])
-        out = np.zeros(x.shape, dtype=complex)
-        if np.any(inside):
-            out[inside] = form._spline(x[inside])
-        return out
+            out = form.amplitudes.copy()
+        else:  # cubic off-node interpolation: linear costs O(dx^2), visible between nodes
+            inside = (x >= pts[0]) & (x <= pts[-1])
+            out = np.zeros(x.shape, dtype=complex)
+            if np.any(inside):
+                out[inside] = form._spline(x[inside])
+        return out * np.exp(1j * form.slope * x) if form.slope else out
     if isinstance(form, SuperposedForm):
         total = np.zeros_like(x, dtype=complex)
         for c, part in zip(form.coefficients, form.parts):
@@ -567,9 +579,11 @@ def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
 
 
 def norm(s: Strategy) -> float:
-    """L2 norm by quadrature on the default grid (analytic forms too, for cross-checks)."""
+    """L2 norm: a sampled strategy's table mass, else trapezoids on the default grid."""
     if s.is_improper:
         raise ImproperStateError("improper strategies have no finite norm")
+    if isinstance(s.form, SampledForm):
+        return math.sqrt(s.table._mass)
     g = s.default_grid()
     amps = s.amplitudes_on(g)
     return math.sqrt(max(float(integrate(np.abs(amps) ** 2, g)), 0.0))
@@ -595,7 +609,7 @@ def normalize(s: Strategy) -> Strategy:
         coeffs = tuple(c / nrm for c in s.form.coefficients)
         return Strategy(SuperposedForm(coeffs, s.form.parts), s.rep)
     assert isinstance(s.form, SampledForm)
-    return Strategy(SampledForm(s.form.amplitudes / nrm, s.form.grid), s.rep)
+    return Strategy(SampledForm(s.form.amplitudes / nrm, s.form.grid, s.form.slope), s.rep)
 
 
 def _dual_form(form: Form, hbar: float, target: Representation) -> tuple[complex, Form]:
@@ -604,26 +618,29 @@ def _dual_form(form: Form, hbar: float, target: Representation) -> tuple[complex
     The kernel is exp(sign i x y / hbar), sign -1 towards supply.  A
     Gaussian maps to a Gaussian and oscillator level n to level n of the
     oscillator with its quadratures swapped (length hbar / L), times
-    (sign i)^n; a superposition maps part by part, and a sampled form
-    goes through the FFT onto its reciprocal grid.
+    (sign i)^n; a superposition maps part by part.  A sampled envelope goes
+    through the FFT, centred at 0, by the Gaussian's shift theorem.
     """
     sign = -1 if target is Representation.SUPPLY else 1
-    if isinstance(form, GaussianForm):
-        c, k = form.center, form.slope
+    if isinstance(form, (GaussianForm, SampledForm)):  # exp(i k x) times an envelope about c
+        k = form.slope
+        c = form.center if isinstance(form, GaussianForm) else 0.5 * form.grid.lo + 0.5 * form.grid.hi
         if not math.isfinite(k * c):
             raise ParameterRangeError(f"the dual's phase slope * center, {k!r} * {c!r}, leaves the doubles")
-        return cmath.exp(1j * k * c), GaussianForm(-sign * hbar * k, hbar / (2.0 * form.width), sign * c / hbar)
+        if isinstance(form, GaussianForm):
+            return cmath.exp(1j * k * c), GaussianForm(-sign * hbar * k, hbar / (2.0 * form.width), sign * c / hbar)
+        g, shift = form.grid, sign * hbar * k
+        amps = form.amplitudes * cmath.exp(1j * k * c) if k * c else form.amplitudes
+        envelope, dual = (fourier_q_to_p if sign < 0 else fourier_p_to_q)(amps, Grid(g.lo - c, g.hi - c, g.n), hbar)
+        return 1, SampledForm(envelope, Grid(dual.lo - shift, dual.hi - shift, g.n), sign * c / hbar)
     if isinstance(form, HermiteForm):
         r, length = form.risk, form.length_scale
         swapped = RiskParams(hbar_e=hbar, theta=r.theta, m=length * length / (hbar * r.omega))
         return (1, sign * 1j, -1, -sign * 1j)[form.n % 4], HermiteForm(form.n, swapped)
-    if isinstance(form, SuperposedForm):
-        duals = [_dual_form(p.form, hbar, target) for p in form.parts]
-        coefficients = tuple(c * phase for c, (phase, _) in zip(form.coefficients, duals))
-        return 1, SuperposedForm(coefficients, tuple(Strategy(f, target) for _, f in duals))
-    assert isinstance(form, SampledForm)
-    transform = fourier_q_to_p if sign < 0 else fourier_p_to_q
-    return 1, SampledForm(*transform(form.amplitudes, form.grid, hbar))
+    assert isinstance(form, SuperposedForm)
+    duals = [_dual_form(p.form, hbar, target) for p in form.parts]
+    coefficients = tuple(c * phase for c, (phase, _) in zip(form.coefficients, duals))
+    return 1, SuperposedForm(coefficients, tuple(Strategy(f, target) for _, f in duals))
 
 
 def _to_rep(s: Strategy, risk: RiskParams, target: Representation) -> Strategy:

@@ -34,10 +34,9 @@ from .strategy import (
     HermiteForm,
     Representation,
     RiskParams,
-    SampledForm,
     Strategy,
-    SuperposedForm,
     _density_moments,
+    _sample_spacing,
     _slope_bound,
     moments as strategy_moments,
 )
@@ -179,14 +178,6 @@ def _resolve_hbar(s: Strategy, hbar: float | None) -> float:
     if isinstance(s.form, HermiteForm):
         return s.form.risk.hbar_eff
     return 1.0
-
-
-def _sample_spacing(form) -> float:
-    if isinstance(form, SampledForm):
-        return form.grid.spacing
-    if isinstance(form, SuperposedForm):
-        return min(_sample_spacing(p.form) for p in form.parts)
-    return math.inf
 
 
 def _smooth_length(n: int) -> int:

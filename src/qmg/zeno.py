@@ -27,7 +27,7 @@ from .errors import (
     ParameterRangeError,
     TruncationError,
 )
-from .numerics import TWO_PI, Grid, check_count, integrate
+from .numerics import TWO_PI, Grid, check_count
 from .strategy import (
     HermiteForm,
     RiskParams,
@@ -150,35 +150,14 @@ def _projection_grid(s: Strategy, scale: float, size: int) -> Grid:
     return Grid(-half, half, max(4096, 8 * math.ceil(waves)))
 
 
-def _projection_norm(run: ZenoRun, size: int) -> float:
-    """Squared norm of the initial strategy under the projection's quadrature.
-
-    1, the unit norm, where the grid is clamped short of the support:
-    mass beyond the turning point then shows as a deficit.
-    """
-    s = normalize(run.initial)
-    grid = _projection_grid(s, run.risk.length_scale, size)
-    lo, hi = s.support_bounds()
-    if grid.hi < max(abs(lo), abs(hi)):
-        return 1.0
-    return float(integrate(np.abs(s.amplitudes_on(grid)) ** 2, grid))
-
-
 def _captured_coefficients(run: ZenoRun) -> np.ndarray:
-    """Coefficients with guaranteed norm capture, doubling the basis as needed.
-
-    Capture is measured against the unit norm, or else, for a support
-    inside the turning point, against the norm under the projection's
-    own quadrature: a sampled strategy is unit on its native nodes,
-    while the projection integrates its spline interpolant, and the two
-    differ by O(dx^4) of the native grid.
-    """
+    """Coefficients capturing the unit norm, which a sampled strategy has under
+    the interpolant the projection integrates, doubling the basis as needed."""
     size = BASIS_SIZE
     while True:
         coeffs = hermite_coefficients(run.initial, run.risk, size)
         captured = float(np.sum(np.abs(coeffs) ** 2))
-        tol = 1.0 - 1e-8
-        if captured >= tol or captured >= tol * _projection_norm(run, size):
+        if captured >= 1.0 - 1e-8:
             return coeffs / math.sqrt(captured)
         if size >= MAX_BASIS_SIZE:
             raise TruncationError(

@@ -654,6 +654,8 @@ SAMPLED_TABLES = {
     "zero.csv": _table(f"{0.1 * k!r},0,0" for k in range(16)),
     # each square, 1e-340, underflows to 0
     "underflow.csv": _table(f"{0.1 * k!r},1e-170,0" for k in range(16)),
+    # each square, 1e320, overflows
+    "overflow.csv": _table(f"{0.1 * k!r},1e160,0" for k in range(16)),
     "nan.csv": _table(f"{0.1 * k!r},{'nan' if k == 5 else 1},0" for k in range(16)),
     "ragged.csv": _table(f"{0.1 * k!r},1,0{',0' if k == 5 else ''}" for k in range(16)),
     "uneven.csv": _table(f"{0.1 * k + (0.05 if k == 5 else 0.0)!r},1,0" for k in range(16)),
@@ -681,6 +683,23 @@ def test_a_sampled_table_with_no_norm_exits_3_at_its_literal(tmp_path, capsys, t
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"invalid scenario at parameters.{field}:" in err and "zero norm" in err
+
+
+@pytest.mark.parametrize("kind, params, field", TABLE_KINDS, ids=[k[0] for k in TABLE_KINDS])
+def test_a_sampled_table_whose_squares_overflow_exits_3_at_its_literal(tmp_path, capsys, kind, params, field):
+    write_tables(tmp_path)
+    path = write_scenario(tmp_path, {"kind": kind, "parameters": params("sampled(@overflow.csv)")})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid scenario at parameters.{field}:" in err and "sum past the doubles" in err
+
+
+def test_a_strategy_too_far_from_0_for_its_grid_exits_3(tmp_path, capsys):
+    doc = {"kind": "curves", "parameters": {"family": "strategy", "strategy": "gaussian(1e12, 1)"}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "invalid scenario at parameters.strategy:" in err and "too far from 0" in err
 
 
 @pytest.mark.parametrize("text, reason", [

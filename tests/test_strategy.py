@@ -19,6 +19,7 @@ from qmg.strategy import (
     GaussianForm,
     Representation,
     RiskParams,
+    SampledForm,
     Strategy,
     SuperposedForm,
     UNIT_RISK,
@@ -205,15 +206,70 @@ def test_cdf_is_monotone_within_0_and_1_and_reaches_both(s, inclusive):
     _check_cdf(s, inclusive)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the cubic spline through a sampled strategy's |psi|^2 dips below 0 between "
-    "nodes, so its CDF falls by up to 1.7e-4 (CHANGES.md, FOUND)",
-)
 @given(s=_sampled(), inclusive=st.booleans())
 def test_sampled_cdf_is_monotone_within_0_and_1_and_reaches_both(s, inclusive):
     _check_cdf(s, inclusive)
+
+
+@given(s=_sampled(), offset=st.floats(0.0, 1.0))
+def test_a_sampled_density_is_the_squared_modulus_of_its_amplitudes(s, offset):
+    # one interpolant: the table reads |evaluate|^2, between the nodes too
+    g = s.form.grid
+    x = np.clip(g.points + offset * g.spacing, g.lo, g.hi)
+    dens = np.abs(s.evaluate(x)) ** 2 / s.table._mass
+    assert np.allclose(s.table.pdf(x), dens, rtol=1e-13, atol=1e-15 * dens.max())
+
+
+@given(s=_sampled())
+def test_a_sampled_norm_is_the_root_of_its_table_mass(s):
+    assert norm(s) ** 2 == pytest.approx(s.table._mass, rel=1e-14)
+    assert norm(normalize(s)) == pytest.approx(1.0, abs=1e-14)
+
+
+@given(c=st.floats(-200.0, 200.0), k=st.floats(-50.0, 50.0))
+def test_a_sampled_gaussian_round_trips_through_both_duals(c, k):
+    g = Grid(c - 64.0, c + 64.0, 8192)
+    s = Strategy.sampled(Strategy.gaussian(c, 1.0, k).evaluate(g.points), g)
+    back = to_demand_rep(to_supply_rep(s))
+    assert isinstance(back.form, SampledForm)
+    # both sides read a cubic spline between their nodes, and the source's
+    # spline of exp(i k x) errs by up to 5/384 (k dx)^4 of the peak
+    x = np.linspace(c - 60.0, c + 60.0, 4001)
+    peak = (2.0 * math.pi) ** -0.25
+    bound = 5.0 / 384.0 * ((abs(k) + 2.0) * g.spacing) ** 4 * peak + 1e-9
+    assert np.max(np.abs(back.evaluate(x) - s.evaluate(x))) <= bound
+
+
+def test_the_dual_of_a_dual_of_an_off_centre_table_returns_to_it():
+    g = Grid(2.0, 10.0, 256)
+    s = Strategy.sampled(Strategy.gaussian(6.0, 0.5).evaluate(g.points), g)
+    back = to_demand_rep(to_supply_rep(s))
+    mean, std = moments(back)
+    assert abs(mean - 6.0) < 1e-6 and abs(std - 0.5) < 1e-6
+    assert buy_probability(back, 6.0) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_the_dual_of_a_table_far_from_0_is_smooth_between_its_nodes():
+    # the source's centre is the dual's slope, not a phase its samples turn by
+    g = Grid(50.0 - 64.0, 50.0 + 64.0, 8192)
+    dual = to_supply_rep(Strategy.sampled(Strategy.gaussian(50.0, 1.0).evaluate(g.points), g))
+    assert dual.form.slope == -50.0
+    dg = dual.form.grid
+    y = dg.points[:-1] + 0.37 * dg.spacing
+    exact = np.abs(Strategy.gaussian(0.0, 0.5).evaluate(y)) ** 2
+    assert np.max(np.abs(np.abs(dual.evaluate(y)) ** 2 - exact)) < 1e-6
+
+
+def test_a_sampled_table_whose_squares_overflow_is_refused():
+    with pytest.raises(ParameterRangeError, match="sum past the doubles"):
+        Strategy.sampled(np.full(16, 1e160), Grid(0.0, 1.5, 16))
+
+
+def test_a_table_far_from_0_for_its_spacing_is_refused():
+    # the default grid's nodes round by 1.6e-2 of their spacing at 1e12; the CDF read 0.8413440
+    with pytest.raises(ParameterRangeError, match="too far from 0"):
+        buy_probability(Strategy.gaussian(1e12, 1.0), 1e12 + 1.0)
+    assert buy_probability(Strategy.gaussian(1e6, 1.0), 1e6 + 1.0) == pytest.approx(PHI_1, abs=1e-9)
 
 
 def test_superpose_requires_matching_rep():
@@ -418,9 +474,9 @@ def test_a_table_at_length_scales_of_1e100_and_1e_minus_100_has_unit_mass(hbar_e
 
 
 def test_a_sampled_density_past_the_doubles_is_refused_without_a_warning():
-    # |psi|^2 = 1e400 overflows: the spline's integral is refused, and the
-    # square itself warns of nothing (RuntimeWarning is an error in this suite)
-    s = Strategy.sampled(np.full(64, 1e200), Grid(-1e300, 1e300, 64))
+    # |psi|^2 = 1e300 over a width of 2e300 integrates past the doubles: the
+    # integral is refused, and nothing warns (RuntimeWarning is an error in this suite)
+    s = Strategy.sampled(np.full(64, 1e150), Grid(-1e300, 1e300, 64))
     with pytest.raises(ParameterRangeError, match="no finite integral"):
         s.table
 
