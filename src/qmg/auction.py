@@ -23,7 +23,7 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import BLOCK, RandomSource, check_count, exact_sum
+from .numerics import BLOCK, RandomSource, check_count, check_positive, exact_sum
 from .strategy import (
     DiscreteForm,
     GaussianForm,
@@ -421,8 +421,7 @@ def vickrey_truthfulness_check(
     density) are refused: the property is only claimed for positive
     measures.
     """
-    if not (valuation > 0 and math.isfinite(valuation)):
-        raise ParameterRangeError(f"valuation must be positive and finite, got {valuation}")
+    check_positive(valuation, "valuation")
     check_count(mc_samples, "mc_samples", 1)
     bids = tuple(float(b) for b in bid_grid)
     if len(bids) < 1 or not all(0 < b < math.inf for b in bids):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ParameterRangeError
-from .numerics import RandomSource, as_generator, check_count, find_root
+from .numerics import RandomSource, as_generator, check_count, check_positive, find_root
 from .strategy import (
     MarketState,
     Representation,
@@ -173,8 +173,7 @@ def profit_intensity(a: float | np.ndarray, rw_sigma: float = 1.0):
     The supply-side game is the mirror image, so the same function (and
     fixed point) applies to threshold strategies in p.
     """
-    if not 0 < rw_sigma < math.inf:
-        raise ParameterRangeError(f"rw_sigma must be positive and finite, got {rw_sigma}")
+    check_positive(rw_sigma, "rw_sigma")
     u = np.asarray(a, dtype=float) / rw_sigma
     if not np.all(np.isfinite(u)):
         raise ParameterRangeError("threshold a must be finite")
@@ -190,8 +189,7 @@ def profit_intensity(a: float | np.ndarray, rw_sigma: float = 1.0):
 
 def fixed_point(rw_sigma: float = 1.0) -> float:
     """Solve rho(a) = a on (0, 5 sigma) by bisection, rho the :func:`profit_intensity`."""
-    if not (math.isfinite(rw_sigma) and rw_sigma > 0):
-        raise ParameterRangeError(f"rw_sigma must be positive and finite, got {rw_sigma}")
+    check_positive(rw_sigma, "rw_sigma")
     if not math.isfinite(5.0 * rw_sigma):
         raise ParameterRangeError(f"rw_sigma {rw_sigma!r} is too large: 5 sigma overflows")
     return find_root(
@@ -228,8 +226,7 @@ def cooling_experiment(sigmas: Sequence[float]) -> list[CoolingRow]:
 
 def market_temperature(beta: float, risk: RiskParams) -> tuple[float, float]:
     """Temperature T = 1/beta and the mean thermal risk at that beta."""
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
+    check_positive(beta, "beta")
     return 1.0 / beta, thermal_energy(beta, risk)
 
 

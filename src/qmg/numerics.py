@@ -37,6 +37,13 @@ def check_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def check_positive(value, name: str) -> float:
+    """``value`` as a float, refused with ParameterRangeError unless it is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ParameterRangeError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``n`` points spanning ``[lo, hi]`` inclusive."""
@@ -62,9 +69,6 @@ class Grid:
         pts.setflags(write=False)
         return pts
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 # the pole of the cubic B-spline prefilter; |z|^32 < 1e-18, so 65 taps of its
 # impulse response sqrt(3) z^|k| invert (c[j-1] + 4 c[j] + c[j+1]) / 6 in doubles
@@ -79,6 +83,15 @@ _NODE_ROUNDING = 2.0 ** -22
 # four-point Gauss-Legendre on [0, 1]: positive weights, exact through degree 7
 _GAUSS_NODES = np.array([0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262])
 _GAUSS_WEIGHTS = np.array([0.17392742256872679, 0.3260725774312732, 0.3260725774312732, 0.17392742256872679])
+
+
+def check_nodes(grid: Grid) -> None:
+    """Refuse a grid whose nodes coincide or round by over 2^-22 of their spacing (ParameterRangeError)."""
+    ulp = np.spacing(max(abs(grid.lo), abs(grid.hi)))
+    if not ulp <= _NODE_ROUNDING * np.min(np.diff(grid.points)):  # a coincidence too
+        raise ParameterRangeError(
+            f"the nodes of the grid over [{grid.lo}, {grid.hi}] round by {ulp:.3g}, past 2^-22 of their"
+            f" spacing {grid.spacing:.3g}, or coincide in double precision: the grid is too far from 0")
 
 
 class Spline:
@@ -96,11 +109,7 @@ class Spline:
     """
 
     def __init__(self, grid: Grid, values: np.ndarray) -> None:
-        ulp = np.spacing(max(abs(grid.lo), abs(grid.hi)))
-        if not ulp <= _NODE_ROUNDING * np.min(np.diff(grid.points)):  # a coincidence too
-            raise ParameterRangeError(
-                f"the nodes of the grid over [{grid.lo}, {grid.hi}] round by {ulp:.3g}, past 2^-22 of their"
-                f" spacing {grid.spacing:.3g}, or coincide in double precision: the grid is too far from 0")
+        check_nodes(grid)
         v = np.asarray(values)
         n = grid.n
         self.grid = grid
@@ -250,16 +259,14 @@ def reciprocal_grid(grid: Grid, hbar: float = 1.0) -> Grid:
     The zero frequency sits at index n // 2, so symmetric grids map to
     near-symmetric reciprocal grids.
     """
-    if hbar <= 0:
-        raise ParameterRangeError(f"hbar must be positive, got {hbar}")
+    check_positive(hbar, "hbar")
     dp = TWO_PI * hbar / (grid.n * grid.spacing)
     half = grid.n // 2
     return Grid(-half * dp, (grid.n - 1 - half) * dp, grid.n)
 
 
 def _checked_amplitudes(amplitudes, grid: Grid, hbar: float) -> np.ndarray:
-    if hbar <= 0:
-        raise ParameterRangeError(f"hbar must be positive, got {hbar}")
+    check_positive(hbar, "hbar")
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (grid.n,):
         raise ContractViolationError(
@@ -329,8 +336,7 @@ def find_root(
     Deterministic: equal inputs give bit-identical output.  Raises
     BracketingError when f does not change sign across the bracket.
     """
-    if tol <= 0:
-        raise ParameterRangeError(f"tol must be positive, got {tol}")
+    check_positive(tol, "tol")
     a, b = float(bracket[0]), float(bracket[1])
     if a > b:
         a, b = b, a

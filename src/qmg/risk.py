@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ImproperStateError, ParameterRangeError
-from .numerics import check_count
+from .numerics import check_count, check_positive
 from .strategy import (
     Representation,
     RiskParams,
@@ -99,8 +99,7 @@ def thermal_energy(beta: float, risk: RiskParams) -> float:
     temperature limit is the ground energy.  A beta so small that the
     energy overflows a double is refused.
     """
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
+    check_positive(beta, "beta")
     half_gap = 0.5 * risk.hbar_eff * risk.omega
     t = math.tanh(beta * half_gap)
     energy = half_gap / t if t > 0 else math.inf

@@ -42,6 +42,8 @@ from .numerics import (
     SquaredModulus,
     as_generator,
     check_count,
+    check_nodes,
+    check_positive,
     fourier_p_to_q,
     fourier_q_to_p,
     integrate,
@@ -282,8 +284,7 @@ def _hermite_ladder(u: np.ndarray, phi0: np.ndarray) -> Iterator[np.ndarray]:
 def hermite_function(n: int, x: np.ndarray, length_scale: float = 1.0) -> np.ndarray:
     """Orthonormal oscillator eigenfunction of order n at u = x / length_scale."""
     check_count(n, "order n", 0)
-    if not (length_scale > 0 and math.isfinite(length_scale)):
-        raise ParameterRangeError(f"length_scale must be positive and finite, got {length_scale}")
+    check_positive(length_scale, "length_scale")
     with np.errstate(over="ignore"):  # past |u| = 1e150 every level is 0 in doubles
         u = np.clip(np.asarray(x, dtype=float) / length_scale, -1e150, 1e150)
     ladder = _hermite_ladder(u, math.pi ** (-0.25) * np.exp(-0.5 * u * u))
@@ -433,24 +434,39 @@ class Strategy:
 class DistributionTable:
     """Squared-modulus distribution of a proper strategy, tabulated once.
 
-    A sampled strategy's density is |spline|^2 of its one spline; other
-    forms take a :class:`Spline` through |psi|^2 at the default grid's
-    nodes, whose CDF error stays O(dx^4) between them.  The CDF at the
-    nodes is made non-decreasing so that it inverts into quantiles.
+    ``density`` is |psi|^2 at the default grid's nodes, the one evaluation
+    of the strategy that :func:`moments` and :func:`norm` read too.  A
+    grid the spline would refuse, and a density without a finite positive
+    sum, are refused here; the spline itself is built on first use.
+    A sampled strategy's density between nodes is |spline|^2 of its one
+    spline; other forms take a :class:`Spline` through ``density``, whose
+    CDF error stays O(dx^4) between the nodes.  The CDF at the nodes is
+    made non-decreasing so that it inverts into quantiles.
     """
 
     def __init__(self, s: Strategy) -> None:
-        self.grid = s.default_grid()
-        if isinstance(s.form, SampledForm):
-            self._spline = SquaredModulus(s.form._spline)
-        else:
-            with np.errstate(over="ignore"):  # a square past the doubles: the spline refuses its integral
-                self._spline = Spline(self.grid, np.abs(s.amplitudes_on(self.grid)) ** 2)
-        cum = self._spline.cumulative
-        self._mass = float(cum[-1])
-        if not self._mass > 0:
+        self.grid = g = s.default_grid()
+        check_nodes(g)
+        self._sampled = s.form._spline if isinstance(s.form, SampledForm) else None
+        with np.errstate(over="ignore"):  # a square or an integral past the doubles is refused below
+            self.density = np.abs(s.amplitudes_on(g)) ** 2
+            total = float(self.density.sum()) * g.spacing
+        if not math.isfinite(total):
+            raise ParameterRangeError(f"|psi|^2 over [{g.lo}, {g.hi}] has no finite integral in double precision")
+        if not total > 0:
             raise DegenerateStateError("strategy has zero norm")
-        self._cdf_nodes = np.maximum.accumulate(np.clip(cum / self._mass, 0.0, 1.0))
+
+    @cached_property
+    def _spline(self) -> Spline:
+        return Spline(self.grid, self.density) if self._sampled is None else SquaredModulus(self._sampled)
+
+    @cached_property
+    def _mass(self) -> float:  # positive where ``total`` is: both splines weight every node positively
+        return float(self._spline.cumulative[-1])
+
+    @cached_property
+    def _cdf_nodes(self) -> np.ndarray:
+        return np.maximum.accumulate(np.clip(self._spline.cumulative / self._mass, 0.0, 1.0))
 
     def _clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.grid.lo, self.grid.hi)
@@ -579,14 +595,10 @@ def _evaluate(form: Form, x: np.ndarray) -> np.ndarray:
 
 
 def norm(s: Strategy) -> float:
-    """L2 norm: a sampled strategy's table mass, else trapezoids on the default grid."""
+    """L2 norm: the root of the strategy's table mass."""
     if s.is_improper:
         raise ImproperStateError("improper strategies have no finite norm")
-    if isinstance(s.form, SampledForm):
-        return math.sqrt(s.table._mass)
-    g = s.default_grid()
-    amps = s.amplitudes_on(g)
-    return math.sqrt(max(float(integrate(np.abs(amps) ** 2, g)), 0.0))
+    return math.sqrt(s.table._mass)
 
 
 def normalize(s: Strategy) -> Strategy:
@@ -600,9 +612,7 @@ def normalize(s: Strategy) -> Strategy:
         raise ImproperStateError("delta and discrete strategies cannot be normalized")
     if isinstance(s.form, (GaussianForm, HermiteForm)):
         return s
-    nrm = norm(s)
-    if nrm < 1e-300:
-        raise DegenerateStateError("strategy has zero norm")
+    nrm = norm(s)  # a zero norm is refused by the table
     if abs(nrm - 1.0) <= 1e-14:
         return s
     if isinstance(s.form, SuperposedForm):
@@ -702,11 +712,10 @@ def sell_probability(
 
 
 def moments(s: Strategy) -> tuple[float, float]:
-    """Mean and standard deviation of the squared-modulus distribution."""
+    """Mean and standard deviation of |psi|^2, by trapezoids over the table's nodes."""
     if s.is_improper:
         raise ImproperStateError("improper strategies have no quadrature moments")
-    g = s.default_grid()
-    mean, var = _density_moments(np.abs(s.amplitudes_on(g)) ** 2, g)
+    mean, var = _density_moments(s.table.density, s.table.grid)
     return mean, math.sqrt(max(var, 0.0))
 
 

@@ -28,13 +28,13 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import TWO_PI, Grid, Spline, check_count
+from .numerics import TWO_PI, Grid, Spline, check_count, check_positive
 from .strategy import (
-    GaussianForm,
     HermiteForm,
     Representation,
     RiskParams,
     Strategy,
+    _SUPPORT_SIGMAS,
     _density_moments,
     _sample_spacing,
     _slope_bound,
@@ -45,6 +45,8 @@ from .strategy import (
 EXCITED_MAX_LEVEL = 512
 # most psi points wigner_transform evaluates: 32 MB of amplitudes
 _PSI_POINTS_MAX = 2**21
+# points on each axis of a default density grid
+_DENSITY_GRID_N = 241
 
 
 @dataclass(frozen=True)
@@ -60,56 +62,34 @@ class DensityMoments:
 class PhaseSpaceDensity:
     """Quasi-probability density W(p, q) tabulated on a grid pair.
 
-    ``values[i, j]`` is W at (p_grid.points[i], q_grid.points[j]).
-    ``kind`` records whether the density came from a single state or a
-    statistical mixture.
+    ``values[i, j]`` is W at (p_grid.points[i], q_grid.points[j]).  The
+    values are held read-only in C order: a read-only C-order float array
+    that owns its memory is taken over as it is, and its owner must not
+    make it writeable and write to it again; anything else is copied.
     """
 
     values: np.ndarray
     p_grid: Grid
     q_grid: Grid
     hbar: float
-    kind: str = "pure"
 
     def __post_init__(self) -> None:
-        # a C-order copy: the caller keeps its own array
-        self._seal(np.array(self.values, dtype=float, order="C"))
-
-    @classmethod
-    def _adopt(
-        cls, values: np.ndarray, p_grid: Grid, q_grid: Grid, hbar: float, kind: str = "pure"
-    ) -> PhaseSpaceDensity:
-        """A density that takes over ``values`` without a copy.
-
-        For a fresh C-order float array that nothing else holds; the
-        checks are the constructor's, and the array becomes read-only.
-        """
-        d = cls.__new__(cls)
-        for name, v in (("p_grid", p_grid), ("q_grid", q_grid), ("hbar", hbar), ("kind", kind)):
-            object.__setattr__(d, name, v)
-        d._seal(values)
-        return d
-
-    def _seal(self, vals: np.ndarray) -> None:
+        vals = self.values
+        if not (type(vals) is np.ndarray and vals.dtype == float and vals.flags.c_contiguous
+                and vals.flags.owndata and not vals.flags.writeable):
+            vals = np.array(vals, dtype=float, order="C")  # the caller keeps its own array
+            vals.setflags(write=False)
         if vals.shape != (self.p_grid.n, self.q_grid.n):
             raise ContractViolationError(
                 f"values shape {vals.shape} does not match grids "
                 f"({self.p_grid.n}, {self.q_grid.n})"
             )
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ParameterRangeError(f"hbar must be positive and finite, got {self.hbar}")
-        if self.kind not in ("pure", "mixture"):
-            raise ContractViolationError(f"kind must be pure or mixture, got {self.kind!r}")
-        vals.setflags(write=False)
+        check_positive(self.hbar, "hbar")
         object.__setattr__(self, "values", vals)
 
     def mass(self) -> float:
-        return float(
-            np.trapezoid(
-                np.trapezoid(self.values, dx=self.q_grid.spacing, axis=1),
-                dx=self.p_grid.spacing,
-            )
-        )
+        """Integral W dp dq: the p marginal's integral."""
+        return float(np.trapezoid(self.marginal_p(), dx=self.p_grid.spacing))
 
     def marginal_q(self) -> np.ndarray:
         """Demand-side price density, Integral W dp."""
@@ -120,10 +100,7 @@ class PhaseSpaceDensity:
         return np.trapezoid(self.values, dx=self.q_grid.spacing, axis=1)
 
     def _marginals(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Both marginals and the mass, refused when the mass vanishes.
-
-        The mass is the p marginal's integral: the same bits as mass().
-        """
+        """Both marginals and the mass (the same bits as mass()), refused when the mass vanishes."""
         marginal_p = self.marginal_p()
         total = float(np.trapezoid(marginal_p, dx=self.p_grid.spacing))
         if abs(total) < 1e-12:
@@ -172,9 +149,7 @@ class PhaseSpaceDensity:
 
 def _resolve_hbar(s: Strategy, hbar: float | None) -> float:
     if hbar is not None:
-        if not (hbar > 0 and math.isfinite(hbar)):
-            raise ParameterRangeError(f"hbar must be positive and finite, got {hbar}")
-        return float(hbar)
+        return check_positive(hbar, "hbar")
     if isinstance(s.form, HermiteForm):
         return s.form.risk.hbar_eff
     return 1.0
@@ -250,14 +225,12 @@ def wigner_transform(
         raise ImproperStateError("point strategies have no Wigner density")
     hb = _resolve_hbar(s, hbar)
     if q_grid is None:
-        lo, hi = s.support_bounds()
-        q_grid = Grid(lo, hi, 241)
+        q_grid = Grid(*s.support_bounds(), _DENSITY_GRID_N)
     if p_grid is None:
         if s.rep is not Representation.DEMAND:
             raise RepresentationError("the default p-grid needs a demand-representation strategy")
         pm, ps = strategy_moments(s.dual(_wigner_risk(hb)))
-        span = max(8.0 * ps, 1e-6)
-        p_grid = Grid(pm - span, pm + span, 241)
+        p_grid = _default_grid(pm, max(ps, 1.25e-7))  # a span of at least 1e-6
 
     h, nq, n_p = q_grid.spacing, q_grid.n, p_grid.n
     r = _chord_ratio(s, p_grid, q_grid, hb)
@@ -319,7 +292,14 @@ def wigner_transform(
         head *= post
         values[:, j0:j1:2] = head.real.T
         values[:, j0 + 1 : j1 : 2] = head.imag[:n_b].T
-    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="pure")
+    values.setflags(write=False)
+    return PhaseSpaceDensity(values, p_grid, q_grid, hb)
+
+
+def _default_grid(centre: float, sigma: float) -> Grid:
+    """A density's default axis: 241 points over centre +- 8 sigma."""
+    half = _SUPPORT_SIGMAS * sigma
+    return Grid(centre - half, centre + half, _DENSITY_GRID_N)
 
 
 def _wigner_risk(hbar: float) -> RiskParams:
@@ -348,8 +328,7 @@ class CoherentParams:
     def __post_init__(self) -> None:
         if not (-1.0 <= self.r <= 1.0):
             raise ParameterRangeError(f"correlation must lie in [-1, 1], got {self.r}")
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ParameterRangeError(f"eta must be positive and finite, got {self.eta}")
+        check_positive(self.eta, "eta")
         if not (math.isfinite(self.p0) and math.isfinite(self.q0)):
             raise ParameterRangeError(f"center ({self.p0}, {self.q0}) must be finite")
 
@@ -373,23 +352,21 @@ def coherent_wigner(
     saturating Delta_p Delta_q sqrt(1 - r^2) = hbar / 2.  The + sign on
     the cross term makes the measured p-q correlation equal -r.
     """
-    if hbar <= 0:
-        raise ParameterRangeError(f"hbar must be positive, got {hbar}")
+    check_positive(hbar, "hbar")
     if abs(params.r) == 1.0:
         raise DegenerateDensityError("|r| = 1 collapses the density to a line")
     dp_w = params.delta_p(hbar)
     dq_w = params.delta_q()
-    if q_grid is None:
-        q_grid = Grid(params.q0 - 8 * dq_w, params.q0 + 8 * dq_w, 241)
-    if p_grid is None:
-        p_grid = Grid(params.p0 - 8 * dp_w, params.p0 + 8 * dp_w, 241)
+    q_grid = q_grid or _default_grid(params.q0, dq_w)
+    p_grid = p_grid or _default_grid(params.p0, dp_w)
     u = (p_grid.points[:, None] - params.p0) / dp_w
     v = (q_grid.points[None, :] - params.q0) / dq_w
     one_m = 1.0 - params.r * params.r
     # det check: (Delta_p Delta_q)^2 (1 - r^2) = hbar^2/4, so the peak is 1/(pi hbar)
     quad = (u * u + 2.0 * params.r * u * v + v * v) / (2.0 * one_m)
     values = np.exp(-quad) / (TWO_PI * dp_w * dq_w * math.sqrt(one_m))
-    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hbar, kind="pure")
+    values.setflags(write=False)
+    return PhaseSpaceDensity(values, p_grid, q_grid, hbar)
 
 
 def _laguerre_ladder(z: np.ndarray) -> Iterator[np.ndarray]:
@@ -463,12 +440,15 @@ def _oscillator_h(
 
 
 def _spread(values: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """A fresh C-order array of ``values`` gathered row by row, then column by column.
+    """A fresh read-only C-order array of ``values`` gathered row by row, then column by column,
+    for a density to take over.
 
     Two ``take`` calls: at 241² about a third of the time of one ``np.ix_`` gather.
     """
     p_at, q_at = index
-    return values.take(p_at, axis=0).take(q_at, axis=1)
+    out = values.take(p_at, axis=0).take(q_at, axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def _oscillator_grids(
@@ -477,11 +457,7 @@ def _oscillator_grids(
     hb = risk.hbar_eff
     sq = math.sqrt((n_level + 0.5) * hb / (risk.m * risk.omega))
     sp = math.sqrt((n_level + 0.5) * hb * risk.m * risk.omega)
-    if q_grid is None:
-        q_grid = Grid(-8 * sq, 8 * sq, 241)
-    if p_grid is None:
-        p_grid = Grid(-8 * sp, 8 * sp, 241)
-    return p_grid, q_grid
+    return p_grid or _default_grid(0.0, sp), q_grid or _default_grid(0.0, sq)
 
 
 def excited_wigner(
@@ -510,7 +486,7 @@ def excited_wigner(
     h, index = _oscillator_h(p_grid, q_grid, risk)
     level_n = next(itertools.islice(_laguerre_ladder(4.0 * h / (hb * risk.omega)), n, None))
     values = _spread((-1.0) ** n / (math.pi * hb) * level_n, index)
-    return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="pure")
+    return PhaseSpaceDensity(values, p_grid, q_grid, hb)
 
 
 def thermal_wigner(
@@ -534,8 +510,7 @@ def thermal_wigner(
     in q.  A beta so small that the thermal spread overflows, or a grid on
     which H overflows, raises ParameterRangeError.
     """
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ParameterRangeError(f"beta must be positive and finite, got {beta}")
+    check_positive(beta, "beta")
     if mode not in ("closed", "series"):
         raise ContractViolationError(f"mode must be closed or series, got {mode!r}")
     hb = risk.hbar_eff
@@ -549,8 +524,7 @@ def thermal_wigner(
     p_grid, q_grid = _oscillator_grids(level + 0.5, risk, p_grid, q_grid)
     h, index = _oscillator_h(p_grid, q_grid, risk)
     if mode == "closed":
-        values = _spread((risk.omega / TWO_PI) * x * np.exp(-x * h), index)
-        return PhaseSpaceDensity._adopt(values, p_grid, q_grid, hb, kind="mixture")
+        return PhaseSpaceDensity(_spread((risk.omega / TWO_PI) * x * np.exp(-x * h), index), p_grid, q_grid, hb)
     check_count(series_terms, "series_terms", 1)
     s = math.exp(-beta * hb * risk.omega)
     total = np.zeros_like(h)
@@ -559,7 +533,7 @@ def thermal_wigner(
         weight = (1.0 - s) * s**k  # Gibbs weight of level k
         np.multiply(weight * ((-1.0) ** k / (math.pi * hb)), level, out=term)
         total += term
-    return PhaseSpaceDensity._adopt(_spread(total, index), p_grid, q_grid, hb, kind="mixture")
+    return PhaseSpaceDensity(_spread(total, index), p_grid, q_grid, hb)
 
 
 # ---------------------------------------------------------------------------

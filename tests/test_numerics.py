@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from qmg import numerics
+from qmg import CoherentParams, coherent_wigner, numerics
 from qmg.errors import BracketingError, ContractViolationError, ParameterRangeError
 from qmg.numerics import (
     Grid,
@@ -21,11 +21,32 @@ from qmg.numerics import (
 )
 
 
+NAN, INF = math.nan, math.inf
+G64 = Grid(-4.0, 4.0, 64)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("hbar", lambda v: reciprocal_grid(G64, v), id="reciprocal_grid"),
+        pytest.param("hbar", lambda v: fourier_q_to_p(np.ones(64), G64, v), id="fourier_q_to_p"),
+        pytest.param(
+            "hbar", lambda v: fourier_p_to_q(np.ones(64), G64, v, grid_q=reciprocal_grid(G64)), id="fourier_p_to_q"
+        ),
+        pytest.param("hbar", lambda v: coherent_wigner(CoherentParams(0.2, 1.0), hbar=v), id="coherent_wigner"),
+        pytest.param("tol", lambda v: find_root(lambda x: x - 1.0, (0.0, 2.0), tol=v), id="find_root"),
+    ],
+)
+def test_a_non_finite_or_non_positive_scale_is_refused_by_name(name, call, bad):
+    with pytest.raises(ParameterRangeError, match=f"^{name} must be positive and finite"):
+        call(bad)
+
+
 def test_grid_basics():
     g = Grid(-2.0, 3.0, 11)
     assert g.spacing == pytest.approx(0.5)
     assert g.points[0] == -2.0 and g.points[-1] == 3.0
-    assert g.contains(0.0) and not g.contains(3.5)
     assert Grid(-2.0, 3.0, np.int64(11)).points.size == 11  # numpy integers are counts too
 
 

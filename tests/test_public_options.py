@@ -25,7 +25,6 @@ OPTIONS = {
     "to_demand_rep": ("risk",),
     "to_supply_rep": ("risk",),
     "parse_strategy": ("rep", "base_dir", "risk"),
-    "PhaseSpaceDensity": ("kind",),
     "CoherentParams": ("p0", "q0"),
     "wigner_transform": ("p_grid", "q_grid", "hbar"),
     "coherent_wigner": ("hbar", "p_grid", "q_grid"),
@@ -55,4 +54,4 @@ def test_the_public_options_are_the_listed_ones():
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, (enum.Enum, BaseException)))
     }
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 48
+    assert sum(map(len, OPTIONS.values())) == 47

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmg.errors import (
@@ -224,6 +224,47 @@ def test_a_sampled_density_is_the_squared_modulus_of_its_amplitudes(s, offset):
 def test_a_sampled_norm_is_the_root_of_its_table_mass(s):
     assert norm(s) ** 2 == pytest.approx(s.table._mass, rel=1e-14)
     assert norm(normalize(s)) == pytest.approx(1.0, abs=1e-14)
+
+
+@given(s=st.one_of(_CONTINUOUS, _superposed_of(_GAUSSIAN, _HERMITE, _sampled()), _sampled()))
+@example(s=Strategy.gaussian(0.3, 0.8, 1.5))
+def test_the_norm_of_every_form_is_the_root_of_its_table_mass(s):
+    assert norm(s) == math.sqrt(s.table._mass)
+
+
+def test_norm_and_moments_refuse_a_table_that_the_cdf_refuses():
+    # the 2048 nodes over 1e10 +- 8 round by more than 2^-22 of their spacing
+    s = Strategy.gaussian(1e10, 1.0)
+    for read in (norm, moments, lambda s: s.cdf(1e10)):
+        with pytest.raises(ParameterRangeError, match="too far from 0"):
+            read(s)
+
+
+def test_norm_moments_and_cdf_evaluate_the_strategy_once(monkeypatch):
+    points = []
+    evaluate = Strategy.evaluate
+    monkeypatch.setattr(Strategy, "evaluate", lambda s, x: points.append(np.size(x)) or evaluate(s, x))
+    s = Strategy.superpose([Strategy.hermite(k) for k in range(4)], [1.0, 0.5j, -0.3, 0.2])
+    norm(s), moments(s), s.cdf(np.linspace(-3.0, 3.0, 7))
+    assert points == [2048]
+
+
+def test_moments_build_no_spline_and_norm_builds_one(monkeypatch):
+    import qmg.strategy as strategy_module
+
+    built = []
+
+    class CountingSpline(strategy_module.Spline):
+        def __init__(self, grid, values):
+            built.append(grid.n)
+            super().__init__(grid, values)
+
+    monkeypatch.setattr(strategy_module, "Spline", CountingSpline)
+    s = Strategy.superpose([Strategy.hermite(k) for k in range(4)], [1.0, 0.5j, -0.3, 0.2])
+    moments(s)
+    assert built == []
+    norm(s), s.cdf(0.0)
+    assert built == [2048]
 
 
 @given(c=st.floats(-200.0, 200.0), k=st.floats(-50.0, 50.0))

@@ -143,7 +143,6 @@ def test_thermal_low_temperature_is_ground_state():
 
 def test_thermal_is_positive_mixture():
     d = thermal_wigner(1.3, UNIT_RISK)
-    assert d.kind == "mixture"
     assert not is_giffen(d)
     assert d.mass() == pytest.approx(1.0, abs=1e-6)
 
@@ -235,7 +234,7 @@ def test_density_csv_bytes_match_the_row_by_row_writer(tmp_path):
 
 def test_moments_reject_zero_mass():
     g = Grid(-1, 1, 16)
-    d = PhaseSpaceDensity(np.zeros((16, 16)), g, g, 1.0, kind="pure")
+    d = PhaseSpaceDensity(np.zeros((16, 16)), g, g, 1.0)
     with pytest.raises(DegenerateDensityError):
         d.moments()
 
@@ -681,6 +680,10 @@ def test_densities_take_over_a_fresh_array_and_the_constructor_copies():
         assert d.values.flags.c_contiguous and not d.values.flags.writeable
         assert np.array_equal(d.values, given)
     assert arr.flags.writeable
+    # a read-only array that owns its memory is taken over as it is
+    frozen = arr.copy()
+    frozen.setflags(write=False)
+    assert PhaseSpaceDensity(frozen, g, g, 1.0).values is frozen
 
 
 @pytest.mark.parametrize("label", sorted(PHASE_SPACE_CASES))

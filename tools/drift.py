@@ -2,14 +2,16 @@
 
 Runs one fixed deck of scenarios, every kind once with analytic
 strategies and curves, zeno, clearing and auction once more with an
-off-centre sampled table, under each revision, then prints for every
-output file "identical" or the largest absolute difference between the
-two runs' numbers.
+off-centre sampled table, and zeno once more from a superposition of two
+Gaussians (off the risk basis, so its coefficients come from quadrature),
+under each revision, then prints for every output file "identical" or the
+largest absolute difference between the two runs' numbers.
 
     python3 tools/drift.py [BASE] [HEAD] [--seed N] [--keep DIR]
 
 A revision is anything ``git archive`` takes, or "." for the working
-tree; BASE defaults to HEAD and HEAD to ".".  ``tools/drift.py . .``
+tree, whose files are copied as they are on disk; BASE defaults to HEAD
+and HEAD to ".".  ``tools/drift.py . .``
 checks that a rerun with the same seed is identical.  Exits 1 when a
 scenario fails on either side.
 """
@@ -43,6 +45,9 @@ DECK = {
     "curves-sampled": ("curves", {"family": "strategy", "strategy": SAMPLED}),
     "zeno": ("zeno", {"initial": ["hermite(0)", "hermite(1)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
     "zeno-sampled": ("zeno", {"initial": SAMPLED, "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
+    "zeno-gaussians": ("zeno", {
+        "initial": ["gaussian(-1, 0.7, 0.4)", "gaussian(1.2, 0.9)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100],
+    }),
     "clearing": ("clearing", {"traders": ["gaussian(0, 1)", "gaussian(0.5, 0.8, 0.3)", "hermite(2)"], "rounds": 20}),
     "clearing-sampled": ("clearing", {
         "traders": [SAMPLED, {"strategy": SAMPLED, "rep": "supply"}, "gaussian(0, 1)"], "rounds": 20,
@@ -77,11 +82,22 @@ def write_deck(directory: Path) -> None:
         (directory / f"{name}.json").write_text(json.dumps({"kind": kind, "parameters": params}))
 
 
-def source_tree(rev: str, dest: Path) -> Path:
-    """The tree holding ``src/qmg`` at ``rev``: the working tree for ".", else an extracted archive."""
+def source_tree(rev: str, dest: Path, paths: tuple[str, ...] = ("src",)) -> Path:
+    """``paths`` of ``rev`` extracted under ``dest``: the working tree's copy for ".", else ``git archive``'s.
+
+    The working tree's copy holds the files git tracks or would track, as they are on disk.
+    """
     if rev == ".":
-        return ROOT
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], check=True, capture_output=True).stdout
+        listed = subprocess.run(
+            ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard", "--", *paths],
+            check=True, capture_output=True, text=True,
+        ).stdout
+        for name in filter(None, listed.split("\0")):
+            if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
+                (dest / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, dest / name)
+        return dest
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *paths], check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return dest
@@ -145,6 +161,27 @@ def compare(a: Path, b: Path) -> str:
     return f"largest absolute difference {largest:.3g}"
 
 
+def drift(base: Path, head: Path, seed: int, work: Path) -> tuple[bool, dict[str, str]]:
+    """Run the deck under ``work`` from two extracted trees (see ``source_tree``):
+    whether every scenario ran on both sides, and per output file of the base
+    side "identical" or how it differs."""
+    deck = work / "deck"
+    deck.mkdir(parents=True, exist_ok=True)
+    write_deck(deck)
+    outs, ok = [], True
+    for side, tree in (("base", base), ("head", head)):
+        out = work / f"out-{side}"
+        shutil.rmtree(out, ignore_errors=True)
+        ok &= run_side(tree, deck, out, seed)
+        outs.append(out)
+    found = {}
+    for name in DECK:
+        for path in sorted((outs[0] / name).glob("*")):
+            if path.name != "manifest.json":  # names versions, not results
+                found[f"{name}/{path.name}"] = compare(path, outs[1] / name / path.name)
+    return ok, found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", nargs="?", default="HEAD", help='git revision, or "." for the working tree')
@@ -154,20 +191,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     work = Path(args.keep) if args.keep else Path(tempfile.mkdtemp(prefix="qmg-drift-"))
     try:
-        deck = work / "deck"
-        deck.mkdir(parents=True, exist_ok=True)
-        write_deck(deck)
-        outs, ok = [], True
+        trees = []
         for side, rev in (("base", args.base), ("head", args.head)):
-            out = work / f"out-{side}"
-            shutil.rmtree(out, ignore_errors=True)
-            ok &= run_side(source_tree(rev, work / f"tree-{side}"), deck, out, args.seed)
-            outs.append(out)
+            shutil.rmtree(work / f"tree-{side}", ignore_errors=True)
+            trees.append(source_tree(rev, work / f"tree-{side}"))
+        ok, found = drift(*trees, args.seed, work)
         print(f"drift of {args.head} against {args.base}, seed {args.seed}")
-        for name in DECK:
-            for path in sorted((outs[0] / name).glob("*")):
-                if path.name != "manifest.json":  # names versions, not results
-                    print(f"  {name}/{path.name}: {compare(path, outs[1] / name / path.name)}")
+        for output, result in found.items():
+            print(f"  {output}: {result}")
         return 0 if ok else 1
     finally:
         if not args.keep:
