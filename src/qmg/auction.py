@@ -212,9 +212,9 @@ class AuctionOutcome:
 def _draws(
     buyers: Sequence[Strategy], seller: Strategy, rng: RandomSource, m: int, risk: RiskParams
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each buyer's q as one row of ``m`` draws, then the seller's p, from a
-    fresh generator per call: a run is idempotent for its seed."""
-    gen = RandomSource(rng.seed, rng.stream).rng
+    """Each buyer's q as one row of ``m`` draws, then the seller's p, from
+    the seed's stream read afresh: a run is idempotent for its seed."""
+    gen = rng.rng
     rows = [sample_strategy(b, gen, m, rep=Representation.DEMAND, risk=risk) for b in buyers]
     p = sample_strategy(seller, gen, m, rep=Representation.SUPPLY, risk=risk)
     return rows, p
@@ -260,15 +260,15 @@ def _forget(ref: weakref.ref) -> None:
 def _order_statistics(inst: AuctionInstance) -> tuple[np.ndarray, ...]:
     """``(q_min, winner, second, p)`` of the instance's draws, read-only.
 
-    The draws depend on the strategies, seed, stream, sample count and
-    risk, not on the pricing or weight, so every pricing of one auction's
-    inputs reads one draw set (common random numbers).  One slot holds the
+    The draws depend on the strategies, seed, sample count and risk, not
+    on the pricing or weight, so every pricing of one auction's inputs
+    reads one draw set (common random numbers).  One slot holds the
     last set; strategies are compared by identity, so equal but distinct
     ones draw afresh, and a collected strategy empties the slot.
     """
     global _slot
     parties = (*inst.buyers, inst.seller)
-    key = (inst.rng.seed, inst.rng.stream, inst.mc_samples, inst.risk)
+    key = (inst.rng, inst.mc_samples, inst.risk)
     held = _slot
     if (held is not None and held[1] == key and len(held[0]) == len(parties)
             and all(r() is s for r, s in zip(held[0], parties))):
@@ -405,7 +405,7 @@ def vickrey_truthfulness_check(
     bid_grid: Sequence[float],
     opponents: Sequence[Strategy],
     seller: Strategy,
-    rng: RandomSource | None = None,
+    rng: RandomSource = RandomSource(0),
     mc_samples: int = 200_000,
     risk: RiskParams = UNIT_RISK,
 ) -> TruthfulnessReport:
@@ -423,6 +423,8 @@ def vickrey_truthfulness_check(
     """
     check_positive(valuation, "valuation")
     check_count(mc_samples, "mc_samples", 1)
+    if not isinstance(rng, RandomSource):
+        raise ContractViolationError("rng must be a RandomSource")
     bids = tuple(float(b) for b in bid_grid)
     if len(bids) < 1 or not all(0 < b < math.inf for b in bids):
         raise ParameterRangeError("bid grid must contain positive finite prices")
@@ -443,8 +445,7 @@ def vickrey_truthfulness_check(
         ses = tuple(0.0 for _ in bids)
     else:
         payoffs, ses = _sample_payoffs(
-            valuation, bids, opponents, seller, rng or RandomSource(0),
-            mc_samples, risk,
+            valuation, bids, opponents, seller, rng, mc_samples, risk,
         )
 
     best = max(payoffs)

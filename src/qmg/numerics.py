@@ -1,5 +1,5 @@
 """Numerical substrate: grids, quadrature, the scaled Fourier pair, root
-finding, and reproducible random streams.
+finding, and seeds (``RandomSource``) that replay one random stream each.
 
 The Fourier convention is the symmetric one,
 
@@ -334,10 +334,13 @@ def find_root(
     """Bisection root of ``f`` inside ``bracket``.
 
     Deterministic: equal inputs give bit-identical output.  Raises
+    ParameterRangeError when a bracket end is not finite, and
     BracketingError when f does not change sign across the bracket.
     """
     check_positive(tol, "tol")
     a, b = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParameterRangeError(f"bracket ends must be finite, got [{a}, {b}]")
     if a > b:
         a, b = b, a
     if a == b:
@@ -368,34 +371,29 @@ def find_root(
     return 0.5 * (a + b)
 
 
+@dataclass(frozen=True)
 class RandomSource:
-    """Reproducible random stream keyed by ``(seed, stream)``.
+    """A seed: every read of ``rng`` replays the one PCG64 stream it keys.
 
-    Wraps a PCG64 generator seeded through SeedSequence spawn keys, so
-    distinct streams from one seed are statistically independent while
-    equal keys replay the identical sequence.
+    The generator comes from a SeedSequence with spawn key (0,), so equal
+    seeds draw identical sequences.  A call given a source starts that
+    stream afresh; pass the generator itself to continue one stream.
     """
 
-    def __init__(self, seed: int, stream: int = 0) -> None:
-        self.seed = check_count(seed, "seed", 0)
-        self.stream = check_count(stream, "stream", 0)
+    seed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
         if self.seed > 2**64 - 1:
-            raise ParameterRangeError(f"seed must fit in 64 unsigned bits, got {seed}")
-        self._rng: np.random.Generator | None = None
+            raise ParameterRangeError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
     @property
     def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-            self._rng = np.random.Generator(np.random.PCG64(seq))
-        return self._rng
-
-    def __repr__(self) -> str:
-        return f"RandomSource(seed={self.seed}, stream={self.stream})"
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(0,))))
 
 
 def as_generator(rand: "RandomSource | np.random.Generator") -> np.random.Generator:
-    """Accept either a RandomSource or a bare numpy Generator."""
+    """A RandomSource's stream from its start, or a numpy Generator as it stands."""
     if isinstance(rand, RandomSource):
         return rand.rng
     if isinstance(rand, np.random.Generator):

@@ -260,6 +260,8 @@ class SuperposedForm:
             raise ContractViolationError("superposition needs at least one part")
         if len(self.coefficients) != len(self.parts):
             raise ContractViolationError("coefficients and parts must pair up")
+        if not all(cmath.isfinite(c) for c in self.coefficients):
+            raise ParameterRangeError("superposition coefficients must be finite")
         if all(c == 0 for c in self.coefficients):
             raise DegenerateStateError("all superposition coefficients vanish")
 
@@ -861,6 +863,8 @@ def read_amplitude_csv(path: str | Path) -> tuple[np.ndarray, Grid]:
     except ValueError as exc:
         raise ContractViolationError(f"{path}: non-numeric cell ({exc})") from exc
     x = data[:, 0]
+    if not np.all(np.isfinite(x)):  # NaN passes both checks below
+        raise ContractViolationError(f"{path}: x column must be finite")
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ContractViolationError(f"{path}: x column must be strictly ascending")

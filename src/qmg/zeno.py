@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
+    DegenerateStateError,
     ParameterRangeError,
     TruncationError,
 )
@@ -115,13 +116,15 @@ def hermite_coefficients(
     size and shows up as a norm deficit, which is the point.
     """
     check_count(size, "size", 1)
-    s = normalize(s)
     exact = _exact_level_vector(s, risk)
-    if exact is not None:
+    if exact is not None:  # normalised here, by the levels' own norm
         out = np.zeros(max(size, len(exact)), dtype=complex)
         out[: len(exact)] = exact
         nrm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
+        if nrm == 0.0:
+            raise DegenerateStateError("strategy has zero norm")
         return out / nrm
+    s = normalize(s)
     scale = risk.length_scale
     grid = _projection_grid(s, scale, size)
     # trapezoid weights folded into the amplitudes once; one dot per level

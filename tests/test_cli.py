@@ -709,7 +709,8 @@ def test_a_strategy_too_far_from_0_for_its_grid_exits_3(tmp_path, capsys):
     (_table(f"{0.1 * k!r},1" for k in range(16)), "3 columns"),
     (_table(f"{-0.1 * k!r},1,0" for k in range(16)), "strictly ascending"),
     (SAMPLED_TABLES["uneven.csv"], "uniformly spaced"),
-], ids=["header", "rows", "cell", "columns", "ascending", "uniform"])
+    (_table(f"{'nan' if k == 5 else repr(0.1 * k)},1,0" for k in range(16)), "x column must be finite"),
+], ids=["header", "rows", "cell", "columns", "ascending", "uniform", "x-nan"])
 def test_a_malformed_amplitude_file_exits_3(tmp_path, capsys, text, reason):
     (tmp_path / "amp.csv").write_text(text)
     doc = {"kind": "zeno", "parameters": {"initial": "sampled(@amp.csv)", "total_time": 0.5, "n_values": [1]}}

@@ -12,7 +12,6 @@ import inspect
 import qmg
 
 OPTIONS = {
-    "RandomSource": ("stream",),
     "reciprocal_grid": ("hbar",),
     "fourier_q_to_p": ("hbar",),
     "fourier_p_to_q": ("hbar", "grid_q"),
@@ -54,4 +53,4 @@ def test_the_public_options_are_the_listed_ones():
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, (enum.Enum, BaseException)))
     }
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 47
+    assert sum(map(len, OPTIONS.values())) == 46

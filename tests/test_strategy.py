@@ -427,6 +427,17 @@ def test_sample_draws_the_uniform_stream():
     assert gen_a.random() == gen_b.random()
 
 
+def test_every_read_of_a_source_replays_its_stream():
+    src = RandomSource(123)
+    assert np.array_equal(src.rng.normal(size=8), src.rng.normal(size=8))
+    s = Strategy.superpose([Strategy.hermite(0), Strategy.hermite(1)], [1.0, 0.5j])
+    assert np.array_equal(sample(s, src, 64), sample(s, src, 64))
+    # a generator continues its stream from one call to the next
+    gen = src.rng
+    assert not np.array_equal(sample(s, gen, 64), sample(s, gen, 64))
+    assert src == RandomSource(np.int64(123)) and type(RandomSource(np.int64(123)).seed) is int
+
+
 def test_quantile_is_interp_where_a_slope_overflows():
     table = DistributionTable(Strategy.hermite(0))
     c = table._cdf_nodes.copy()
@@ -682,10 +693,14 @@ def test_parse_strategy_rejects_garbage():
         (lambda: sample(Strategy.gaussian(0, 1), RandomSource(0), 2.5), ContractViolationError),
         (lambda: sample(Strategy.gaussian(0, 1), RandomSource(0), True), ContractViolationError),
         (lambda: sample(Strategy.gaussian(0, 1), RandomSource(0), -1), ParameterRangeError),
+        (lambda: Strategy.superpose([Strategy.hermite(0), Strategy.hermite(1)], [1.0, math.nan]),
+         ParameterRangeError),
+        (lambda: SuperposedForm((complex(math.inf, 0.0),), (Strategy.hermite(0),)), ParameterRangeError),
     ],
     ids=[
         "order-float", "order-bool", "order-negative", "function-order-float",
         "function-scale-nan", "size-float", "size-bool", "size-negative",
+        "coefficient-nan", "coefficient-inf",
     ],
 )
 def test_counts_are_refused_unless_integers(call, error):

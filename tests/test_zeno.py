@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qmg import (
     ContractViolationError,
+    DegenerateStateError,
     FreezeRow,
     Grid,
     ParameterRangeError,
@@ -216,6 +217,14 @@ def test_freeze_table_csv(tmp_path):
 def test_counts_are_refused_unless_integers(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("risk", [UNIT_RISK, RiskParams(hbar_e=0.7, theta=2.5, m=1.3)], ids=["exact", "quadrature"])
+def test_a_superposition_that_cancels_is_refused_on_either_path(risk):
+    # level 0 of the unit operator is exact under UNIT_RISK, off the basis under the other
+    s = Strategy.superpose([Strategy.hermite(0), Strategy.hermite(0)], [1.0, -1.0])
+    with pytest.raises(DegenerateStateError, match="zero norm"):
+        hermite_coefficients(s, risk)
 
 
 _RISKS = st.builds(

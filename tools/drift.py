@@ -2,9 +2,10 @@
 
 Runs one fixed deck of scenarios, every kind once with analytic
 strategies and curves, zeno, clearing and auction once more with an
-off-centre sampled table, and zeno once more from a superposition of two
-Gaussians (off the risk basis, so its coefficients come from quadrature),
-under each revision, then prints for every output file "identical" or the
+off-centre sampled table, zeno once more from a superposition of two
+Gaussians (off the risk basis, so its coefficients come from quadrature)
+and once from two oscillator levels under a non-unit risk record (the
+exact path), under each revision, then prints for every output file "identical" or the
 largest absolute difference between the two runs' numbers.
 
     python3 tools/drift.py [BASE] [HEAD] [--seed N] [--keep DIR]
@@ -47,6 +48,10 @@ DECK = {
     "zeno-sampled": ("zeno", {"initial": SAMPLED, "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
     "zeno-gaussians": ("zeno", {
         "initial": ["gaussian(-1, 0.7, 0.4)", "gaussian(1.2, 0.9)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100],
+    }),
+    "zeno-levels": ("zeno", {
+        "risk": {"hbar_e": 0.7, "theta": 2.5, "m": 1.3},
+        "initial": ["hermite(2)", "hermite(3)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100],
     }),
     "clearing": ("clearing", {"traders": ["gaussian(0, 1)", "gaussian(0.5, 0.8, 0.3)", "hermite(2)"], "rounds": 20}),
     "clearing-sampled": ("clearing", {
