@@ -69,6 +69,13 @@ class Grid:
         pts.setflags(write=False)
         return pts
 
+    @cached_property
+    def _nodes_round_finely(self) -> bool:
+        """Whether no two nodes coincide and each rounds by at most 2^-22 of the spacing:
+        ``check_nodes``'s test, made once."""
+        ulp = np.spacing(max(abs(self.lo), abs(self.hi)))
+        return bool(ulp <= _NODE_ROUNDING * np.min(np.diff(self.points)))  # a coincidence fails too
+
 
 # the pole of the cubic B-spline prefilter; |z|^32 < 1e-18, so 65 taps of its
 # impulse response sqrt(3) z^|k| invert (c[j-1] + 4 c[j] + c[j+1]) / 6 in doubles
@@ -86,9 +93,13 @@ _GAUSS_WEIGHTS = np.array([0.17392742256872679, 0.3260725774312732, 0.3260725774
 
 
 def check_nodes(grid: Grid) -> None:
-    """Refuse a grid whose nodes coincide or round by over 2^-22 of their spacing (ParameterRangeError)."""
-    ulp = np.spacing(max(abs(grid.lo), abs(grid.hi)))
-    if not ulp <= _NODE_ROUNDING * np.min(np.diff(grid.points)):  # a coincidence too
+    """Refuse a grid whose nodes coincide or round by over 2^-22 of their spacing (ParameterRangeError).
+
+    The nodes are checked once per grid (``Grid._nodes_round_finely``); a
+    refused grid is refused again on every call.
+    """
+    if not grid._nodes_round_finely:
+        ulp = np.spacing(max(abs(grid.lo), abs(grid.hi)))
         raise ParameterRangeError(
             f"the nodes of the grid over [{grid.lo}, {grid.hi}] round by {ulp:.3g}, past 2^-22 of their"
             f" spacing {grid.spacing:.3g}, or coincide in double precision: the grid is too far from 0")

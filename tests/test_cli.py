@@ -562,10 +562,10 @@ def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
         ("curves", {"family": "coherent", "r": 0, "eta": 1e-308}, "parameters.eta"),
         # the width squared falls just below the normal doubles
         ("curves", {"family": "strategy", "strategy": "gaussian(0, 1e-154)"}, "parameters.strategy"),
-        # slopes the default grids cannot resolve: the p-grid around 1e300 collapses,
-        # and 1e5 needs more psi points than the Wigner chord cap (at 1e4 the run succeeds)
+        # a slope the default grids cannot resolve: the p-grid around 1e300 collapses
         ("curves", {"family": "strategy", "strategy": "gaussian(0, 1, 1e300)"}, "parameters.strategy"),
-        ("curves", {"family": "strategy", "strategy": "gaussian(0.3, 1, 1e5)"}, "parameters.strategy"),
+        # a table whose Wigner chord step needs more psi points than the chirp-z's cap
+        ("curves", {"family": "strategy", "strategy": "sampled(@wide.csv)"}, "parameters.strategy"),
         # omega, or the gap, overflows; the gap underflows to 0
         ("risk-spectrum", {"levels": 2, "risk": {"hbar_e": 1e308, "omega": 1e308}}, "parameters.risk"),
         ("risk-spectrum", {"levels": 2, "risk": {"hbar_e": 1, "theta": 1e-320}}, "parameters.risk"),
@@ -575,6 +575,7 @@ def test_thermal_beta_too_small_exits_3(tmp_path, capsys, betas, field):
     ],
 )
 def test_values_at_the_ends_of_the_doubles_exit_3(tmp_path, capsys, kind, params, field):
+    (tmp_path / "wide.csv").write_text(WIDE_TABLE)
     path = write_scenario(tmp_path, {"kind": kind, "parameters": params})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert f"invalid scenario at {field}:" in capsys.readouterr().err
@@ -752,14 +753,32 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert "TruncationError" in capsys.readouterr().err
 
 
+# a Gaussian of width 2.5e11 on 64 nodes over +-1e12; its dual is 2e-12 wide, so
+# the default p grid takes its least span, 1e-6, and the chord step it allows
+# (pi / 2e-6) asks for r = 10611 half-steps per q step over 241 q nodes
+WIDE_TABLE = "x,re,im\n" + "".join(
+    f"{x!r},{math.exp(-((x / 2.5e11) ** 2) / 4)!r},0\n" for x in np.linspace(-1e12, 1e12, 64).tolist()
+)
+
+
 def test_a_wide_gaussian_whose_dual_is_too_narrow_for_the_chord_cap_exits_3(tmp_path, capsys):
-    # width 1e30 is a valid strategy, and so is its dual of width 5e-31; the
-    # Wigner chord step that resolves both would need more psi points than its cap
-    doc = {"kind": "curves", "parameters": {"family": "strategy", "strategy": "gaussian(0, 1e30)"}}
+    # the table is a valid strategy, and so is its dual; the Wigner chord step
+    # that resolves both would need more psi points than the chirp-z's cap.  A
+    # tabulated strategy takes the chirp-z; gaussian(0, 1e30) is now in closed form
+    (tmp_path / "wide.csv").write_text(WIDE_TABLE)
+    doc = {"kind": "curves", "parameters": {"family": "strategy", "strategy": "sampled(@wide.csv)"}}
     path = write_scenario(tmp_path, doc)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "invalid scenario at parameters.strategy:" in err and "psi points" in err
+
+
+@pytest.mark.parametrize("literal", ["gaussian(0.3, 1, 1e5)", "gaussian(0, 1e30)"])
+def test_gaussians_past_the_chord_cap_run_in_closed_form(tmp_path, literal):
+    # both exited 3 while every strategy took the chirp-z
+    out = run_ok(tmp_path, {"kind": "curves", "parameters": {"family": "strategy", "strategy": literal}})
+    w = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)[:, 2]
+    assert w.shape == (241 * 241,) and np.all(np.isfinite(w)) and w.max() > 0
 
 
 @pytest.mark.parametrize("initial, risk", [

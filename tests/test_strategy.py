@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -238,6 +239,34 @@ def test_norm_and_moments_refuse_a_table_that_the_cdf_refuses():
     for read in (norm, moments, lambda s: s.cdf(1e10)):
         with pytest.raises(ParameterRangeError, match="too far from 0"):
             read(s)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Strategy.gaussian(0.3, 0.8), lambda: Strategy.sampled(np.exp(-np.linspace(-6, 6, 97) ** 2 / 4), Grid(-6, 6, 97))],
+    ids=["gaussian", "sampled"],
+)
+def test_the_node_check_runs_once_per_grid(monkeypatch, make):
+    # the table checks its grid, and its spline checks the same grid again
+    checked = []
+    test = Grid._nodes_round_finely.func
+
+    def counted(grid):
+        checked.append(grid)
+        return test(grid)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Grid, "_nodes_round_finely")
+    monkeypatch.setattr(Grid, "_nodes_round_finely", prop)
+    s = make()
+    norm(s), moments(s), s.cdf(0.1), s.table.pdf(0.1)
+    assert len(checked) == 1 and checked[0] is s.table.grid
+    # a refused table is built again on every read, each time on a fresh grid tested once
+    far = Strategy.gaussian(1e10, 1.0)
+    for read in (norm, moments, lambda s: s.cdf(1e10)):
+        with pytest.raises(ParameterRangeError, match="too far from 0"):
+            read(far)
+    assert len(checked) == 4 and len({id(g) for g in checked}) == 4
 
 
 def test_norm_moments_and_cdf_evaluate_the_strategy_once(monkeypatch):

@@ -15,6 +15,7 @@ from qmg.errors import (
 )
 from qmg.numerics import Grid, RandomSource
 from qmg.strategy import Representation, RiskParams, Strategy, UNIT_RISK, hermite_function, moments
+from qmg.strategy import norm as strategy_norm
 from qmg import wigner as wigner_module
 from qmg.wigner import (
     EXCITED_MAX_LEVEL,
@@ -26,7 +27,9 @@ from qmg.wigner import (
     hudson_check,
     is_giffen,
     _laguerre_ladder,
+    _chirp_z,
     _chord_ratio,
+    _closed_form,
     _sample_spacing,
     _slope_bound,
     _smooth_length,
@@ -39,6 +42,11 @@ INV_PI = 1.0 / math.pi
 
 def grid_pair(half=8.0, n=241):
     return Grid(-half, half, n), Grid(-half, half, n)
+
+
+def chirp_z(s, p_grid, q_grid, hbar=1.0):
+    """The numerical transform alone, whatever the strategy's form."""
+    return PhaseSpaceDensity(_chirp_z(s, p_grid, q_grid, hbar), p_grid, q_grid, hbar)
 
 
 def test_ground_state_transform_matches_closed_form():
@@ -72,7 +80,7 @@ def test_steep_slope_keeps_the_nyquist_step():
     p_grid = Grid(7000.0 - 4.0, 7000.0 + 4.0, 121)
     tracemalloc.start()
     try:
-        d = wigner_transform(s, p_grid, q_grid)
+        d = chirp_z(s, p_grid, q_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -328,9 +336,10 @@ G16 = Grid(-1.0, 1.0, 16)
         # omega squared overflows where m omega squared would not
         (lambda: excited_wigner(1, RiskParams(hbar_e=1.0, theta=1e-300, m=1e-300), G16, G16), ParameterRangeError),
         # the chord step needs more than 2^21 psi points, or its ratio is inf
-        (lambda: wigner_transform(Strategy.gaussian(0, 1, 1e5), Grid(1e5 - 4, 1e5 + 4, 241), Grid(-8, 8, 241)),
+        # (the closed form computes both Gaussians: the chirp-z is called alone)
+        (lambda: _chirp_z(Strategy.gaussian(0, 1, 1e5), Grid(1e5 - 4, 1e5 + 4, 241), Grid(-8, 8, 241), 1.0),
          ParameterRangeError),
-        (lambda: wigner_transform(Strategy.gaussian(0, 1, 1e300), G16, G16), ParameterRangeError),
+        (lambda: _chirp_z(Strategy.gaussian(0, 1, 1e300), G16, G16, 1.0), ParameterRangeError),
         (lambda: wigner_transform(Strategy.hermite(1), Grid(-1e308, 1e308, 16), G16, hbar=1e-300), ParameterRangeError),
     ],
     ids=[
@@ -520,9 +529,7 @@ def test_thermal_refuses_an_hbar_omega_that_underflows(mode, grids):
 
 def test_a_kernel_that_underflows_to_no_oscillation_takes_the_q_grid_as_chord_grid():
     # p_max / hbar underflows to 0, so the Nyquist step is inf: r = 1, not 0
-    d = wigner_transform(
-        Strategy.hermite(2), p_grid=Grid(-1e-20, 1e-20, 64), q_grid=Grid(-6, 6, 64), hbar=1e308
-    )
+    d = chirp_z(Strategy.hermite(2), Grid(-1e-20, 1e-20, 64), Grid(-6, 6, 64), 1e308)
     assert d.values.shape == (64, 64) and np.all(np.isfinite(d.values))
 
 
@@ -596,10 +603,24 @@ def test_transform_matches_the_reference_with_the_step_tied_to_q(label, sizes):
     n_p, nq = sizes
     p_grid = Grid(d0.p_grid.lo, d0.p_grid.hi, n_p)
     q_grid = Grid(d0.q_grid.lo, d0.q_grid.hi, nq)
-    d = wigner_transform(s, p_grid, q_grid)
+    d = chirp_z(s, p_grid, q_grid, d0.hbar)
     want = _reference_transform(s, p_grid, q_grid, d.hbar)
     bound = SAMPLED_BOUND if label == "sampled" else ANALYTIC_BOUND
     assert np.max(np.abs(d.values - want)) <= bound
+
+
+# largest distance from the chirp-z measured over these sizes: 1.1e-14
+# (levels), 1.7e-14 (cat), 6.4e-15 (sloped)
+@pytest.mark.parametrize("sizes", [(241, 241), (481, 481), (961, 961), (301, 641), (777, 199)])
+@pytest.mark.parametrize("label", ["cat", "levels", "sloped"])
+def test_closed_forms_match_the_chirp_z(label, sizes):
+    s = PHASE_SPACE_CASES[label]
+    d0 = wigner_transform(s)
+    n_p, nq = sizes
+    p_grid = Grid(d0.p_grid.lo, d0.p_grid.hi, n_p)
+    q_grid = Grid(d0.q_grid.lo, d0.q_grid.hi, nq)
+    d = wigner_transform(s, p_grid, q_grid)
+    assert np.max(np.abs(d.values - chirp_z(s, p_grid, q_grid, d0.hbar).values)) <= ANALYTIC_BOUND
 
 
 def _unpaired_transform(s, p_grid, q_grid, hb):
@@ -653,7 +674,7 @@ def test_two_rows_per_fft_match_the_unpaired_transform(label):
         p_grid = Grid(d0.p_grid.lo, d0.p_grid.hi, n_p)
         q_grid = Grid(d0.q_grid.lo, d0.q_grid.hi, nq)
         kinds.add((_chord_ratio(s, p_grid, q_grid, d0.hbar) == 1, nq % 2))
-        d = wigner_transform(s, p_grid, q_grid)
+        d = chirp_z(s, p_grid, q_grid, d0.hbar)
         want = _unpaired_transform(s, p_grid, q_grid, d.hbar)
         assert np.max(np.abs(d.values - want)) <= PAIRED_BOUND
     assert kinds == {(True, 0), (True, 1), (False, 0), (False, 1)}
@@ -809,3 +830,133 @@ def test_marginals_match_both_price_densities(family, coeffs, packet, n_table, n
     d = wigner_transform(s, p_grid, q_grid, hbar=1.0)
     assert np.max(np.abs(d.marginal_q() - dens_q)) <= bound
     assert np.max(np.abs(d.marginal_p() - dens_p)) <= bound
+
+
+@pytest.mark.parametrize(
+    "center, width, slope, p_grid",
+    [(0.3, 1.0, 1e5, Grid(1e5 - 4.0, 1e5 + 4.0, 241)), (0.0, 1e30, 0.0, Grid(-4e-30, 4e-30, 241))],
+    ids=["slope-1e5", "width-1e30"],
+)
+def test_gaussians_past_the_chord_cap_compute_in_closed_form(center, width, slope, p_grid):
+    s = Strategy.gaussian(center, width, slope)
+    d = wigner_transform(s)
+    # on the default grids the chirp-z's chord step needs more than 2^21 psi points
+    with pytest.raises(ParameterRangeError, match="psi points"):
+        _chirp_z(s, d.p_grid, d.q_grid, d.hbar)
+    # a p grid across the p spread (the default one is at least 1e-6 wide)
+    d = wigner_transform(s, p_grid, d.q_grid)
+    dens_q = _normal_pdf(d.q_grid.points, center, width)
+    dens_p = _normal_pdf(p_grid.points, slope, 0.5 / width)  # hbar slope, spread hbar / (2 width)
+    assert np.max(np.abs(d.marginal_q() - dens_q)) <= 1e-10 * dens_q.max()
+    assert np.max(np.abs(d.marginal_p() - dens_p)) <= 1e-10 * dens_p.max()
+
+
+def _forbid_evaluate(monkeypatch):
+    def evaluate(self, x):
+        raise AssertionError("the closed form evaluated psi")
+
+    monkeypatch.setattr(Strategy, "evaluate", evaluate)
+
+
+@pytest.mark.parametrize("label", ["cat", "levels", "sloped"])
+def test_analytic_forms_take_the_closed_form_without_evaluating_psi(monkeypatch, label):
+    s = PHASE_SPACE_CASES[label]
+    d0 = wigner_transform(s)
+    _forbid_evaluate(monkeypatch)
+    d = wigner_transform(s, d0.p_grid, d0.q_grid)
+    assert np.array_equal(d.values, d0.values)
+    # a nested superposition (a dual's phase wrapper) flattens into the same leaves
+    nested = Strategy.superpose([s, Strategy.superpose([s], [0.5j])], [1.0, 1.0])
+    assert np.max(np.abs(wigner_transform(nested, d0.p_grid, d0.q_grid).values
+                         - abs(1 + 0.5j) ** 2 * d0.values)) <= ANALYTIC_BOUND
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        PHASE_SPACE_CASES["sampled"],
+        Strategy.superpose([Strategy.gaussian(-1, 0.5), Strategy.gaussian(1, 0.6)], [1, 1]),
+        Strategy.superpose([Strategy.gaussian(0, 1 / math.sqrt(2)), Strategy.hermite(1)], [1, 1j]),
+        Strategy.superpose([Strategy.hermite(1), Strategy.hermite(2, RiskParams(1.0, 3.0))], [1, 1]),
+        Strategy.superpose([Strategy.gaussian(0.1 * k, 0.5) for k in range(9)], [1] * 9),
+        Strategy.hermite(32),
+        Strategy.superpose([Strategy.superpose([Strategy.gaussian(0, 1)], [1e-200])], [1e-200]),
+    ],
+    ids=["sampled", "two-widths", "gaussian-and-level", "two-length-scales", "nine-gaussians", "level-32",
+         "coefficient-underflows"],
+)
+def test_other_forms_keep_the_chirp_z(monkeypatch, s):
+    g = Grid(-6.0, 6.0, 33)
+    assert _closed_form(s.form, g, g, 1.0) is None
+    want = chirp_z(s, g, g).values
+    _forbid_evaluate(monkeypatch)
+    with pytest.raises(AssertionError, match="evaluated psi"):
+        wigner_transform(s, g, g, hbar=1.0)
+    monkeypatch.undo()
+    assert np.array_equal(wigner_transform(s, g, g, hbar=1.0).values, want)
+
+
+_complex = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda c: abs(c) > 0.05)
+
+
+@st.composite
+def _one_width_packets(draw):
+    n = draw(st.integers(1, 5))
+    width = draw(st.floats(0.3, 2.0))
+    parts = [Strategy.gaussian(draw(st.floats(-3.0, 3.0)), width, draw(st.floats(-3.0, 3.0))) for _ in range(n)]
+    return Strategy.superpose(parts, [draw(_complex) for _ in range(n)]), draw(st.floats(0.3, 3.0))
+
+
+@st.composite
+def _levels_of_one_risk(draw):
+    risk = RiskParams(draw(st.floats(0.5, 2.0)), draw(st.floats(3.0, 12.0)), draw(st.floats(0.5, 2.0)))
+    levels = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5))
+    parts = [Strategy.hermite(n, risk) for n in levels]
+    # hbar drawn apart from risk.hbar_eff: the ladder in p is read at any hbar
+    return Strategy.superpose(parts, [draw(_complex) for _ in levels]), draw(st.floats(0.3, 3.0))
+
+
+@given(
+    case=st.one_of(_one_width_packets(), _levels_of_one_risk()),
+    n_p=st.integers(16, 160),
+    nq=st.integers(16, 160),
+    widen=st.floats(1.0, 1.5),
+)
+def test_closed_forms_match_the_chirp_z_on_drawn_grids(case, n_p, nq, widen):
+    s, hb = case
+    q_lo, q_hi = s.support_bounds()
+    p_lo, p_hi = s.dual(RiskParams(hbar_e=hb, theta=2.0 * math.pi)).support_bounds()
+    q_grid, p_grid = Grid(widen * q_lo, widen * q_hi, nq), Grid(widen * p_lo, widen * p_hi, n_p)
+    closed = _closed_form(s.form, p_grid, q_grid, hb)
+    want = _chirp_z(s, p_grid, q_grid, hb)
+    # |W| <= ||psi||^2 / (pi hbar), the scale of the chirp-z's rounding; the largest
+    # |W| on a coarse grid can sit far below it (6e-4 against 0.079 on 16 points)
+    peak = strategy_norm(s) ** 2 / (math.pi * hb)
+    assert np.max(np.abs(closed - want)) <= 1e-13 * peak
+
+
+_extreme = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e308, max_value=1e308)
+
+
+@given(
+    centers=st.lists(_extreme, min_size=1, max_size=3),
+    slope=_extreme,
+    width=st.floats(1e-150, 1e150),
+    coefficient=st.builds(complex, _extreme, _extreme).filter(lambda c: c != 0),
+    level=st.integers(0, 31),
+    hb=st.floats(5e-324, 1e308),
+    ends=st.tuples(_extreme, _extreme).filter(lambda e: e[0] < e[1]),
+)
+# a grid whose span overflows: its points are not finite
+@example(centers=[0.0], slope=0.0, width=1.0, coefficient=1j, level=0, hb=1.0, ends=(-1e308, 8e307))
+def test_closed_forms_at_the_ends_of_the_doubles_are_finite_or_declined(
+    centers, slope, width, coefficient, level, hb, ends
+):
+    # a closed form whose factors leave the doubles goes to the chirp-z, which refuses or computes
+    g = Grid(ends[0], ends[1], 16)
+    packets = [Strategy.gaussian(c, width, slope) for c in centers]
+    risk = RiskParams(hbar_e=1.0, theta=2.0 * math.pi)
+    for s in (Strategy.superpose(packets, [coefficient] * len(packets)),
+              Strategy.superpose([Strategy.hermite(level, risk)], [coefficient])):
+        values = _closed_form(s.form, g, g, hb)
+        assert values is None or np.all(np.isfinite(values))
