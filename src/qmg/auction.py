@@ -28,9 +28,7 @@ from .strategy import (
     DiscreteForm,
     GaussianForm,
     Representation,
-    RiskParams,
     Strategy,
-    UNIT_RISK,
     sample as sample_strategy,
 )
 
@@ -52,7 +50,6 @@ class AuctionInstance:
     weight: float = 1.0
     mc_samples: int = 100_000
     rng: RandomSource = RandomSource(0)
-    risk: RiskParams = UNIT_RISK
 
     def __post_init__(self) -> None:
         if len(self.buyers) < 1:
@@ -210,14 +207,14 @@ class AuctionOutcome:
 
 
 def _draws(
-    buyers: Sequence[Strategy], seller: Strategy, rng: RandomSource, m: int, risk: RiskParams
+    buyers: Sequence[Strategy], seller: Strategy, rng: RandomSource, m: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each buyer's q as one row of ``m`` draws, then the seller's p, from
-    the seed's stream read afresh: a run is idempotent for its seed."""
+    """Each demand buyer's q as one row of ``m`` draws, then the supply
+    seller's p, each in its own representation, from the seed's stream
+    read afresh: a run is idempotent for its seed."""
     gen = rng.rng
-    rows = [sample_strategy(b, gen, m, rep=Representation.DEMAND, risk=risk) for b in buyers]
-    p = sample_strategy(seller, gen, m, rep=Representation.SUPPLY, risk=risk)
-    return rows, p
+    rows = [sample_strategy(b, gen, m) for b in buyers]
+    return rows, sample_strategy(seller, gen, m)
 
 
 def _lowest(rows: Sequence[np.ndarray], m: int, second_needed: bool) -> tuple:
@@ -260,7 +257,7 @@ def _forget(ref: weakref.ref) -> None:
 def _order_statistics(inst: AuctionInstance) -> tuple[np.ndarray, ...]:
     """``(q_min, winner, second, p)`` of the instance's draws, read-only.
 
-    The draws depend on the strategies, seed, sample count and risk, not
+    The draws depend on the strategies, seed and sample count, not
     on the pricing or weight, so every pricing of one auction's inputs
     reads one draw set (common random numbers).  One slot holds the
     last set; strategies are compared by identity, so equal but distinct
@@ -268,13 +265,13 @@ def _order_statistics(inst: AuctionInstance) -> tuple[np.ndarray, ...]:
     """
     global _slot
     parties = (*inst.buyers, inst.seller)
-    key = (inst.rng, inst.mc_samples, inst.risk)
+    key = (inst.rng, inst.mc_samples)
     held = _slot
     if (held is not None and held[1] == key and len(held[0]) == len(parties)
             and all(r() is s for r, s in zip(held[0], parties))):
         return held[2]
     _slot = None
-    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
+    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples)
     arrays = (*_lowest(rows, len(p), True), p)
     for a in arrays:
         a.flags.writeable = False
@@ -389,14 +386,14 @@ class TruthfulnessReport:
     exact: bool
 
 
-def _positive_definite(s: Strategy, risk: RiskParams) -> bool:
+def _positive_definite(s: Strategy) -> bool:
     if isinstance(s.form, (DiscreteForm, GaussianForm)):
         return True
     from .wigner import HudsonClass, hudson_check
 
-    # the Wigner density's sign is the same read from either side, and
-    # the check builds its grids from a demand strategy
-    demand = s if s.rep is Representation.DEMAND else s.dual(risk)
+    # the Wigner density's sign is the same read from either side and at
+    # any hbar, and the check builds its grids from a demand strategy
+    demand = s if s.rep is Representation.DEMAND else s.dual(1.0)
     return hudson_check(demand).classification is HudsonClass.GAUSSIAN_POSITIVE
 
 
@@ -407,7 +404,6 @@ def vickrey_truthfulness_check(
     seller: Strategy,
     rng: RandomSource = RandomSource(0),
     mc_samples: int = 200_000,
-    risk: RiskParams = UNIT_RISK,
 ) -> TruthfulnessReport:
     """Check that truthful bidding maximizes second-price payoff.
 
@@ -417,9 +413,10 @@ def vickrey_truthfulness_check(
     every opponent and the seller carry finite point measures the table
     is enumerated exactly; otherwise a common-random-numbers Monte
     Carlo estimates it, and diff_se reports the paired standard error
-    against the truthful bid.  Giffen opponents (negative phase-space
-    density) are refused: the property is only claimed for positive
-    measures.
+    against the truthful bid.  Opponents bid from the demand side and
+    the seller asks from the supply side; either out of place is refused,
+    as are giffen strategies (negative phase-space density): the property
+    is only claimed for positive measures.
     """
     check_positive(valuation, "valuation")
     check_count(mc_samples, "mc_samples", 1)
@@ -430,10 +427,12 @@ def vickrey_truthfulness_check(
         raise ParameterRangeError("bid grid must contain positive finite prices")
     if not any(math.isclose(b, valuation, rel_tol=0, abs_tol=1e-12) for b in bids):
         raise ContractViolationError("bid grid must contain the valuation")
+    if any(s.rep is not Representation.DEMAND for s in opponents):
+        raise RepresentationError("opponents must be in the demand representation")
     if seller.rep is not Representation.SUPPLY:
         raise RepresentationError("seller must be in the supply representation")
     for s in list(opponents) + [seller]:
-        if not _positive_definite(s, risk):
+        if not _positive_definite(s):
             raise NotApplicableError(
                 "giffen strategy present: truthfulness is only claimed for "
                 "positive-definite measures"
@@ -444,9 +443,7 @@ def vickrey_truthfulness_check(
         payoffs = _enumerate_payoffs(valuation, bids, opponents, seller)
         ses = tuple(0.0 for _ in bids)
     else:
-        payoffs, ses = _sample_payoffs(
-            valuation, bids, opponents, seller, rng, mc_samples, risk,
-        )
+        payoffs, ses = _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples)
 
     best = max(payoffs)
     t_idx = min(
@@ -501,10 +498,10 @@ def _enumerate_payoffs(valuation, bids, opponents, seller):
     return payoffs
 
 
-def _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples, risk):
+def _sample_payoffs(valuation, bids, opponents, seller, rng, mc_samples):
     """Monte Carlo payoffs on the auction's draws: the lowest opponent q
     (+inf unopposed) and the seller's p, each bid on the same draws."""
-    rows, p = _draws(opponents, seller, rng, mc_samples, risk)
+    rows, p = _draws(opponents, seller, rng, mc_samples)
     min_opp, _, _ = _lowest(rows, mc_samples, False)
     price = np.exp(-np.minimum(min_opp, -p))
     # one contiguous row of payoffs per bid

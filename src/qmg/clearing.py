@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterRangeError
 from .numerics import RandomSource, as_generator, check_count, check_positive, find_root
-from .strategy import (
-    MarketState,
-    Representation,
-    RiskParams,
-    Strategy,
-    UNIT_RISK,
-    sample as sample_strategy,
-)
+from .strategy import MarketState, Representation, RiskParams, Strategy, sample as sample_strategy
 from .risk import thermal_energy
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -89,16 +82,17 @@ def random_division(m: MarketState, rng: np.random.Generator) -> Division:
 def clear_round(
     m: MarketState,
     rng: RandomSource | np.random.Generator,
-    risk: RiskParams = UNIT_RISK,
+    hbar: float | None = None,
 ) -> ClearingOutcome:
     """Run one clearing round.
 
     Buyers quote q drawn from their demand density, sellers quote p
-    from their supply density.  Greedy crossing pairs the strongest bid
-    (lowest q, i.e. highest priority price e^{-q}) with the cheapest
-    ask (lowest p); a pair executes iff q + p <= 0 and moves capital
-    e^{q} from buyer to seller.  With all traders on one side the round
-    simply executes nothing.
+    from their supply density; a trader living on the other side is
+    transformed at ``hbar``, by default its own.  Greedy crossing pairs
+    the strongest bid (lowest q, i.e. highest priority price e^{-q}) with
+    the cheapest ask (lowest p); a pair executes iff q + p <= 0 and moves
+    capital e^{q} from buyer to seller.  With all traders on one side the
+    round simply executes nothing.
     """
     if len(m.traders) < 2:
         raise ContractViolationError("clearing needs at least two traders")
@@ -107,17 +101,9 @@ def clear_round(
 
     log_prices: dict[int, float] = {}
     for i in division.buyers:
-        log_prices[i] = float(
-            sample_strategy(
-                m.traders[i], gen, 1, rep=Representation.DEMAND, risk=risk
-            )[0]
-        )
+        log_prices[i] = float(sample_strategy(m.traders[i], gen, 1, Representation.DEMAND, hbar)[0])
     for i in division.sellers:
-        log_prices[i] = float(
-            sample_strategy(
-                m.traders[i], gen, 1, rep=Representation.SUPPLY, risk=risk
-            )[0]
-        )
+        log_prices[i] = float(sample_strategy(m.traders[i], gen, 1, Representation.SUPPLY, hbar)[0])
 
     buyers_sorted = sorted(division.buyers, key=lambda i: log_prices[i])
     sellers_sorted = sorted(division.sellers, key=lambda i: log_prices[i])
@@ -145,7 +131,7 @@ def pair_execution_frequency(
     seller: Strategy,
     rounds: int,
     rng: RandomSource | np.random.Generator,
-    risk: RiskParams = UNIT_RISK,
+    hbar: float | None = None,
 ) -> float:
     """Vectorized Monte Carlo of P(q + p <= 0) for one buyer-seller pair.
 
@@ -155,8 +141,8 @@ def pair_execution_frequency(
     """
     check_count(rounds, "rounds", 1)
     gen = as_generator(rng)
-    q = sample_strategy(buyer, gen, rounds, rep=Representation.DEMAND, risk=risk)
-    p = sample_strategy(seller, gen, rounds, rep=Representation.SUPPLY, risk=risk)
+    q = sample_strategy(buyer, gen, rounds, Representation.DEMAND, hbar)
+    p = sample_strategy(seller, gen, rounds, Representation.SUPPLY, hbar)
     return float(np.mean(q + p <= 0.0))
 
 

@@ -314,7 +314,7 @@ def _run_auction(p: dict, seed: int, emit: Emitter) -> None:
         raise ScenarioInvalid("parameters.weight", f"applies to mixed pricing only, not {p['pricing']}")
     rng = RandomSource(seed if p["seed"] is None else p["seed"])
     outcome = run_auction(
-        AuctionInstance(tuple(p["buyers"]), p["seller"], p["pricing"], weight, p["samples"], rng, p["risk"])
+        AuctionInstance(tuple(p["buyers"]), p["seller"], p["pricing"], weight, p["samples"], rng)
     )
     doc = {
         "pricing": outcome.pricing,
@@ -369,7 +369,7 @@ def _run_risk_spectrum(p: dict, seed: int, emit: Emitter) -> None:
 def _run_clearing(p: dict, seed: int, emit: Emitter) -> None:
     market = MarketState(tuple(p["traders"]))
     gen = RandomSource(seed).rng
-    outcomes = [clear_round(market, gen, risk=p["risk"]) for _ in range(p["rounds"])]
+    outcomes = [clear_round(market, gen, hbar=p["risk"].hbar_eff) for _ in range(p["rounds"])]
     round_log_to_csv(outcomes, emit.path("rounds.csv"))
 
 

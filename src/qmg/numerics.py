@@ -12,6 +12,7 @@ mutual inverses on reciprocal grids, where dp * dq * n = 2 pi hbar.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -41,6 +42,14 @@ def check_positive(value, name: str) -> float:
     """``value`` as a float, refused with ParameterRangeError unless it is positive and finite."""
     if not (value > 0 and math.isfinite(value)):
         raise ParameterRangeError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
+def check_hbar(value) -> float:
+    """An hbar as a float, refused with ParameterRangeError unless a positive, finite,
+    normal double: a subnormal hbar carries too few bits for its reciprocal grids."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ParameterRangeError(f"hbar must be positive and finite and a normal double, got {value!r}")
     return float(value)
 
 
@@ -270,14 +279,14 @@ def reciprocal_grid(grid: Grid, hbar: float = 1.0) -> Grid:
     The zero frequency sits at index n // 2, so symmetric grids map to
     near-symmetric reciprocal grids.
     """
-    check_positive(hbar, "hbar")
+    check_hbar(hbar)
     dp = TWO_PI * hbar / (grid.n * grid.spacing)
     half = grid.n // 2
     return Grid(-half * dp, (grid.n - 1 - half) * dp, grid.n)
 
 
 def _checked_amplitudes(amplitudes, grid: Grid, hbar: float) -> np.ndarray:
-    check_positive(hbar, "hbar")
+    check_hbar(hbar)
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (grid.n,):
         raise ContractViolationError(

@@ -80,9 +80,9 @@ def risk_expectation(s: Strategy, risk: RiskParams) -> float:
             "point strategies have divergent risk (infinite dual spread)"
         )
     if s.rep is Representation.DEMAND:
-        demand, supply = s, s.dual(risk)
+        demand, supply = s, s.dual(risk.hbar_eff)
     else:
-        demand, supply = s.dual(risk), s
+        demand, supply = s.dual(risk.hbar_eff), s
     _, q_std = strategy_moments(demand)
     _, p_std = strategy_moments(supply)
     return (

@@ -42,6 +42,7 @@ from .numerics import (
     SquaredModulus,
     as_generator,
     check_count,
+    check_hbar,
     check_nodes,
     check_positive,
     fourier_p_to_q,
@@ -172,18 +173,17 @@ class GaussianForm:
 
 @dataclass(frozen=True)
 class HermiteForm:
-    """n-th eigenfunction of the risk-inclination oscillator."""
+    """n-th eigenfunction of a risk-inclination oscillator of length ``length_scale``
+    (the std of |psi_n|^2 is this times sqrt(n + 1/2)), and the hbar of its market."""
 
     n: int
-    risk: RiskParams = UNIT_RISK
+    length_scale: float
+    hbar: float
 
     def __post_init__(self) -> None:
         check_count(self.n, "hermite order n", 0)
-
-    @property
-    def length_scale(self) -> float:
-        # the std of |psi_n|^2 is this times sqrt(n + 1/2)
-        return self.risk.length_scale
+        check_positive(self.length_scale, "hermite length_scale")
+        check_hbar(self.hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +313,7 @@ class Strategy:
 
     @staticmethod
     def hermite(n: int, risk: RiskParams = UNIT_RISK) -> "Strategy":
-        return Strategy(HermiteForm(n, risk), Representation.DEMAND)
+        return Strategy(HermiteForm(n, risk.length_scale, risk.hbar_eff), Representation.DEMAND)
 
     @staticmethod
     def delta(
@@ -370,6 +370,14 @@ class Strategy:
     def is_improper(self) -> bool:
         return isinstance(self.form, DiscreteForm)
 
+    @property  # not cached: a strategy holding itself would wait for the cycle collector
+    def _bare(self) -> "Strategy":
+        """The part of a one-part superposition at coefficient 1, at any depth, else this
+        strategy: the same amplitudes, so the same table, draws and dual."""
+        if isinstance(self.form, SuperposedForm) and self.form.coefficients == (1,):
+            return self.form.parts[0]._bare
+        return self
+
     def support_bounds(self) -> tuple[float, float]:
         """Interval outside which the amplitudes are numerically negligible."""
         return _bounds(self.form)
@@ -377,8 +385,8 @@ class Strategy:
     def default_grid(self) -> Grid:
         # sampled amplitudes carry no information between their own
         # nodes, so their native grid beats any finer resampling
-        if isinstance(self.form, SampledForm):
-            return self.form.grid
+        if isinstance(self._bare.form, SampledForm):
+            return self._bare.form.grid
         lo, hi = self.support_bounds()
         return Grid(lo, hi, _DEFAULT_GRID_N)
 
@@ -398,18 +406,28 @@ class Strategy:
     @cached_property
     def table(self) -> DistributionTable:
         """The squared-modulus distribution on :meth:`default_grid`."""
-        return DistributionTable(self)
+        return DistributionTable(self._bare)
 
     @cached_property
-    def _duals(self) -> dict[RiskParams, "Strategy"]:
+    def hbar(self) -> float:
+        """The default hbar of this strategy's representation changes and Wigner
+        density: the one hbar of its oscillator levels at any depth, else 1.0."""
+        found = {f.hbar for _, f in _leaves(self.form) if isinstance(f, HermiteForm)}
+        if len(found) > 1:
+            raise ParameterRangeError(f"oscillator levels at hbar {sorted(found)} leave no default: pass hbar")
+        return found.pop() if found else 1.0
+
+    @cached_property
+    def _duals(self) -> dict[float, "Strategy"]:
         return {}
 
-    def dual(self, risk: RiskParams = UNIT_RISK) -> "Strategy":
-        """This strategy in the other representation, transformed once per risk."""
-        if risk not in self._duals:
+    def dual(self, hbar: float | None = None) -> "Strategy":
+        """This strategy in the other representation, transformed once per hbar."""
+        hb = self.hbar if hbar is None else check_hbar(hbar)
+        if hb not in self._duals:
             convert = to_supply_rep if self.rep is Representation.DEMAND else to_demand_rep
-            self._duals[risk] = convert(self, risk)
-        return self._duals[risk]
+            self._duals[hb] = convert(self._bare, hb)
+        return self._duals[hb]
 
     def cdf(self, x: float | np.ndarray, inclusive: bool = True) -> np.ndarray:
         """P(variable <= x) in this strategy's own representation.
@@ -550,6 +568,15 @@ def _bounds(form: Form) -> tuple[float, float]:
     raise ImproperStateError(f"{type(form).__name__} has no L2 support interval")
 
 
+def _leaves(form: Form, coefficient: complex = 1.0) -> Iterator[tuple[complex, Form]]:
+    """(coefficient, leaf form) pairs of a form, nested superpositions multiplied out."""
+    if isinstance(form, SuperposedForm):
+        for c, part in zip(form.coefficients, form.parts):
+            yield from _leaves(part.form, coefficient * c)
+    else:
+        yield coefficient, form
+
+
 def _slope_bound(form) -> float:
     if isinstance(form, (GaussianForm, SampledForm)):
         return abs(form.slope)
@@ -646,42 +673,39 @@ def _dual_form(form: Form, hbar: float, target: Representation) -> tuple[complex
         envelope, dual = (fourier_q_to_p if sign < 0 else fourier_p_to_q)(amps, Grid(g.lo - c, g.hi - c, g.n), hbar)
         return 1, SampledForm(envelope, Grid(dual.lo - shift, dual.hi - shift, g.n), sign * c / hbar)
     if isinstance(form, HermiteForm):
-        r, length = form.risk, form.length_scale
-        swapped = RiskParams(hbar_e=hbar, theta=r.theta, m=length * length / (hbar * r.omega))
-        return (1, sign * 1j, -1, -sign * 1j)[form.n % 4], HermiteForm(form.n, swapped)
+        return (1, sign * 1j, -1, -sign * 1j)[form.n % 4], HermiteForm(form.n, hbar / form.length_scale, hbar)
     assert isinstance(form, SuperposedForm)
     duals = [_dual_form(p.form, hbar, target) for p in form.parts]
     coefficients = tuple(c * phase for c, (phase, _) in zip(form.coefficients, duals))
     return 1, SuperposedForm(coefficients, tuple(Strategy(f, target) for _, f in duals))
 
 
-def _to_rep(s: Strategy, risk: RiskParams, target: Representation) -> Strategy:
+def _to_rep(s: Strategy, hbar: float | None, target: Representation) -> Strategy:
     if s.rep is target:
         raise RepresentationError(f"strategy is already in the {target.value} representation")
     if s.is_improper:
-        raise ImproperStateError(
-            "the Fourier image of a point strategy is a plane wave, not normalizable"
-        )
-    phase, form = _dual_form(s.form, risk.hbar_eff, target)
+        raise ImproperStateError("the Fourier image of a point strategy is a plane wave, not normalizable")
+    phase, form = _dual_form(s.form, s.hbar if hbar is None else check_hbar(hbar), target)
     if phase != 1:  # kept exactly, so that the duals of parts superpose into the dual of the whole
         form = SuperposedForm((complex(phase),), (Strategy(form, target),))
     return Strategy(form, target)
 
 
-def to_supply_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
+def to_supply_rep(s: Strategy, hbar: float | None = None) -> Strategy:
     """Fourier transform a demand strategy into its supply representation.
 
-    The dispersion scale is risk.hbar_eff, which equals hbar_e in the
-    commutative model.  Gaussian, oscillator and superposed strategies
-    convert in closed form, with their global phase; a sampled strategy
-    goes through the FFT onto its reciprocal grid.
+    The dispersion scale is ``hbar``, a market's hbar_eff (hbar_e in the
+    commutative model); by default the strategy's own :attr:`Strategy.hbar`.
+    Gaussian, oscillator and superposed strategies convert in closed form,
+    with their global phase; a sampled strategy goes through the FFT onto
+    its reciprocal grid.
     """
-    return _to_rep(s, risk, Representation.SUPPLY)
+    return _to_rep(s, hbar, Representation.SUPPLY)
 
 
-def to_demand_rep(s: Strategy, risk: RiskParams = UNIT_RISK) -> Strategy:
+def to_demand_rep(s: Strategy, hbar: float | None = None) -> Strategy:
     """Inverse of :func:`to_supply_rep`."""
-    return _to_rep(s, risk, Representation.DEMAND)
+    return _to_rep(s, hbar, Representation.DEMAND)
 
 
 def buy_probability(s: Strategy, log_price: float) -> float:
@@ -697,19 +721,19 @@ def buy_probability(s: Strategy, log_price: float) -> float:
     return float(s.cdf(log_price))
 
 
-def sell_probability(
-    s: Strategy, log_price: float, risk: RiskParams = UNIT_RISK
-) -> float:
+def sell_probability(s: Strategy, log_price: float, hbar: float | None = None) -> float:
     """Chance the trader accepts to sell at the quoted log-price.
 
     The supply variable quotes p = -ln(price asked), so selling at ln c
     happens when p <= -ln c.  Demand-representation strategies are
-    Fourier-transformed first (improper ones cannot be).
+    Fourier-transformed first, at ``hbar`` (improper ones cannot be).
     """
+    if hbar is not None:  # refused even where no transform reads it
+        check_hbar(hbar)
     if not math.isfinite(log_price):
         raise ParameterRangeError("log_price must be finite")
     if s.rep is Representation.DEMAND:
-        s = s.dual(risk)
+        s = s.dual(hbar)
     return float(s.cdf(-log_price))
 
 
@@ -738,23 +762,23 @@ def sample(
     rand: RandomSource | np.random.Generator,
     size: int,
     rep: Representation | None = None,
-    risk: RiskParams = UNIT_RISK,
+    hbar: float | None = None,
 ) -> np.ndarray:
     """Draw log-prices from the strategy's distribution.
 
     ``rep`` selects which representation to sample; a proper strategy is
-    sampled on the other side through its cached dual.
+    sampled on the other side through its cached dual at ``hbar``.
     """
+    if hbar is not None:
+        check_hbar(hbar)
     rng = as_generator(rand)
     check_count(size, "size", 0)
     target = rep if rep is not None else s.rep
     if target is not s.rep:
         if s.is_improper:
-            raise ImproperStateError(
-                "improper strategies cannot be sampled in the dual representation"
-            )
-        s = s.dual(risk)
-    form = s.form
+            raise ImproperStateError("improper strategies cannot be sampled in the dual representation")
+        s = s.dual(hbar)
+    form = s._bare.form
     if isinstance(form, DiscreteForm):
         if len(form.atoms) == 1:  # a point draws nothing from the stream
             return np.full(size, form.atoms[0])

@@ -28,17 +28,17 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import TWO_PI, Grid, Spline, check_count, check_positive
+from .numerics import TWO_PI, Grid, Spline, check_count, check_hbar, check_positive
 from .strategy import (
     GaussianForm,
     HermiteForm,
     Representation,
     RiskParams,
     Strategy,
-    SuperposedForm,
     _SUPPORT_SIGMAS,
     _density_moments,
     _hermite_ladder,
+    _leaves,
     _sample_spacing,
     _slope_bound,
     moments as strategy_moments,
@@ -98,7 +98,7 @@ class PhaseSpaceDensity:
                 f"values shape {vals.shape} does not match grids "
                 f"({self.p_grid.n}, {self.q_grid.n})"
             )
-        check_positive(self.hbar, "hbar")
+        check_hbar(self.hbar)
         object.__setattr__(self, "values", vals)
 
     def mass(self) -> float:
@@ -171,14 +171,6 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def _resolve_hbar(s: Strategy, hbar: float | None) -> float:
-    if hbar is not None:
-        return check_positive(hbar, "hbar")
-    if isinstance(s.form, HermiteForm):
-        return s.form.risk.hbar_eff
-    return 1.0
-
-
 def _smooth_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: numpy's FFT runs it in radix-2, 3 and 5 passes."""
     best = 1 << (n - 1).bit_length()
@@ -217,7 +209,8 @@ def wigner_transform(
 
     Default grids cover eight standard deviations of each marginal with
     241 points; the default p-grid reads the strategy's cached supply
-    dual, so it needs a demand-representation strategy.
+    dual, so it needs a demand-representation strategy.  The default
+    hbar is the strategy's own, :attr:`Strategy.hbar`.
 
     The method follows the strategy's form, once nested superpositions
     are flattened into coefficients over leaf forms:
@@ -239,13 +232,13 @@ def wigner_transform(
         raise ContractViolationError("wigner_transform expects a Strategy")
     if s.is_improper:
         raise ImproperStateError("point strategies have no Wigner density")
-    hb = _resolve_hbar(s, hbar)
+    hb = s.hbar if hbar is None else check_hbar(hbar)
     if q_grid is None:
         q_grid = Grid(*s.support_bounds(), _DENSITY_GRID_N)
     if p_grid is None:
         if s.rep is not Representation.DEMAND:
             raise RepresentationError("the default p-grid needs a demand-representation strategy")
-        pm, ps = strategy_moments(s.dual(_wigner_risk(hb)))
+        pm, ps = strategy_moments(s.dual(hb))
         p_grid = _default_grid(pm, max(ps, 1.25e-7))  # a span of at least 1e-6
     values = _closed_form(s.form, p_grid, q_grid, hb)
     if values is None:
@@ -342,15 +335,6 @@ def _chirp_z(s: Strategy, p_grid: Grid, q_grid: Grid, hb: float) -> np.ndarray:
         values[:, j0:j1:2] = head.real.T
         values[:, j0 + 1 : j1 : 2] = head.imag[:n_b].T
     return values
-
-
-def _leaves(form, coefficient: complex = 1.0) -> Iterator[tuple[complex, object]]:
-    """(coefficient, leaf form) pairs of a form, nested superpositions multiplied out."""
-    if isinstance(form, SuperposedForm):
-        for c, part in zip(form.coefficients, form.parts):
-            yield from _leaves(part.form, coefficient * c)
-    else:
-        yield coefficient, form
 
 
 def _closed_form(form, p_grid: Grid, q_grid: Grid, hb: float) -> np.ndarray | None:
@@ -497,11 +481,6 @@ def _default_grid(centre: float, sigma: float) -> Grid:
     return Grid(centre - half, centre + half, _DENSITY_GRID_N)
 
 
-def _wigner_risk(hbar: float) -> RiskParams:
-    # helper risk whose effective dispersion equals the requested hbar
-    return RiskParams(hbar_e=hbar, theta=TWO_PI)
-
-
 # ---------------------------------------------------------------------------
 # closed-form densities
 
@@ -549,7 +528,7 @@ def coherent_wigner(
     the density is an outer product of a p and a q Gaussian, formed as
     one (``_gaussian_pairs``); otherwise it is one exp over the grid.
     """
-    check_positive(hbar, "hbar")
+    check_hbar(hbar)
     if abs(params.r) == 1.0:
         raise DegenerateDensityError("|r| = 1 collapses the density to a line")
     dp_w = params.delta_p(hbar)

@@ -28,7 +28,7 @@ from qmg.errors import (
     RepresentationError,
 )
 from qmg.numerics import Grid, RandomSource, integrate
-from qmg.strategy import Representation, RiskParams, Strategy, sample, to_supply_rep
+from qmg.strategy import Representation, Strategy, sample, to_supply_rep
 
 
 def transaction_density(inst, k, q):
@@ -146,7 +146,7 @@ def test_single_pass_matches_argmin_and_partition(pricing):
         rng=RandomSource(8),
     )
     out = run_auction(inst)
-    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
+    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples)
     q = np.column_stack(rows)
     winner = np.argmin(q, axis=1)
     q_min = q[np.arange(len(p)), winner]
@@ -162,7 +162,7 @@ def test_single_pass_matches_argmin_and_partition(pricing):
 
 def _unblocked_outcome(inst, pricing, weight):
     """The unblocked fold and fsum-on-a-list sums _simulate ran before, kept as the reference."""
-    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples, inst.risk)
+    rows, p = _draws(inst.buyers, inst.seller, inst.rng, inst.mc_samples)
     second_needed = pricing != "first"
     q_min = rows[0]
     winner = np.zeros(len(p), dtype=np.intp)
@@ -662,11 +662,10 @@ def test_every_pricing_in_every_order_is_the_call_on_an_empty_slot(order, count_
     [
         {"rng": RandomSource(51)},
         {"mc_samples": 2 * auction_module.BLOCK + 6},
-        {"risk": RiskParams(hbar_e=0.5, theta=2.0 * math.pi)},
         {"seller": Strategy.gaussian(-0.2, 0.7, rep=Representation.SUPPLY)},
         "reversed",
     ],
-    ids=["seed", "samples", "risk", "seller", "buyer-order"],
+    ids=["seed", "samples", "seller", "buyer-order"],
 )
 def test_a_change_of_any_input_to_the_draws_draws_again(change, count_draws):
     first = _shared_inputs()["first"]

@@ -228,9 +228,9 @@ def test_clear_rounds_transform_each_trader_once_per_risk(monkeypatch):
     calls = []
     original = strategy_module.to_supply_rep
 
-    def counting(s, risk=UNIT_RISK):
-        calls.append((id(s), risk))
-        return original(s, risk)
+    def counting(s, hbar=None):
+        calls.append((id(s), hbar))
+        return original(s, hbar)
 
     monkeypatch.setattr(strategy_module, "to_supply_rep", counting)
     market = MarketState(
@@ -239,11 +239,13 @@ def test_clear_rounds_transform_each_trader_once_per_risk(monkeypatch):
             for k in range(6)
         )
     )
-    other = RiskParams(hbar_e=0.7, theta=3.0)
+    # three risks, two hbars: each trader is transformed at most once per hbar
+    risks = (UNIT_RISK, RiskParams(hbar_e=0.7, theta=3.0), RiskParams(hbar_e=0.7, theta=5.0, m=2.0))
     gen = RandomSource(21).rng
-    for i in range(20):
-        clear_round(market, gen, risk=UNIT_RISK if i % 2 else other)
+    for i in range(30):
+        clear_round(market, gen, hbar=risks[i % 3].hbar_eff)
     assert calls and len(calls) == len(set(calls))
+    assert {hbar for _, hbar in calls} == {1.0, 0.7}
     assert len(calls) <= 2 * len(market.traders)
 
 

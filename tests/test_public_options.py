@@ -19,22 +19,22 @@ OPTIONS = {
     "Strategy": ("rep",),
     "RiskParams": ("m", "theta_nc"),
     "hermite_function": ("length_scale",),
-    "sample": ("rep", "risk"),
-    "sell_probability": ("risk",),
-    "to_demand_rep": ("risk",),
-    "to_supply_rep": ("risk",),
+    "sample": ("rep", "hbar"),
+    "sell_probability": ("hbar",),
+    "to_demand_rep": ("hbar",),
+    "to_supply_rep": ("hbar",),
     "parse_strategy": ("rep", "base_dir", "risk"),
     "CoherentParams": ("p0", "q0"),
     "wigner_transform": ("p_grid", "q_grid", "hbar"),
     "coherent_wigner": ("hbar", "p_grid", "q_grid"),
     "excited_wigner": ("p_grid", "q_grid"),
     "thermal_wigner": ("p_grid", "q_grid", "mode", "series_terms"),
-    "clear_round": ("risk",),
-    "pair_execution_frequency": ("risk",),
+    "clear_round": ("hbar",),
+    "pair_execution_frequency": ("hbar",),
     "profit_intensity": ("rw_sigma",),
     "fixed_point": ("rw_sigma",),
-    "AuctionInstance": ("pricing", "weight", "mc_samples", "rng", "risk"),
-    "vickrey_truthfulness_check": ("rng", "mc_samples", "risk"),
+    "AuctionInstance": ("pricing", "weight", "mc_samples", "rng"),
+    "vickrey_truthfulness_check": ("rng", "mc_samples"),
     "ZenoRun": ("risk",),
     "hermite_coefficients": ("risk", "size"),
 }
@@ -53,4 +53,4 @@ def test_the_public_options_are_the_listed_ones():
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, (enum.Enum, BaseException)))
     }
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 46
+    assert sum(map(len, OPTIONS.values())) == 44

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qmg.clearing import clear_round, pair_execution_frequency
 from qmg.errors import (
     ContractViolationError,
     DegenerateStateError,
@@ -18,6 +19,7 @@ from qmg.numerics import BLOCK, Grid, RandomSource, fourier_p_to_q, fourier_q_to
 from qmg.strategy import (
     DistributionTable,
     GaussianForm,
+    MarketState,
     Representation,
     RiskParams,
     SampledForm,
@@ -35,6 +37,7 @@ from qmg.strategy import (
     to_demand_rep,
     to_supply_rep,
 )
+from qmg.wigner import wigner_transform
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1
 
@@ -615,7 +618,7 @@ def test_a_supply_gaussian_samples_its_demand_dual_at_minus_hbar_slope():
     assert abs(draws.mean() - mean) < 4.0 * std / math.sqrt(draws.size)
     # and the forward direction keeps +hbar * slope, with hbar_eff
     risk = RiskParams(hbar_e=0.6, theta=1.0, theta_nc=0.8)
-    draws = sample(Strategy.gaussian(0.0, 1.0, 0.8), RandomSource(2), 200_000, rep=Representation.SUPPLY, risk=risk)
+    draws = sample(Strategy.gaussian(0.0, 1.0, 0.8), RandomSource(2), 200_000, Representation.SUPPLY, risk.hbar_eff)
     assert abs(draws.mean() - 0.8) < 4.0 * 0.5 / math.sqrt(draws.size)
 
 
@@ -640,7 +643,7 @@ def _dual_source(draw):
 
 
 def _convert(s, risk):
-    return (to_supply_rep if s.rep is Representation.DEMAND else to_demand_rep)(s, risk)
+    return (to_supply_rep if s.rep is Representation.DEMAND else to_demand_rep)(s, risk.hbar_eff)
 
 
 @given(s=_dual_source(), risk=_RISK)
@@ -676,10 +679,74 @@ def test_closed_form_duals_convert_back_to_the_source(s, risk):
 )
 def test_superposed_duals_are_the_dual_of_the_superposition(parts, risk, data):
     coefficients = [complex(*data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 1.0)))) for _ in parts]
-    whole = to_supply_rep(Strategy.superpose(parts, coefficients), risk)
-    from_parts = Strategy.superpose([to_supply_rep(p, risk) for p in parts], coefficients)
+    whole = to_supply_rep(Strategy.superpose(parts, coefficients), risk.hbar_eff)
+    from_parts = Strategy.superpose([to_supply_rep(p, risk.hbar_eff) for p in parts], coefficients)
     g = whole.default_grid()
     assert np.max(np.abs(from_parts.amplitudes_on(g) - whole.amplitudes_on(g))) < 1e-13
+
+
+@given(
+    s=st.one_of(_DUAL_HERMITE, _DUAL_GAUSSIAN, _sampled()),
+    hbar=st.one_of(st.none(), st.floats(0.3, 3.0)),
+    log_price=st.floats(-2.0, 2.0),
+)
+def test_a_one_part_superposition_is_its_part_bit_for_bit(s, hbar, log_price):
+    # the default hbar is the part's own, however deep it sits
+    nested = Strategy.superpose([Strategy.superpose([s], [1])], [1])
+    assert nested.hbar == s.hbar
+    a, b = wigner_transform(s, hbar=hbar), wigner_transform(nested, hbar=hbar)
+    assert (a.p_grid, a.q_grid, a.hbar) == (b.p_grid, b.q_grid, b.hbar)
+    assert np.array_equal(a.values, b.values)
+    x = s.dual(hbar).default_grid().points
+    assert np.array_equal(s.dual(hbar).evaluate(x), nested.dual(hbar).evaluate(x))
+    assert sell_probability(s, log_price, hbar) == sell_probability(nested, log_price, hbar)
+    for rep in Representation:
+        draws = [sample(t, RandomSource(5), 300, rep, hbar) for t in (s, nested)]
+        assert np.array_equal(*draws)
+
+
+def test_two_risks_of_one_hbar_share_one_dual():
+    s = Strategy.superpose([Strategy.gaussian(0.3, 0.8, 1.2), Strategy.hermite(1)], [1.0, 0.5j])
+    one, other = RiskParams(hbar_e=0.7, theta=2.0), RiskParams(hbar_e=0.7, theta=5.0, m=3.0)
+    assert s.dual(one.hbar_eff) is s.dual(other.hbar_eff)
+    assert s.dual() is s.dual(1.0)
+    assert list(s._duals) == [0.7, 1.0]
+
+
+def test_levels_of_two_hbars_need_an_explicit_hbar():
+    s = Strategy.superpose([Strategy.hermite(0), Strategy.hermite(1, RiskParams(hbar_e=0.7, theta=2.0))], [1, 1])
+    for default in (s.dual, lambda: wigner_transform(s), lambda: sample(s, RandomSource(0), 4, Representation.SUPPLY)):
+        with pytest.raises(ParameterRangeError, match=r"hbar \[0.7, 1.0\]"):
+            default()
+    # an explicit hbar, or no transform at all, needs no default
+    assert to_supply_rep(s, 0.7).rep is Representation.SUPPLY
+    assert sample(s, RandomSource(0), 4).shape == (4,)
+
+
+_G = Strategy.gaussian(0.0, 1.0)
+_G_SUPPLY = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-310],
+                         ids=["nan", "inf", "-inf", "zero", "negative", "subnormal"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: _G.dual(h),
+        lambda h: to_supply_rep(_G, h),
+        lambda h: to_demand_rep(_G_SUPPLY, h),
+        lambda h: sell_probability(_G_SUPPLY, 0.3, h),  # no transform: refused all the same
+        lambda h: sample(_G, RandomSource(0), 4, hbar=h),
+        lambda h: clear_round(MarketState((_G, _G_SUPPLY)), RandomSource(0), h),
+        lambda h: pair_execution_frequency(_G, _G_SUPPLY, 4, RandomSource(0), h),
+        lambda h: wigner_transform(_G, hbar=h),
+    ],
+    ids=["dual", "to_supply_rep", "to_demand_rep", "sell_probability", "sample", "clear_round",
+         "pair_execution_frequency", "wigner_transform"],
+)
+def test_a_bad_hbar_is_refused_by_name(call, bad):
+    with pytest.raises(ParameterRangeError, match="^hbar must be positive and finite"):
+        call(bad)
 
 
 def test_only_sampled_strategies_convert_through_the_fft(monkeypatch):

@@ -270,7 +270,7 @@ def test_default_p_grid_reads_the_cached_dual_and_refuses_supply_strategies():
     d = wigner_transform(s, hbar=2.0)
     # the p-grid came from the dual that s keeps, not from a fresh transform
     (dual,) = s._duals.values()
-    assert dual is s.dual(RiskParams(hbar_e=2.0, theta=2.0 * math.pi))
+    assert dual is s.dual(2.0)
     p_mean, p_std = moments(dual)
     span = 8.0 * p_std
     assert d.p_grid == Grid(p_mean - span, p_mean + span, 241)
@@ -730,9 +730,23 @@ def _marginal_case(family, coeffs, packet, n_table, n_p, nq):
     """(strategy, p grid, q grid, |psi|^2 on q, |psi~|^2 on p, bound), hbar = 1.
 
     levels: sum_n c_n phi_n, whose dual is sum_n c_n (-i)^n phi_n; sloped:
-    one gaussian packet; sampled: the levels up to n = 2 tabulated on
-    n_table nodes.
+    one gaussian packet; mixed: that packet plus one 0.6 times as wide,
+    which no closed form takes; sampled: the levels up to n = 2 tabulated
+    on n_table nodes.
     """
+    if family == "mixed":
+        center, width, slope = packet
+        packets = [(center, width, slope), (-0.5 * center, 0.6 * width, -0.5 * slope)]
+        c = [complex(*coeffs[0]), complex(*(coeffs[1:] or [(0.5, 0.0)])[0])]
+        q_grid = Grid(min(a - 8.0 * w for a, w, _ in packets), max(a + 8.0 * w for a, w, _ in packets), nq)
+        p_grid = Grid(min(k - 4.0 / w for _, w, k in packets), max(k + 4.0 / w for _, w, k in packets), n_p)
+        s = Strategy.superpose([Strategy.gaussian(*packet) for packet in packets], c)
+        # each packet's dual, (2 w^2 / pi)^(1/4) exp(-w^2 (p - k)^2 - i (p - k) a) at hbar = 1
+        dual = sum(
+            cn * (2.0 * w * w / math.pi) ** 0.25 * np.exp(-((w * (p_grid.points - k)) ** 2) - 1j * (p_grid.points - k) * a)
+            for cn, (a, w, k) in zip(c, packets)
+        )
+        return s, p_grid, q_grid, np.abs(s.evaluate(q_grid.points)) ** 2, np.abs(dual) ** 2, ANALYTIC_MARGINAL_BOUND
     if family == "sloped":
         center, width, slope = packet
         spread = 0.5 / width
@@ -761,19 +775,22 @@ def _marginal_case(family, coeffs, packet, n_table, n_p, nq):
 
 
 # largest marginal error measured over the drawn cases (levels up to n = 5,
-# 97 to 400 points a side): 6.8e-15 for the analytic forms; 4.2e-7 for
+# 97 to 400 points a side): 6.8e-15 for the analytic forms, 1.7e-14 for the
+# mixed widths (400 draws, through the chirp-z); 4.2e-7 for
 # the sampled tables (levels up to n = 2 on 321 to 641 nodes), where the
 # spline interpolant's slowly decaying dual reaches past the p grid
 ANALYTIC_MARGINAL_BOUND = 1e-13
 SAMPLED_MARGINAL_BOUND = 1e-6
 
 # both step rules (r = 1, the q grid itself, and r >= 2) meet both FFT
-# lengths (a power of two, and a 5-smooth length short of one)
+# lengths (a power of two, and a 5-smooth length short of one), on forms
+# that the chirp-z computes: mixed widths and sampled tables
+_EXAMPLE_COEFFS = [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)]
 MARGINAL_EXAMPLES = [
-    ("levels", [(1.0, 0.0)], (0.0, 1.0, 0.0), 321, 80, 97),
-    ("levels", [(1.0, 0.0)], (0.0, 1.0, 0.0), 321, 160, 97),
-    ("levels", [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)], (0.0, 1.0, 0.0), 321, 100, 103),
-    ("levels", [(0.6, 0.1), (0.0, -0.5), (0.3, 0.4)], (0.0, 1.0, 0.0), 321, 120, 97),
+    ("mixed", _EXAMPLE_COEFFS, (0.2, 1.0, 0.5), 321, 97, 163),
+    ("mixed", _EXAMPLE_COEFFS, (0.2, 1.0, 0.5), 321, 111, 394),
+    ("sampled", _EXAMPLE_COEFFS, (0.2, 1.0, 0.5), 321, 97, 97),
+    ("sampled", _EXAMPLE_COEFFS, (0.2, 1.0, 0.5), 321, 97, 306),
 ]
 
 
@@ -805,8 +822,10 @@ def test_fft_length_is_the_least_5_smooth_bound():
 
 
 def test_marginal_examples_reach_both_step_rules_and_both_fft_lengths():
-    plans = [_plan(_marginal_case(*example)) for example in MARGINAL_EXAMPLES]
-    kinds = {(r == 1, n_fft & (n_fft - 1) == 0) for r, n_fft in plans}
+    cases = [_marginal_case(*example) for example in MARGINAL_EXAMPLES]
+    for s, p_grid, q_grid, *_ in cases:
+        assert _closed_form(s.form, p_grid, q_grid, 1.0) is None  # each example reaches the chirp-z
+    kinds = {(r == 1, n_fft & (n_fft - 1) == 0) for r, n_fft in map(_plan, cases)}
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -814,7 +833,7 @@ _coefficient = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
 @given(
-    family=st.sampled_from(["levels", "sloped", "sampled"]),
+    family=st.sampled_from(["levels", "sloped", "mixed", "sampled"]),
     # a ground-level weight of at least 0.1 keeps every truncation normalizable
     coeffs=st.lists(_coefficient, min_size=1, max_size=6).filter(lambda cs: math.hypot(*cs[0]) > 0.1),
     packet=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 1.5), st.floats(-3.0, 3.0)),
@@ -925,7 +944,7 @@ def _levels_of_one_risk(draw):
 def test_closed_forms_match_the_chirp_z_on_drawn_grids(case, n_p, nq, widen):
     s, hb = case
     q_lo, q_hi = s.support_bounds()
-    p_lo, p_hi = s.dual(RiskParams(hbar_e=hb, theta=2.0 * math.pi)).support_bounds()
+    p_lo, p_hi = s.dual(hb).support_bounds()
     q_grid, p_grid = Grid(widen * q_lo, widen * q_hi, nq), Grid(widen * p_lo, widen * p_hi, n_p)
     closed = _closed_form(s.form, p_grid, q_grid, hb)
     want = _chirp_z(s, p_grid, q_grid, hb)

@@ -3,9 +3,11 @@
 Runs one fixed deck of scenarios, every kind once with analytic
 strategies and curves, zeno, clearing and auction once more with an
 off-centre sampled table, zeno once more from a superposition of two
-Gaussians (off the risk basis, so its coefficients come from quadrature)
-and once from two oscillator levels under a non-unit risk record (the
-exact path), under each revision, then prints for every output file "identical" or the
+Gaussians (off the risk basis, so its coefficients come from quadrature),
+and zeno, curves, clearing and auction once more with oscillator levels
+under a non-unit risk record (zeno's exact path; clearing with a
+supply-side trader, so levels are transformed at that record's hbar),
+under each revision, then prints for every output file "identical" or the
 largest absolute difference between the two runs' numbers.
 
     python3 tools/drift.py [BASE] [HEAD] [--seed N] [--keep DIR]
@@ -37,6 +39,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = "offcentre.csv"
 SAMPLED = f"sampled(@{TABLE})"
+RISK = {"hbar_e": 0.7, "theta": 2.5, "m": 1.3, "theta_nc": 0.4}
 
 DECK = {
     "fixed-point": ("fixed-point", {"sigmas": [0.5, 1.0, 2.0]}),
@@ -44,6 +47,7 @@ DECK = {
     "risk-spectrum": ("risk-spectrum", {"levels": 8}),
     "curves": ("curves", {"family": "strategy", "strategy": "gaussian(0.3, 0.8, 1.5)"}),
     "curves-sampled": ("curves", {"family": "strategy", "strategy": SAMPLED}),
+    "curves-levels": ("curves", {"family": "strategy", "risk": RISK, "strategy": "hermite(3)"}),
     "zeno": ("zeno", {"initial": ["hermite(0)", "hermite(1)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
     "zeno-sampled": ("zeno", {"initial": SAMPLED, "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
     "zeno-gaussians": ("zeno", {
@@ -57,12 +61,19 @@ DECK = {
     "clearing-sampled": ("clearing", {
         "traders": [SAMPLED, {"strategy": SAMPLED, "rep": "supply"}, "gaussian(0, 1)"], "rounds": 20,
     }),
+    "clearing-risk": ("clearing", {
+        "risk": RISK, "traders": ["hermite(0)", "hermite(2)", {"strategy": "hermite(1)", "rep": "supply"}], "rounds": 20,
+    }),
     "auction": ("auction", {
         "buyers": ["gaussian(0, 1)", "hermite(1)"], "seller": "gaussian(0.2, 0.5)",
         "pricing": "mixed", "weight": 0.5, "samples": 20000,
     }),
     "auction-sampled": ("auction", {
         "buyers": [SAMPLED, "hermite(1)"], "seller": "gaussian(0.2, 0.5)",
+        "pricing": "mixed", "weight": 0.5, "samples": 20000,
+    }),
+    "auction-risk": ("auction", {
+        "risk": RISK, "buyers": ["hermite(1)", "hermite(2)"], "seller": "hermite(0)",
         "pricing": "mixed", "weight": 0.5, "samples": 20000,
     }),
 }
