@@ -594,21 +594,23 @@ def _folded_abs(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 def _oscillator_h(
     p_grid: Grid, q_grid: Grid, risk: RiskParams
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """H on the distinct-|p| x distinct-|q| grid, and the index back to the full grid.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """H's two terms, p^2 / 2m on the distinct |p| and m omega^2 q^2 / 2 on the
+    distinct |q|, and the index back to the full grid.
 
     H is even in p and in q, so any f of it is evaluated once per
-    distinct (|p|, |q|) pair and ``_spread(f(h), index)`` is f at every
-    p_grid x q_grid point.  Refused where H or z = 4H/(hbar omega)
-    would overflow: both grow with |p| and |q|, so the corner farthest
-    out bounds them; checked there in numpy scalars, where an overflow
-    or a zero hbar omega gives inf or nan, before any array overflows.
+    distinct (|p|, |q|) pair, on ``np.add.outer`` of the two terms, and
+    ``_spread(f(h), index)`` is f at every p_grid x q_grid point.
+    Refused where H or z = 4H/(hbar omega) would overflow: both grow
+    with |p| and |q|, so the corner farthest out bounds them; checked
+    there in numpy scalars, where an overflow or a zero hbar omega gives
+    inf or nan, before any array overflows.
     """
     p_top = max(-p_grid.lo, p_grid.hi)
     q_top = max(-q_grid.lo, q_grid.hi)
     omega = np.float64(risk.omega)
     with np.errstate(all="ignore"):
-        # associated as the array's H below, whose Python omega**2 would raise
+        # associated as the terms below, whose Python omega**2 would raise
         h_top = p_top * p_top / (2.0 * risk.m) + 0.5 * risk.m * omega**2 * q_top * q_top
         z_top = 4.0 * h_top / (risk.hbar_eff * omega)
     if not np.isfinite(z_top):
@@ -617,8 +619,7 @@ def _oscillator_h(
         )
     p, p_at = _folded_abs(p_grid)
     q, q_at = _folded_abs(q_grid)
-    h = np.add.outer(p * p / (2.0 * risk.m), 0.5 * risk.m * risk.omega**2 * q * q)
-    return h, (p_at, q_at)
+    return p * p / (2.0 * risk.m), 0.5 * risk.m * risk.omega**2 * q * q, (p_at, q_at)
 
 
 def _spread(values: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -665,7 +666,8 @@ def excited_wigner(
         )
     hb = risk.hbar_eff
     p_grid, q_grid = _oscillator_grids(float(n), risk, p_grid, q_grid)
-    h, index = _oscillator_h(p_grid, q_grid, risk)
+    h_p, h_q, index = _oscillator_h(p_grid, q_grid, risk)
+    h = np.add.outer(h_p, h_q)
     level_n = next(itertools.islice(_laguerre_ladder(4.0 * h / (hb * risk.omega)), n, None))
     values = _spread((-1.0) ** n / (math.pi * hb) * level_n, index)
     return PhaseSpaceDensity(values, p_grid, q_grid, hb)
@@ -682,21 +684,34 @@ def thermal_wigner(
     """Gibbs mixture of risk eigenstates at inverse temperature beta.
 
     mode="closed" uses W = (omega / 2 pi) x e^{-x H} with
-    x = (2 / hbar omega) tanh(beta hbar omega / 2); mode="series" sums
-    the level densities with geometric weights, which converges to the
-    closed form and is kept for cross-checks.  Both depend on (p, q) only
-    through |p| and |q|: each is evaluated once per distinct (|p|, |q|)
-    pair of the grid and spread back to every point, the series summing
-    all ``series_terms`` levels in order.  On a grid with lo == -hi the
-    mirrored points share one |p| (or |q|), so W is exactly even in p and
-    in q.  A beta so small that the thermal spread overflows, or a grid on
-    which H overflows, raises ParameterRangeError.
+    x = (2 / hbar omega) tanh(beta hbar omega / 2), evaluated once per
+    distinct (|p|, |q|) pair of the grid and spread back to every point.
+
+    mode="series" sums the level densities with their Gibbs weights
+    (1 - s) s^k, s = e^{-beta hbar omega}, which converges to the closed
+    form and is kept for cross-checks.  With z = 4H/(hbar omega) =
+    X(p) + Y(q), the Laguerre addition formula splits each level,
+    e^{-z/2} L_k(z) = sum_{i+j=k} a_i(X) b_j(Y), a and b the
+    e^{-x/2} L_i^{(-1/2)}(x) of one 1-D ladder each (``_half_laguerre_ladder``)
+    on the distinct |p| and the distinct |q|.  The weights split too,
+    (-s)^k = (-s)^i (-s)^j, so the K-level sum is one matrix product
+    U V~^T of the weighted p ladder and the reversed prefix sums of the
+    weighted q ladder, spread back to every point.  K is ``series_terms``
+    or, if fewer, the first k with s^k <= 2^-60 tanh(beta hbar omega / 2)
+    (``_series_cut``): |e^{-z/2} L_k(z)| <= 1 for z >= 0, so the levels
+    dropped sum to at most 2^-60 of the density's peak.
+
+    On a grid with lo == -hi the mirrored points share one |p| (or |q|),
+    so W is exactly even in p and in q.  A beta so small that the thermal
+    spread overflows, or a grid on which H overflows, raises
+    ParameterRangeError.
     """
     check_positive(beta, "beta")
     if mode not in ("closed", "series"):
         raise ContractViolationError(f"mode must be closed or series, got {mode!r}")
     hb = risk.hbar_eff
-    x = (2.0 / (hb * risk.omega)) * math.tanh(0.5 * beta * hb * risk.omega)
+    tanh = math.tanh(0.5 * beta * hb * risk.omega)
+    x = (2.0 / (hb * risk.omega)) * tanh
     scaled = hb * risk.omega * x
     spread = 1.0 / scaled if scaled > 0 else math.inf
     if not math.isfinite(spread):
@@ -704,18 +719,56 @@ def thermal_wigner(
     # thermal spread expressed as an effective level count for the grids
     level = max(spread - 0.5, 0.0)
     p_grid, q_grid = _oscillator_grids(level + 0.5, risk, p_grid, q_grid)
-    h, index = _oscillator_h(p_grid, q_grid, risk)
+    h_p, h_q, index = _oscillator_h(p_grid, q_grid, risk)
     if mode == "closed":
+        h = np.add.outer(h_p, h_q)
         return PhaseSpaceDensity(_spread((risk.omega / TWO_PI) * x * np.exp(-x * h), index), p_grid, q_grid, hb)
     check_count(series_terms, "series_terms", 1)
     s = math.exp(-beta * hb * risk.omega)
-    total = np.zeros_like(h)
-    term = np.empty_like(h)
-    for k, level in zip(range(series_terms), _laguerre_ladder(4.0 * h / (hb * risk.omega))):
-        weight = (1.0 - s) * s**k  # Gibbs weight of level k
-        np.multiply(weight * ((-1.0) ** k / (math.pi * hb)), level, out=term)
-        total += term
-    return PhaseSpaceDensity(_spread(total, index), p_grid, q_grid, hb)
+    terms = _series_cut(s, tanh, series_terms)
+    weights = (-s) ** np.arange(terms)[:, None]  # (-s)^i by row
+    u = _half_laguerre_ladder(4.0 * h_p / (hb * risk.omega), terms)
+    u *= ((1.0 - s) / (math.pi * hb)) * weights
+    v = _half_laguerre_ladder(4.0 * h_q / (hb * risk.omega), terms)
+    v *= weights
+    np.cumsum(v, axis=0, out=v)  # row j: the q levels 0..j
+    # level pairs i + j < terms: p row i meets the q prefix sum of row terms - 1 - i
+    values = _product(u.T, np.ascontiguousarray(v[::-1]))
+    return PhaseSpaceDensity(_spread(values, index), p_grid, q_grid, hb)
+
+
+def _series_cut(s: float, tanh: float, terms: int) -> int:
+    """min(terms, the first k with s^k <= 2^-60 tanh), from logarithms.
+
+    s = 0 (e^{-beta hbar omega} underflows) keeps level 0 alone.  s = 1
+    (e^{-beta hbar omega} rounds to 1) gives every level the weight
+    1 - s = 0, so one level gives the same zeros as any count.
+    """
+    if s == 0.0 or s == 1.0:
+        return 1
+    return min(terms, math.ceil(math.log(2.0**-60 * tanh) / math.log(s)))
+
+
+def _half_laguerre_ladder(x: np.ndarray, count: int) -> np.ndarray:
+    """Rows e^{-x/2} L_i^{(-1/2)}(x) for i < count, by the scaled three-term
+    recurrence (i + 1) L_{i+1} = (2i + 1/2 - x) L_i - (i - 1/2) L_{i-1}.
+
+    L_i^{(-1/2)}(x) = (-1)^i H_{2i}(sqrt x) / (4^i i!), so Cramer's bound on
+    the Hermite functions keeps every row within 1 in magnitude for x >= 0.
+    """
+    out = np.empty((count, len(x)))
+    np.exp(-0.5 * x, out=out[0])
+    if count > 1:
+        np.multiply(0.5 - x, out[0], out=out[1])
+    prev = np.empty_like(x)
+    for i in range(1, count - 1):
+        row = out[i + 1]
+        np.subtract(2 * i + 0.5, x, out=row)
+        row *= out[i]
+        np.multiply(out[i - 1], i - 0.5, out=prev)
+        row -= prev
+        row /= i + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -766,14 +819,21 @@ def hudson_check(s: Strategy) -> HudsonReport:
     Hudson's theorem: a pure state has an everywhere non-negative
     Wigner function exactly when it is a Gaussian wave packet.  Mixed
     densities are out of scope; pass strategies only.  The density is
-    ``wigner_transform(s)`` on its default grids; for others, call
-    ``is_giffen(wigner_transform(s, ...))``.
+    ``wigner_transform(s)`` on its default grids, at the strategy's own
+    hbar; for other grids, call ``is_giffen(wigner_transform(s, ...))``.
+    A strategy whose oscillator levels carry two hbar, and so has no
+    default, is classified at hbar = 1: W_hbar(p, q) = (hbar' / hbar)
+    W_hbar'(p hbar' / hbar, q), so the sign pattern does not depend on hbar.
     """
     if not isinstance(s, Strategy):
         raise ContractViolationError(
             "hudson_check classifies pure strategies, not densities"
         )
-    d = wigner_transform(s)
+    try:
+        hb = s.hbar
+    except ParameterRangeError:  # levels at two hbar leave no default
+        hb = 1.0
+    d = wigner_transform(s, hbar=hb)
     report = is_giffen(d)
     cls = (
         HudsonClass.NON_GAUSSIAN_NEGATIVE

@@ -28,7 +28,7 @@ from qmg.errors import (
     RepresentationError,
 )
 from qmg.numerics import Grid, RandomSource, integrate
-from qmg.strategy import Representation, Strategy, sample, to_supply_rep
+from qmg.strategy import Representation, RiskParams, Strategy, sample, to_supply_rep
 
 
 def transaction_density(inst, k, q):
@@ -425,6 +425,19 @@ def test_vickrey_not_applicable_for_giffen_opponents():
             opponents=(Strategy.hermite(2),),
             seller=Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY),
         )
+
+
+def test_vickrey_classifies_opponents_whose_levels_carry_two_hbar():
+    # with no default hbar the Hudson check reads W at hbar 1, whose sign is that at any hbar
+    giffen = Strategy.superpose([Strategy.hermite(0), Strategy.hermite(0, RiskParams(0.7, 2.5))], [1, 1])
+    seller = Strategy.gaussian(0.0, 1.0, rep=Representation.SUPPLY)
+    with pytest.raises(NotApplicableError):
+        vickrey_truthfulness_check(1.0, (0.5, 1.0, 1.5), (giffen,), seller, mc_samples=1000)
+    twin = Strategy.superpose(
+        [Strategy.hermite(0), Strategy.hermite(0, RiskParams(hbar_e=0.5, theta=2 * math.pi, m=0.5))], [1, 1]
+    )
+    report = vickrey_truthfulness_check(1.0, (0.5, 1.0, 1.5), (twin,), seller, RandomSource(3), 20_000)
+    assert not report.exact and report.truthful_optimal
 
 
 def test_vickrey_refuses_a_transformed_giffen_seller():

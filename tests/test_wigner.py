@@ -13,7 +13,7 @@ from qmg.errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from qmg.numerics import Grid, RandomSource
+from qmg.numerics import TWO_PI, Grid, RandomSource
 from qmg.strategy import Representation, RiskParams, Strategy, UNIT_RISK, hermite_function, moments
 from qmg.strategy import norm as strategy_norm
 from qmg import wigner as wigner_module
@@ -26,6 +26,7 @@ from qmg.wigner import (
     excited_wigner,
     hudson_check,
     is_giffen,
+    _half_laguerre_ladder,
     _laguerre_ladder,
     _chirp_z,
     _chord_ratio,
@@ -183,6 +184,30 @@ def test_hudson_classification():
 def test_hudson_requires_strategy():
     with pytest.raises(ContractViolationError):
         hudson_check("gaussian(0,1)")
+
+
+def test_hudson_classifies_levels_at_two_hbar_at_hbar_one():
+    from qmg.wigner import HudsonClass
+
+    mixed = Strategy.superpose([Strategy.hermite(0), Strategy.hermite(0, RiskParams(0.7, 2.5))], [1, 1])
+    with pytest.raises(ParameterRangeError, match="leave no default"):
+        mixed.hbar
+    rep = hudson_check(mixed)
+    assert rep.density.hbar == 1.0
+    assert rep.classification is HudsonClass.NON_GAUSSIAN_NEGATIVE
+    # the sign pattern does not depend on hbar
+    assert all(is_giffen(wigner_transform(mixed, hbar=hb)) for hb in (0.7, 2.5))
+    # two copies of one Gaussian that differ only in hbar are classified positive
+    same_length = RiskParams(hbar_e=0.5, theta=TWO_PI, m=0.5)
+    twin = Strategy.superpose([Strategy.hermite(0), Strategy.hermite(0, same_length)], [1, 1])
+    assert hudson_check(twin).classification is HudsonClass.GAUSSIAN_POSITIVE
+
+
+def test_hudson_keeps_the_default_hbar_of_a_strategy_that_has_one():
+    s = Strategy.hermite(2, RiskParams(0.7, 2.5))
+    rep = hudson_check(s)
+    assert rep.density.hbar == s.hbar == 0.7
+    assert _same_bits(rep.density.values, wigner_transform(s).values)
 
 
 def test_dominant_curves_of_positive_gaussian():
@@ -422,6 +447,11 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _within_1e_15(got, want):
+    # a few ulps of the density's scale: sums of the same levels in another order
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
 @st.composite
 def _oscillator_grid(draw, scale):
     # asymmetric ends or lo == -hi, odd or even sizes, and p and q sizes drawn apart
@@ -448,13 +478,15 @@ def test_level_sums_match_the_full_grid_loop_bit_for_bit(
     p_grid = data.draw(_oscillator_grid(math.sqrt(hb * m * om)))
     q_grid = data.draw(_oscillator_grid(math.sqrt(hb / (m * om))))
     beta = beta_gap / (hb * om)
+    # the excited level holds the loop's bits; the thermal series sums the same
+    # levels as a product of two 1-D ladders, in another order, within 1e-15
     series = thermal_wigner(beta, risk, p_grid, q_grid, mode="series", series_terms=terms)
-    assert _same_bits(series.values, _full_grid_series(beta, risk, p_grid, q_grid, terms))
+    assert _within_1e_15(series.values, _full_grid_series(beta, risk, p_grid, q_grid, terms))
     excited = excited_wigner(n, risk, p_grid, q_grid)
     assert _same_bits(excited.values, _full_grid_level(n, risk, p_grid, q_grid))
     # the default grids are symmetric, where most z values repeat
     default = thermal_wigner(beta, risk, mode="series", series_terms=terms)
-    assert _same_bits(
+    assert _within_1e_15(
         default.values,
         _full_grid_series(beta, risk, default.p_grid, default.q_grid, terms),
     )
@@ -505,18 +537,81 @@ def test_oscillator_densities_are_exactly_even_on_symmetric_grids(density, grids
 
 @pytest.mark.parametrize("n, m", [(8, 8), (9, 8), (40, 57), (241, 241)])
 def test_the_ladder_runs_once_per_distinct_abs_p_abs_q_pair(monkeypatch, n, m):
-    seen = []
-    ladder = wigner_module._laguerre_ladder
+    # the thermal series runs the 1-D ladder once on the distinct |p|, once on
+    # the distinct |q|; the excited level runs the 2-D ladder on their pairs
+    seen = {"_half_laguerre_ladder": [], "_laguerre_ladder": []}
+    for name, seen_by in seen.items():
+        ladder = getattr(wigner_module, name)
 
-    def spy(z):
-        seen.append(z.size)
-        return ladder(z)
+        def spy(x, *count, ladder=ladder, seen_by=seen_by):
+            seen_by.append(x.size)
+            return ladder(x, *count)
 
-    monkeypatch.setattr(wigner_module, "_laguerre_ladder", spy)
+        monkeypatch.setattr(wigner_module, name, spy)
     p_grid, q_grid = Grid(-2.5, 2.5, n), Grid(-3.5, 3.5, m)
     thermal_wigner(0.7, _RISK, p_grid, q_grid, mode="series")
     excited_wigner(5, _RISK, p_grid, q_grid)
-    assert seen == [math.ceil(n / 2) * math.ceil(m / 2)] * 2
+    assert seen["_half_laguerre_ladder"] == [math.ceil(n / 2), math.ceil(m / 2)]
+    assert seen["_laguerre_ladder"] == [math.ceil(n / 2) * math.ceil(m / 2)]
+
+
+def test_the_half_ladder_matches_scipy():
+    from scipy.special import eval_genlaguerre
+
+    x = np.concatenate([np.linspace(0.0, 1400.0, 4001), RandomSource(7).rng.uniform(0.0, 1400.0, 2000)])
+    got = _half_laguerre_ladder(x, 300)
+    want = eval_genlaguerre(np.arange(300)[:, None], -0.5, x) * np.exp(-0.5 * x)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+@given(
+    xy=st.lists(st.tuples(st.floats(0.0, 700.0), st.floats(0.0, 700.0)), min_size=1, max_size=20),
+    count=st.integers(1, 300),
+)
+@example(xy=[(0.0, 0.0), (0.0, 700.0), (700.0, 0.0)], count=300)
+def test_the_laguerre_addition_formula_splits_each_level(xy, count):
+    # e^{-z/2} L_k(X + Y) = sum_{i+j=k} a_i(X) b_j(Y), a and b the alpha = -1/2 ladder
+    x, y = np.array(xy).T
+    a, b = _half_laguerre_ladder(x, count), _half_laguerre_ladder(y, count)
+    for k, level in zip(range(count), _laguerre_ladder(x + y)):
+        split = np.einsum("ij,ij->j", a[: k + 1], b[k::-1])
+        assert np.max(np.abs(split - level)) < 1e-12, k
+
+
+def test_the_series_stops_where_its_tail_drops_below_a_bit():
+    # at beta hbar omega 2.07 the cut falls near level 21: a count of 10^9
+    # sums the same levels as 200, without a table of 10^9 weights
+    tracemalloc.start()
+    try:
+        huge = thermal_wigner(1.0, _RISK, mode="series", series_terms=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert _same_bits(huge.values, thermal_wigner(1.0, _RISK, mode="series").values)
+
+
+@pytest.mark.parametrize(
+    "beta, check",
+    [
+        # s = e^{-beta hbar omega} rounds to 1: every level weighs 1 - s = 0
+        (1e-17, lambda d: np.all(d.values == 0.0)),
+        # s underflows to 0: the ground state alone
+        (1e3, lambda d: _within_1e_15(d.values, excited_wigner(0, UNIT_RISK, d.p_grid, d.q_grid).values)),
+    ],
+    ids=["s-is-1", "s-is-0"],
+)
+def test_the_series_cut_takes_one_level_where_the_weights_leave_no_choice(monkeypatch, beta, check):
+    counts = []
+    ladder = wigner_module._half_laguerre_ladder
+
+    def spy(x, count):
+        counts.append(count)
+        return ladder(x, count)
+
+    monkeypatch.setattr(wigner_module, "_half_laguerre_ladder", spy)
+    assert check(thermal_wigner(beta, UNIT_RISK, mode="series", series_terms=10**9))
+    assert counts == [1, 1]
 
 
 @pytest.mark.parametrize("mode", ["closed", "series"])
