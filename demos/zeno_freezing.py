@@ -33,7 +33,7 @@ def main() -> None:
     print(f"  total_time = 1 (omega T = 2 pi), n = 1: S = {s_rev:.12f}")
 
     coherent = Strategy.gaussian(1.5, math.sqrt(0.5))
-    print("displaced packet (quadrature expansion, 128+ levels):")
+    print("displaced packet (closed-form expansion by its three-term recurrence, 128 levels):")
     for n in (1, 3, 25):
         s = survival_probability(ZenoRun(coherent, 1.0 / math.pi, n))
         print(f"  n = {n:3d}  S = {s:.8f}")

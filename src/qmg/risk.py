@@ -16,14 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ImproperStateError, ParameterRangeError
 from .numerics import check_count, check_positive
 from .strategy import (
+    GaussianForm,
+    HermiteForm,
     Representation,
     RiskParams,
     Strategy,
+    _leaves,
     moments as strategy_moments,
 )
+from .zeno import _closed_form_vector
 
 __all__ = [
     "RiskParams",
@@ -70,8 +76,14 @@ def risk_expectation(s: Strategy, risk: RiskParams) -> float:
     <H> = Var(p) / (2m) + m omega^2 Var(q) / 2.  A displaced or
     phase-tilted packet therefore carries the same risk as the centered
     one, and every normalized strategy satisfies
-    <H> >= hbar_eff omega / 2 (the uncertainty bound).  The other
-    quadrature is the strategy's cached dual, :meth:`Strategy.dual`.
+    <H> >= hbar_eff omega / 2 (the uncertainty bound).
+
+    Two kinds are exact: a bare Gaussian of width w on either side has
+    variances w^2 there and (hbar_eff / 2w)^2 on the other, and demand-side
+    levels at the risk's length, coefficients c_n, have
+    <H> = hbar_eff omega (<n> + 1/2 - |<a>|^2).  Every other strategy
+    reads both variances from tables, the other quadrature being its
+    cached dual, :meth:`Strategy.dual`.
     """
     if not isinstance(s, Strategy):
         raise ImproperStateError("risk_expectation expects a Strategy")
@@ -79,6 +91,19 @@ def risk_expectation(s: Strategy, risk: RiskParams) -> float:
         raise ImproperStateError(
             "point strategies have divergent risk (infinite dual spread)"
         )
+    form = s._bare.form
+    if isinstance(form, GaussianForm):
+        own, dual = form.width**2, (risk.hbar_eff / (2.0 * form.width)) ** 2
+        q_var, p_var = (own, dual) if s.rep is Representation.DEMAND else (dual, own)
+        return p_var / (2.0 * risk.m) + 0.5 * risk.m * risk.omega**2 * q_var
+    if s.rep is Representation.DEMAND and all(isinstance(f, HermiteForm) for _, f in _leaves(s.form)):
+        c = _closed_form_vector(s, risk.length_scale, 1)  # None for levels of another length
+        if c is not None and np.any(c):
+            weights = np.abs(c) ** 2
+            total = float(np.sum(weights))
+            n_mean = float(np.arange(len(c)) @ weights) / total
+            a_mean = complex(np.sum(c[:-1].conj() * np.sqrt(np.arange(1.0, len(c))) * c[1:])) / total
+            return risk.hbar_eff * risk.omega * (n_mean + 0.5 - abs(a_mean) ** 2)
     if s.rep is Representation.DEMAND:
         demand, supply = s, s.dual(risk.hbar_eff)
     else:

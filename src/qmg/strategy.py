@@ -269,18 +269,56 @@ class SuperposedForm:
 Form = Union[GaussianForm, HermiteForm, SampledForm, DiscreteForm, SuperposedForm]
 
 
-def _hermite_ladder(u: np.ndarray, phi0: np.ndarray) -> Iterator[np.ndarray]:
+def _hermite_ladder(
+    u: np.ndarray, phi0: np.ndarray, shift: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
     """phi_k(u) for k = 0, 1, 2, ..., starting from phi0, one per ``next``.
 
     The normalized three-term recurrence
     phi_{k+1} = sqrt(2/(k+1)) u phi_k - sqrt(k/(k+1)) phi_{k-1}
     is stable for large k where the raw Hermite polynomial would
     overflow.  It is linear, so phi0 may carry any constant factor.
+
+    ``shift``, integer binary exponents, makes phi0 mantissas: level k is
+    then mantissa_k * 2^shift.  Once a mantissa passes 2^512, every mantissa
+    past 2^256 moves 256 into its exponent, so levels whose ground value
+    underflows still rise.  Where the shift is 0 the levels are the
+    unshifted ones bit for bit; where it is below -1022 a level reads 0,
+    which it is to within 2^-510.
     """
     prev, cur = np.zeros_like(u), phi0
+    if shift is not None:  # rescaled in place below
+        cur, shift = phi0.copy(), shift.copy()
+        scale = _powers_of_two(shift)
     for k in itertools.count():
-        yield cur
+        yield cur if shift is None else cur * scale
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1.0)) * prev
+        if shift is not None and max(cur.max(initial=0.0), -cur.min(initial=0.0)) > 2.0**512:
+            big = np.flatnonzero(np.abs(cur) > 2.0**256)
+            cur[big] *= 2.0**-256
+            prev[big] *= 2.0**-256
+            shift[big] += 256
+            scale[big] = _powers_of_two(shift[big])
+
+
+def _powers_of_two(shift: np.ndarray) -> np.ndarray:
+    """2^shift where it is a normal double, else 0."""
+    return np.where(shift >= -1022, np.ldexp(1.0, np.maximum(shift, -1022)), 0.0)
+
+
+def _hermite_ground(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ladder's phi0 = pi^(-1/4) e^(-u^2/2), and its ``shift`` where one is needed.
+
+    Past |u| = 37.4 the ground level leaves the normal doubles though the
+    levels above it need not (phi_1500(55) = 0.0827): there phi0 holds
+    pi^(-1/4) times a mantissa in (1/2, 1] and the shift its binary
+    exponent.  Elsewhere phi0 is the ground level bit for bit, and the
+    shift is None when no point needs one.
+    """
+    half_sq = 0.5 * u * u
+    shift = -np.floor(np.where(half_sq > 700.0, half_sq, 0.0) / math.log(2.0)).astype(np.int64)
+    ground = math.pi ** -0.25 * np.exp(-half_sq - shift * math.log(2.0))
+    return ground, (shift if shift.any() else None)
 
 
 def hermite_function(n: int, x: np.ndarray, length_scale: float = 1.0) -> np.ndarray:

@@ -15,6 +15,7 @@ toward its Fourier dual, the mechanism behind the crash narrative.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,18 +31,24 @@ from .errors import (
 )
 from .numerics import TWO_PI, Grid, check_count
 from .strategy import (
+    GaussianForm,
     HermiteForm,
     RiskParams,
     Strategy,
-    SuperposedForm,
     UNIT_RISK,
+    _hermite_ground,
     _hermite_ladder,
+    _leaves,
+    norm,
     normalize,
 )
 
 # the oscillator basis a run starts from, and the size its doubling stops at
 BASIS_SIZE = 128
 MAX_BASIS_SIZE = 2048
+# a recurrence mantissa past this is scaled down by it, its exponent carried apart
+_RESCALE_BITS = 256
+_RESCALE = 2.0**_RESCALE_BITS
 
 
 @dataclass(frozen=True)
@@ -71,37 +78,71 @@ class ZenoRun:
         check_count(self.n_measurements, "n_measurements", 1)
 
 
-def _exact_level_vector(s: Strategy, risk: RiskParams) -> np.ndarray | None:
-    """Kronecker coefficients for eigenfunctions and their superpositions.
+def _gaussian_vector(form: GaussianForm, scale: float, size: int) -> np.ndarray:
+    """<phi_n|psi> for n < size of a Gaussian in the basis of length ``scale``, in closed form.
 
-    Returns None when the strategy is not an exact finite combination
-    of this risk operator's eigenfunctions.
+    A Gaussian is a squeezed coherent state (Yuen, Phys. Rev. A 13, 2226, 1976).  With
+    a = 1/(2L^2) + 1/(4w^2) and beta = c/(2w^2) + ik its coefficients obey
+    c_0 = A, c_{n+1} = (B c_n + G sqrt(n) c_{n-1}) / sqrt(n + 1), where
+    A = (2 pi w^2)^(-1/4) pi^(-1/4) L^(-1/2) sqrt(pi/a) exp(beta^2/(4a) - c^2/(4w^2)),
+    B = sqrt(2) beta / (2aL) and G = (2w^2 - L^2)/(2w^2 + L^2); in D = 2w^2 + L^2,
+    A = sqrt(2 sqrt(2) w L / D) exp(-(c^2/2 + k^2 w^2 L^2)/D + i c k L^2/D) and
+    B = sqrt(2) L (c + 2i k w^2)/D.  The recurrence runs on mantissas, the binary
+    exponent of A carried apart and raised as they grow, so a packet whose c_0
+    underflows (far out in oscillator lengths) still gets its coefficients.
     """
-    scale = risk.length_scale
+    c, w2, k, ell = form.center, form.width * form.width, form.slope, scale
+    d = 2.0 * w2 + ell * ell
+    log_mag = 0.5 * (math.log(2.0 * math.sqrt(2.0) * form.width) + math.log(ell) - math.log(d)) - (
+        0.5 * c * c + k * k * w2 * ell * ell
+    ) / d
+    phase = c * k * ell * ell / d
+    if not (-(2.0**40) < log_mag < math.inf and math.isfinite(phase)):
+        # so far out in position or slope that no coefficient below any basis size is a double
+        return np.zeros(size, dtype=complex)
+    b = math.sqrt(2.0) * ell * complex(c, 2.0 * k * w2) / d
+    g = (2.0 * w2 - ell * ell) / d
+    exp2 = math.floor(log_mag / math.log(2.0))
+    cur, prev = cmath.rect(math.exp(log_mag - exp2 * math.log(2.0)), phase), 0j
+    roots = np.sqrt(np.arange(size + 1.0)).tolist()
+    mantissas, exponents = [], []
+    for n in range(size):
+        mantissas.append(cur)
+        exponents.append(exp2)
+        prev, cur = cur, (b * cur + g * roots[n] * prev) / roots[n + 1]
+        if abs(cur) > _RESCALE:
+            prev, cur, exp2 = prev / _RESCALE, cur / _RESCALE, exp2 + _RESCALE_BITS
+    mantissas = np.array(mantissas, dtype=complex)
+    out = np.empty(size, dtype=complex)
+    out.real = np.ldexp(mantissas.real, exponents)
+    out.imag = np.ldexp(mantissas.imag, exponents)
+    return out
 
-    def matches(form: HermiteForm) -> bool:
-        return math.isclose(form.length_scale, scale, rel_tol=1e-9, abs_tol=0.0)
 
-    form = s.form
-    if isinstance(form, HermiteForm):
-        if not matches(form):
-            return None
-        vec = np.zeros(form.n + 1, dtype=complex)
-        vec[form.n] = 1.0
-        return vec
-    if isinstance(form, SuperposedForm):
-        parts = []
-        for c, part in zip(form.coefficients, form.parts):
-            sub = _exact_level_vector(part, risk)
-            if sub is None:
+def _closed_form_vector(s: Strategy, scale: float, size: int) -> np.ndarray | None:
+    """The sum over s's leaves of coefficient times the leaf's closed-form vector.
+
+    A level at length ``scale`` is a Kronecker vector and a Gaussian of any centre,
+    width and slope its recurrence; the vector is at least ``size`` long and
+    reaches the highest level.  None when a leaf has no closed form here: a
+    sampled table, or a level of another length.
+    """
+    leaves = list(_leaves(s.form))
+    length = size
+    for _, form in leaves:
+        if isinstance(form, HermiteForm):
+            if not math.isclose(form.length_scale, scale, rel_tol=1e-9, abs_tol=0.0):
                 return None
-            parts.append((c, sub))
-        size = max(len(v) for _, v in parts)
-        vec = np.zeros(size, dtype=complex)
-        for c, v in parts:
-            vec[: len(v)] += c * v
-        return vec
-    return None
+            length = max(length, form.n + 1)
+        elif not isinstance(form, GaussianForm):
+            return None
+    total = np.zeros(length, dtype=complex)
+    for c, form in leaves:
+        if isinstance(form, HermiteForm):
+            total[form.n] += c
+        else:
+            total += c * _gaussian_vector(form, scale, length)
+    return total
 
 
 def hermite_coefficients(
@@ -109,30 +150,36 @@ def hermite_coefficients(
 ) -> np.ndarray:
     """Expansion coefficients of a normalizable strategy in the risk basis.
 
-    Exact (Kronecker) for eigenfunction combinations whose length scale
-    matches the risk parameters; quadrature projection otherwise.  The
-    quadrature domain is clamped to the top level's classical turning
+    Exact for levels at the risk's length, Gaussians of any centre, width
+    and slope (a three-term recurrence in n), and superpositions of them;
+    quadrature projection for sampled tables and levels of another length.
+    Levels alone are normalised by their own norm, a bare Gaussian is unit
+    by construction, and any other strategy is divided by its table norm.
+    The quadrature domain is clamped to the top level's classical turning
     point: strategy mass beyond it cannot be represented at this basis
     size and shows up as a norm deficit, which is the point.
     """
     check_count(size, "size", 1)
-    exact = _exact_level_vector(s, risk)
-    if exact is not None:  # normalised here, by the levels' own norm
-        out = np.zeros(max(size, len(exact)), dtype=complex)
-        out[: len(exact)] = exact
-        nrm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
+    scale = risk.length_scale
+    exact = _closed_form_vector(s, scale, size)
+    if exact is not None:
+        if isinstance(s.form, GaussianForm):
+            return exact
+        if any(isinstance(f, GaussianForm) for _, f in _leaves(s.form)):
+            return exact / norm(s)
+        nrm = math.sqrt(float(np.sum(np.abs(exact) ** 2)))
         if nrm == 0.0:
             raise DegenerateStateError("strategy has zero norm")
-        return out / nrm
+        return exact / nrm
     s = normalize(s)
-    scale = risk.length_scale
     grid = _projection_grid(s, scale, size)
     # trapezoid weights folded into the amplitudes once; one dot per level
     weighted = s.amplitudes_on(grid) * grid.spacing
     weighted[[0, -1]] *= 0.5
     parts = np.stack([weighted.real, weighted.imag])
     u = grid.points / scale
-    ladder = _hermite_ladder(u, np.pi ** -0.25 * np.exp(-0.5 * u * u) / math.sqrt(scale))
+    ground, shift = _hermite_ground(u)  # shifted where e^(-u^2/2) underflows
+    ladder = _hermite_ladder(u, ground / math.sqrt(scale), shift)
     coeffs = np.empty(size, dtype=complex)
     for k, level in zip(range(size), ladder):
         re, im = parts @ level

@@ -1,10 +1,11 @@
 """Measurement-interleaved evolution: survival probabilities and freezing."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmg import (
@@ -22,9 +23,12 @@ from qmg import (
     freeze_experiment,
     freeze_table_to_csv,
     hermite_coefficients,
+    normalize,
+    norm,
     survival_probability,
 )
-from qmg.zeno import MAX_BASIS_SIZE
+from qmg.strategy import GaussianForm, _hermite_ground, _hermite_ladder
+from qmg.zeno import MAX_BASIS_SIZE, _closed_form_vector
 
 # closed form for the equal |0>,|1> superposition: S(n) = cos(wT/2n)^(2n),
 # evaluated at 50 digits and rounded to float
@@ -111,7 +115,7 @@ def test_coherent_state_closed_form():
     s = Strategy.gaussian(1.5, math.sqrt(0.5))
     for n, expect in S_COHERENT.items():
         got = survival_probability(ZenoRun(s, 1.0 / math.pi, n))
-        assert got == pytest.approx(expect, abs=1e-6)
+        assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_off_scale_eigenfunction_goes_through_quadrature():
@@ -263,6 +267,14 @@ def test_eigenstates_survive_exactly(risk, total_time, n_values, level, doubled,
     assert [r.survival for r in rows] == [1.0] * len(n_values)
 
 
+def _table(risk, packet, nodes):
+    # the packet tabulated over its support: a sampled table, which only the quadrature expands
+    g = _packet(risk, packet)
+    lo, hi = g.support_bounds()
+    grid = Grid(lo, hi, nodes)
+    return Strategy.sampled(g.amplitudes_on(grid), grid)
+
+
 @given(
     risk=_RISKS,
     total_time=st.floats(0.0, 50.0),
@@ -270,16 +282,18 @@ def test_eigenstates_survive_exactly(risk, total_time, n_values, level, doubled,
     levels=st.lists(st.integers(0, 12), min_size=2, max_size=5, unique=True),
     coefficients=st.lists(_COEFFICIENTS, min_size=5, max_size=5),
     packet=_PACKETS,
-    quadrature=st.booleans(),
+    kind=st.sampled_from(["levels", "packet", "table"]),
 )
 def test_survival_lies_in_the_unit_interval(
-    risk, total_time, n_values, levels, coefficients, packet, quadrature
+    risk, total_time, n_values, levels, coefficients, packet, kind
 ):
-    if quadrature:  # a displaced, squeezed, tilted packet: projected by quadrature
-        s = _packet(risk, packet)
-    else:  # a finite combination of eigenstates: expanded exactly
+    if kind == "levels":  # a finite combination of eigenstates: expanded exactly
         parts = [Strategy.hermite(k, risk) for k in levels]
         s = Strategy.superpose(parts, coefficients[: len(parts)])
+    elif kind == "packet":  # a displaced, squeezed, tilted packet: expanded by its recurrence
+        s = _packet(risk, packet)
+    else:  # the same packet as a sampled table: projected by quadrature
+        s = _table(risk, packet, 256)
     rows = freeze_experiment(ZenoRun(s, total_time, 1, risk=risk), n_values)
     assert [r.n for r in rows] == n_values
     assert all(0.0 <= r.survival <= 1.0 for r in rows)
@@ -304,12 +318,30 @@ def _per_level_trapezoid(s, risk, size, grid):
     risk=_RISKS,
     packet=_PACKETS,
     size=st.integers(1, 160),
+    kind=st.sampled_from(["table", "off-scale", "packet-and-table"]),
+    nodes=st.integers(16, 400),
+    levels=st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True),
+    omega_ratio=st.floats(0.25, 4.0).filter(lambda r: abs(r - 1.0) > 1e-6),
+    coefficients=st.tuples(_COEFFICIENTS, _COEFFICIENTS, _COEFFICIENTS),
 )
-def test_projection_matches_per_level_trapezoid(risk, packet, size):
-    s = _packet(risk, packet)
+def test_projection_matches_per_level_trapezoid(
+    risk, packet, size, kind, nodes, levels, omega_ratio, coefficients
+):
+    # the strategies that keep the quadrature: sampled tables, levels of another length,
+    # and a Gaussian superposed with a table
     ell = math.sqrt(risk.hbar_eff / (risk.m * risk.omega))
+    if kind == "table":
+        s = _table(risk, packet, nodes)
+    elif kind == "off-scale":
+        other = RiskParams.from_omega(risk.hbar_eff, risk.omega * omega_ratio, risk.m)
+        parts = [Strategy.hermite(k, other) for k in levels]
+        s = Strategy.superpose(parts, coefficients[: len(parts)])
+    else:
+        s = Strategy.superpose([_packet(risk, packet), _table(risk, packet[::-1], nodes)], coefficients[:2])
+    assert _closed_form_vector(s, ell, size) is None
+    s = normalize(s)
     got = hermite_coefficients(s, risk, size)
-    # the grid hermite_coefficients chooses for a normalized packet of this size
+    # the grid hermite_coefficients chooses for a normalized strategy of this size
     lo, hi = s.support_bounds()
     turning = math.sqrt(2.0 * size + 1.0) * ell * 1.25
     half = min(max(abs(lo), abs(hi)), turning)
@@ -319,3 +351,109 @@ def test_projection_matches_per_level_trapezoid(risk, packet, size):
     # two summation orders of n terms differ by at most ~n eps sum|terms|
     tol = 2.0 * grid.n * np.finfo(float).eps * bound
     assert np.all(np.abs(got - want) <= tol)
+
+
+def _trapezoid_reference(form, ell, size):
+    # <phi_n|psi> as a 400 001-node trapezoid over +-(|c| + 12w + 12L); the grid is
+    # symmetric, so the ladder runs over u >= 0 and pairs each node with its mirror
+    reach = abs(form.center) + 12.0 * form.width + 12.0 * ell
+    x = np.linspace(-reach, reach, 400_001)
+    psi = Strategy(form).evaluate(x) * (x[1] - x[0])
+    psi[[0, -1]] *= 0.5
+    mid = len(x) // 2
+    right, left = psi[mid:], psi[mid::-1]
+    folded = np.stack([right + left, right - left])  # even and odd levels
+    folded[:, 0] = [psi[mid], 0.0]
+    folded = np.stack([folded.real, folded.imag], axis=1)  # parity, re/im, node
+    u = x[mid:] / ell
+    ground, shift = _hermite_ground(u)
+    ladder = _hermite_ladder(u, ground / math.sqrt(ell), shift)
+    out = np.array([folded[n % 2] @ level for n, level in zip(range(size), ladder)])
+    return out[:, 0] + 1j * out[:, 1]
+
+
+@settings(max_examples=6)
+@given(
+    risk=_RISKS,
+    center=st.floats(-2.0, 2.0),
+    width=st.floats(0.1, 10.0),
+    slope=st.floats(-2.0, 2.0),
+    size=st.integers(1, 2048),
+)
+def test_closed_form_coefficients_match_a_fine_trapezoid(risk, center, width, slope, size):
+    ell = risk.length_scale
+    form = GaussianForm(center * ell, width * ell, slope / ell)
+    got = hermite_coefficients(Strategy(form), risk, size)
+    assert np.max(np.abs(got - _trapezoid_reference(form, ell, size))) <= 1e-10
+
+
+@given(
+    risk=_RISKS,
+    center=st.floats(-50.0, 50.0),
+    width=st.floats(0.02, 50.0),
+    slope=st.floats(-50.0, 50.0),
+    size=st.integers(1, 2048),
+)
+def test_closed_form_weights_never_sum_past_one(risk, center, width, slope, size):
+    ell = risk.length_scale
+    s = Strategy.gaussian(center * ell, width * ell, slope / ell)
+    assert float(np.sum(np.abs(hermite_coefficients(s, risk, size)) ** 2)) <= 1.0 + 1e-12
+
+
+@given(risk=_RISKS, center=st.floats(-2.0, 2.0), width=st.floats(0.3, 3.0), slope=st.floats(-2.0, 2.0))
+def test_a_packet_near_the_origin_is_captured_by_512_levels(risk, center, width, slope):
+    ell = risk.length_scale
+    s = Strategy.gaussian(center * ell, width * ell, slope / ell)
+    assert float(np.sum(np.abs(hermite_coefficients(s, risk, 512)) ** 2)) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    risk=_RISKS,
+    packet=_PACKETS,
+    levels=st.lists(st.integers(0, 200), min_size=1, max_size=4, unique=True),
+    coefficients=st.lists(_COEFFICIENTS, min_size=5, max_size=5),
+    size=st.integers(1, 300),
+)
+def test_a_packet_with_levels_is_the_sum_of_its_leaves_over_the_table_norm(risk, packet, levels, coefficients, size):
+    g = _packet(risk, packet)
+    s = Strategy.superpose([g, *(Strategy.hermite(k, risk) for k in levels)], coefficients[: len(levels) + 1])
+    got = hermite_coefficients(s, risk, size)
+    want = coefficients[0] * hermite_coefficients(g, risk, max(size, max(levels) + 1))
+    for c, k in zip(coefficients[1:], levels):
+        want[k] += c
+    np.testing.assert_allclose(got, want / norm(s), rtol=0.0, atol=1e-14)
+
+
+def test_a_packet_whose_ground_coefficient_underflows_still_freezes():
+    # |alpha|^2 = 55^2 / 2 = 1512.5 lies inside the 2048-level basis, but c_0 = e^(-756) does
+    # not lie inside the doubles
+    s = Strategy.gaussian(55.0, 0.5**0.5)
+    assert [r.n for r in freeze_experiment(ZenoRun(s, 0.37, 1), [1])] == [1]
+    total_time = 0.005
+    rows = freeze_experiment(ZenoRun(s, total_time, 1), [1, 3, 10, 100])
+    for row in rows:
+        expect = math.exp(-2.0 * 1512.5 * row.n * (1.0 - math.cos(2.0 * math.pi * total_time / row.n)))
+        assert expect > 1e-3
+        assert row.survival == pytest.approx(expect, rel=1e-9)
+
+
+def test_a_sampled_packet_far_out_is_projected_past_the_ground_level_underflow():
+    # the table reaches 51 oscillator lengths, where e^(-u^2/2) is 0 in doubles but the
+    # levels near |alpha|^2 = 1012.5 are not
+    s = _table(UNIT_RISK, (45.0, 0.5**0.5, 0.0), 801)
+    total_time = 0.005
+    for row in freeze_experiment(ZenoRun(s, total_time, 1), [1, 3, 10]):
+        expect = math.exp(-2.0 * 1012.5 * row.n * (1.0 - math.cos(2.0 * math.pi * total_time / row.n)))
+        assert row.survival == pytest.approx(expect, abs=1e-8)
+
+
+@pytest.mark.parametrize("n, u, expect", [(1500, 55.0, 0.08274310768935218), (1500, -41.3, 0.01944993174053707)])
+def test_the_shifted_ladder_rises_from_an_underflowed_ground_level(n, u, expect):
+    # reference values: mpmath at 50 digits
+    points = np.array([u, 10.0])
+    ground, shift = _hermite_ground(points)
+    shifted = next(itertools.islice(_hermite_ladder(points, ground, shift), n, None))
+    plain = next(itertools.islice(_hermite_ladder(points, np.pi**-0.25 * np.exp(-0.5 * points**2)), n, None))
+    assert shifted[0] == pytest.approx(expect, rel=1e-10)
+    assert plain[0] == 0.0
+    assert shifted[1].tobytes() == plain[1].tobytes()  # where nothing underflows, bit for bit

@@ -2,9 +2,10 @@
 
 Runs one fixed deck of scenarios, every kind once with analytic
 strategies and curves, zeno, clearing and auction once more with an
-off-centre sampled table, zeno once more from a superposition of two
-Gaussians (off the risk basis, so its coefficients come from quadrature),
-and zeno, curves, clearing and auction once more with oscillator levels
+off-centre sampled table (zeno's quadrature), zeno once more from one
+displaced, sloped Gaussian and once from a superposition of two
+Gaussians (both expanded by the Gaussian recurrence), and zeno, curves,
+clearing and auction once more with oscillator levels
 under a non-unit risk record (zeno's exact path; clearing with a
 supply-side trader, so levels are transformed at that record's hbar),
 under each revision, then prints for every output file "identical" or the
@@ -50,6 +51,9 @@ DECK = {
     "curves-levels": ("curves", {"family": "strategy", "risk": RISK, "strategy": "hermite(3)"}),
     "zeno": ("zeno", {"initial": ["hermite(0)", "hermite(1)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
     "zeno-sampled": ("zeno", {"initial": SAMPLED, "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
+    "zeno-coherent": ("zeno", {
+        "initial": "gaussian(0.8, 0.7071067811865476, 0.6)", "total_time": 0.37, "n_values": [1, 2, 5, 10, 100],
+    }),
     "zeno-gaussians": ("zeno", {
         "initial": ["gaussian(-1, 0.7, 0.4)", "gaussian(1.2, 0.9)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100],
     }),
