@@ -19,8 +19,10 @@ import json
 import math
 import re
 import sys
+import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -241,21 +243,30 @@ def _parse_float(text: str, token: str) -> float:
 
 
 class Emitter:
-    """Collects output files under one directory for the manifest."""
+    """Writes the output files under one directory, keeping their names for
+    the manifest and the wall seconds spent writing them in ``write_s``."""
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.names: list[str] = []
+        self.write_s = 0.0
 
-    def path(self, name: str) -> Path:
+    def write(self, name: str, writer) -> None:
+        """Write output ``name`` with ``writer(path)``, timed."""
+        start = time.perf_counter()
         self.names.append(name)
-        return self.out_dir / name
+        writer(self.out_dir / name)
+        self.write_s += time.perf_counter() - start
 
     def write_csv(self, name: str, header: str, rows) -> None:
-        with open(self.path(name), "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+        self.write(name, partial(_write_rows, header=header, rows=rows))
+
+
+def _write_rows(path: Path, header: str, rows) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def _cell(value) -> str:
@@ -293,8 +304,8 @@ def _run_curves(p: dict, seed: int, emit: Emitter) -> None:
     else:
         density = wigner_transform(p["strategy"], hbar=risk.hbar_eff)
     curves = dominant_curves(density)
-    density.to_csv(emit.path("density.csv"))
-    curves.to_csv(emit.path("curves.csv"))
+    emit.write("density.csv", density.to_csv)
+    emit.write("curves.csv", curves.to_csv)
 
 
 def _run_fixed_point(p: dict, seed: int, emit: Emitter) -> None:
@@ -325,16 +336,14 @@ def _run_auction(p: dict, seed: int, emit: Emitter) -> None:
         "revenue_se": outcome.revenue_se,
         "p_no_trade": outcome.p_no_trade,
     }
-    with open(emit.path("results.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    emit.write("results.json", partial(_write_json, doc))
     edges = outcome.price_bin_edges
     emit.write_csv("price_histogram.csv", "bin_lo,bin_hi,count", zip(edges, edges[1:], outcome.price_counts))
 
 
 def _run_zeno(p: dict, seed: int, emit: Emitter) -> None:
     run = ZenoRun(p["initial"], p["total_time"], p["n_values"][0], risk=p["risk"])
-    freeze_table_to_csv(freeze_experiment(run, p["n_values"]), emit.path("zeno.csv"))
+    emit.write("zeno.csv", partial(freeze_table_to_csv, freeze_experiment(run, p["n_values"])))
 
 
 def _run_thermal(p: dict, seed: int, emit: Emitter) -> None:
@@ -370,7 +379,7 @@ def _run_clearing(p: dict, seed: int, emit: Emitter) -> None:
     market = MarketState(tuple(p["traders"]))
     gen = RandomSource(seed).rng
     outcomes = [clear_round(market, gen, hbar=p["risk"].hbar_eff) for _ in range(p["rounds"])]
-    round_log_to_csv(outcomes, emit.path("rounds.csv"))
+    emit.write("rounds.csv", partial(round_log_to_csv, outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +461,14 @@ _TOP = {
 # commands
 
 
+def _write_json(doc, path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     scenario_path = Path(args.scenario)
     try:
         text = scenario_path.read_text()
@@ -493,6 +509,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ScenarioInvalid("--out" if args.out else "scenario.output", str(exc)) from None
         emit = Emitter(out_dir)
+        parsed = time.perf_counter()
         try:
             spec.run(fields, seed, emit)
         except ParameterRangeError as exc:  # the library refuses what the schema let through
@@ -507,6 +524,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 4
 
+    finished = time.perf_counter()
     manifest = {
         "kind": kind,
         "parameters": params,
@@ -517,10 +535,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
+        # wall seconds: reading and checking the scenario, computing, writing the outputs
+        "timings": {
+            "parse_s": parsed - start,
+            "compute_s": max(finished - parsed - emit.write_s, 0.0),
+            "write_s": emit.write_s,
+        },
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, out_dir / "manifest.json")
     for name in emit.names:
         print(out_dir / name)
     print(out_dir / "manifest.json")

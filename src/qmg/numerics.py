@@ -11,6 +11,7 @@ mutual inverses on reciprocal grids, where dp * dq * n = 2 pi hbar.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -271,6 +272,250 @@ def exact_sum(values) -> float:
         for k in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
             total += ((int(high[k]) << 26) + int(low[k])) << (k - 1)
     return total / (1 << 1074)
+
+
+# Schubfach (Giulietti, "The Schubfach way to render doubles", 2020) on
+# doubles: the decimal exponents k whose powers 10^-k it multiplies by
+_K_MIN, _K_MAX = -324, 292
+_M32 = 0xFFFF_FFFF
+_M63 = (1 << 63) - 1
+
+
+def _text_words(text: bytes) -> np.ndarray:
+    """``text`` as four little-endian words, NUL-padded."""
+    return np.frombuffer(text.ljust(32, b"\0"), dtype="<u8")
+
+
+# column b: the first b bytes of four words set, for b = 0..32
+_FIRST_BYTES = np.array([_text_words(b"\xff" * b) for b in range(33)]).T.copy()
+# column j: a '.' in byte j, for j = 1..17; none in column 0
+_POINT_BYTE = np.array([_text_words(b"\0" * j + b"." if j else b"") for j in range(18)]).T.copy()
+_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+
+
+@dataclass(frozen=True)
+class _TextTables:
+    """The tables ``_repr_text`` reads, built on its first call.
+
+    ``g1``, ``g1_hi``, ``g1_lo``, ``g0_hi``, ``g0_lo``: for k = _K_MIN.._K_MAX,
+    g(k) = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1, in [2^125, 2^126),
+    as g1 2^63 + g0, with the 32-bit halves of g1 and of g0.  ``tiny``:
+    (mantissa, digits, exponent) of repr's text for ``_TINY_MANTISSAS``.  ``exponent``: for
+    x = -324..308 (index x + 324), repr's exponent text "e-05" to "e+308" in
+    a word, and its length in bits in ``exponent_bits``; index 633 is empty.
+    """
+
+    g1: np.ndarray
+    g1_hi: np.ndarray
+    g1_lo: np.ndarray
+    g0_hi: np.ndarray
+    g0_lo: np.ndarray
+    tiny: tuple
+    exponent: np.ndarray
+    exponent_bits: np.ndarray
+
+
+# the subnormal mantissas (all below 1e-322) whose shortest decimal has one
+# digit, where both of Schubfach's candidates have two: 4.9e-323 for 5e-323
+_TINY_MANTISSAS = (10, 12, 14, 16, 18, 20)
+
+
+@functools.cache
+def _text_tables() -> _TextTables:
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+        shift = 125 - ((-k * 1741647) >> 19)  # 125 - floor(log2 10^-k)
+        num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
+        g.append(num // den + 1)
+    g1 = np.array([v >> 63 for v in g], dtype=np.uint64)
+    g0 = np.array([v & _M63 for v in g], dtype=np.uint64)
+    tiny = []
+    for m in _TINY_MANTISSAS:
+        mantissa, exponent = repr(m * 5e-324).split("e")
+        digits = mantissa.replace(".", "")
+        tiny.append((m, int(digits), int(exponent) - len(digits) + 1))
+    exponents = [f"e{x:+03d}".encode() for x in range(-324, 309)] + [b""]
+    words = (g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32,
+             np.array([_text_words(t)[0] for t in exponents]),
+             np.array([8 * len(t) for t in exponents], dtype=np.uint64))
+    for w in words:
+        w.setflags(write=False)  # one copy serves every call
+    return _TextTables(*words[:5], tuple(tiny), *words[5:])
+
+
+def _mul_high(a_hi, a_lo, b_hi, b_lo):
+    """floor(a b / 2^64) for a = a_hi 2^32 + a_lo and b = b_hi 2^32 + b_lo with
+    a_lo, b_lo < 2^32, a_hi < 2^31 and b_hi < 2^28: the middle sum stays below 2^64."""
+    middle = a_lo * b_lo
+    middle >>= 32
+    middle += a_hi * b_lo
+    middle += a_lo * b_hi
+    middle >>= 32
+    middle += a_hi * b_hi
+    return middle
+
+
+def _round_to_odd(g: tuple, cp: np.ndarray) -> np.ndarray:
+    """Schubfach's r_o(g cp / 2^127) for g = g1 2^63 + g0 and cp < 2^60: the
+    integer part, its low bit set when the fraction read from the top limbs is not zero."""
+    g1, g1_hi, g1_lo, g0_hi, g0_lo = g
+    cp_hi, cp_lo = cp >> 32, cp & _M32
+    z = g1 * cp
+    z >>= 1
+    z += _mul_high(g0_hi, g0_lo, cp_hi, cp_lo)
+    v = _mul_high(g1_hi, g1_lo, cp_hi, cp_lo)
+    v += z >> 63
+    z &= _M63
+    z += _M63
+    z >>= 63
+    v |= z
+    return v
+
+
+def _shortest_decimal(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest decimal f 10^e that reads back as each positive finite double
+    (given by its bits), the one nearest it among those, an even last digit on a
+    tie: Schubfach's digits, with repr's own for the ``_TINY_MANTISSAS``."""
+    table = _text_tables()
+    biased = magnitude >> 52
+    t = magnitude & ((1 << 52) - 1)
+    c = t | (np.minimum(biased, 1) << 52)
+    q = np.maximum(biased, 1).astype(np.int64) - 1075
+    irregular = ((t == 0) & (biased > 1)).astype(np.uint64)  # the gap below is half the gap above
+    # floor(log10 2^q), or floor(log10 (3/4) 2^q) where the gap below is halved
+    k = (q * 1262611 - irregular.astype(np.int64) * 524031) >> 22
+    h = (q + ((-k * 1741647) >> 19) + 2).astype(np.uint64)
+    row = k - _K_MIN
+    g = tuple(np.take(part, row) for part in
+              (table.g1, table.g1_hi, table.g1_lo, table.g0_hi, table.g0_lo))
+    cb = c << 2
+    vb = _round_to_odd(g, cb << h)
+    vbl = _round_to_odd(g, (cb - 2 + irregular) << h)
+    vbr = _round_to_odd(g, (cb + 2) << h)
+    odd = c & 1  # an odd c's interval excludes its ends
+    s = vb >> 2
+    # one digit fewer: s' 10^(k+1) or (s' + 1) 10^(k+1), exactly one in the interval
+    s10 = s // 10 * 10
+    upper_in = ((s10 + 10) << 2) + odd <= vbr
+    shorter = (s >= 100) & ((vbl + odd <= s10 << 2) != upper_in)
+    # else s 10^k or (s + 1) 10^k: the one inside, or the nearer, or the even one
+    t_in = ((s + 1) << 2) + odd <= vbr
+    one_in = (vbl + odd <= s << 2) != t_in
+    mid = (s << 2) + 2
+    f = np.where(one_in, s + t_in, s + ((vb > mid) | ((vb == mid) & (s & 1 == 1))))
+    f = np.where(shorter, np.where(upper_in, s10 + 10, s10), f)
+    e = k
+    if (biased == 0).any():
+        for m, digits, exponent in table.tiny:
+            at = (biased == 0) & (t == m)
+            f[at], e[at] = digits, exponent
+    zeros = np.flatnonzero(f % 10 == 0)
+    while zeros.size:
+        f[zeros] //= 10
+        e[zeros] += 1
+        zeros = zeros[f[zeros] % 10 == 0]
+    return f, e
+
+
+def _ascii8(x: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each x < 10^8 as ASCII, zero-padded, in a
+    little-endian word: the leading digit in the lowest byte."""
+    hi = x // 10000
+    v = hi | ((x - hi * 10000) << 32)  # two four-digit halves in 32-bit lanes
+    hi = ((v * 5243) >> 19) & 0x0000_007F_0000_007F  # // 100 per lane
+    v = hi | ((v - hi * 100) << 16)  # four two-digit pairs in 16-bit lanes
+    hi = ((v * 103) >> 10) & 0x000F_000F_000F_000F  # // 10 per lane
+    return hi | ((v - hi * 10) << 8) | 0x3030_3030_3030_3030
+
+
+# repr's text of 0.0, -0.0, inf, -inf, nan, nan (sign bit set)
+_SPECIAL_TEXT = ("0.0", "-0.0", "inf", "-inf", "nan", "nan")
+_SPECIAL_WORD = np.array([_text_words(t.encode())[0] for t in _SPECIAL_TEXT])
+_SPECIAL_BITS = np.array([8 * len(t) for t in _SPECIAL_TEXT], dtype=np.uint64)
+
+
+def _repr_text(values: np.ndarray, end: bytes) -> np.ndarray:
+    """``repr(float(v)).encode()`` and an end byte for every double v, as an
+    "S32" array of ``values``' shape: each element left-aligned, NUL-padded,
+    so ``tolist`` returns the bytes themselves.  ``end`` is one byte, or one
+    per column (the last axis).
+
+    Every byte is repr's.  The digits are Schubfach's (``_shortest_decimal``),
+    laid out as repr does: positional, with a trailing ".0" for an integer,
+    when -4 < decpt <= 16 (decpt the decimal point's place after the first
+    digit), else d.ddde+XX.  The text is built as four little-endian words
+    per value in uint64 arithmetic, with no Python call per value; a caller
+    with many values passes them in blocks of a few thousand.
+    """
+    x = np.ascontiguousarray(values, dtype=float)
+    bits = x.ravel().view(np.uint64)
+    ends = np.broadcast_to(np.frombuffer(end, dtype=np.uint8).astype(np.uint64), x.shape).ravel()
+    magnitude = bits & _M63
+    special = (magnitude == 0) | (magnitude >= 0x7FF0_0000_0000_0000)
+    if not special.any():
+        return _finite_text(bits, ends).view("S32").reshape(x.shape)
+    text = np.zeros((bits.size, 4), dtype="<u8")
+    regular = ~special
+    text[regular] = _finite_text(bits[regular], ends[regular])
+    key = 2 * (magnitude[special] != 0) + 2 * (magnitude[special] > 0x7FF0_0000_0000_0000)
+    key += (bits[special] >> 63).astype(np.intp)
+    text[special, 0] = _SPECIAL_WORD[key] | ends[special] << _SPECIAL_BITS[key]
+    return text.view("S32").reshape(x.shape)
+
+
+def _finite_text(bits: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``_repr_text``'s four words per value for the bits of finite nonzero doubles,
+    one row per value, each text followed by its byte of ``ends``."""
+    negative = bits >> 63
+    f, e = _shortest_decimal(bits & _M63)
+    # digits in f: t = floor(log10 2^b) for f's bit length b (or b + 1, where
+    # f rounds up to a power of 2) is one of floor(log10 f) and the next
+    b = (f.astype(float).view(np.uint64) >> 52).astype(np.intp) - 1022
+    t = (b * 1233) >> 12
+    n = t + (f >= _POW10[t])
+    decpt = n + e
+    positional = (decpt > -4) & (decpt <= 16)
+    # the digit string D: "0" * lead + f's digits, then "0"s; its length, and where the point goes
+    lead = positional * np.maximum(1 - decpt, 0)
+    length = np.where(positional, np.maximum(lead + n, decpt + 1), n)
+    point = np.where(positional, np.maximum(decpt, 1), 1)
+    dot = positional | (n > 1)
+    # D's first 24 digits are those of V = f 10^shift < 10^24, eight to a word
+    shift = 24 - lead - n
+    above_8 = 8 - shift
+    upper = f // _POW10[np.maximum(above_8, 0)] * _POW10[np.maximum(-above_8, 0)]  # V // 10^8
+    chunks = np.empty((3, bits.size), dtype=np.uint64)
+    chunks[0] = upper // 10**8
+    chunks[1] = upper % 10**8
+    chunks[2] = f % 10**8 * _POW10[np.minimum(shift, 8)] % 10**8
+    # the text as four words per value, one row per word
+    text = np.zeros((4, bits.size), dtype="<u8")
+    text[:3] = _ascii8(chunks) & np.take(_FIRST_BYTES[:3], length, axis=1)
+    # open a byte for the point: the bytes from `point` on move one on
+    keep = np.take(_FIRST_BYTES, point, axis=1)
+    moved = text & ~keep
+    text &= keep
+    text |= moved << 8
+    text[1:] |= moved[:-1] >> 56
+    text |= np.take(_POINT_BYTE, point * dot, axis=1)
+    # the exponent, "e-05" to "e+308", then the end byte, after the digits
+    tables = _text_tables()
+    row = np.where(positional, 633, decpt + 323)
+    suffix = tables.exponent[row] | ends << tables.exponent_bits[row]
+    at = (length + dot).astype(np.uint64) << 3  # in bits
+    index = (at >> 6).astype(np.intp) * bits.size + np.arange(bits.size)  # the word, in text.ravel()
+    at &= 63
+    flat = text.ravel()
+    flat[index] |= suffix << at
+    flat[index + bits.size] |= suffix >> (64 - at)
+    # a minus sign moves the text a byte on
+    if negative.any():
+        signed = text << 8
+        signed[1:] |= text[:-1] >> 56
+        signed[0] |= 0x2D
+        np.copyto(text, signed, where=negative == 1)
+    return np.ascontiguousarray(text.T)
 
 
 def reciprocal_grid(grid: Grid, hbar: float = 1.0) -> Grid:

@@ -280,30 +280,22 @@ def _hermite_ladder(
     overflow.  It is linear, so phi0 may carry any constant factor.
 
     ``shift``, integer binary exponents, makes phi0 mantissas: level k is
-    then mantissa_k * 2^shift.  Once a mantissa passes 2^512, every mantissa
-    past 2^256 moves 256 into its exponent, so levels whose ground value
-    underflows still rise.  Where the shift is 0 the levels are the
-    unshifted ones bit for bit; where it is below -1022 a level reads 0,
-    which it is to within 2^-510.
+    then mantissa_k * 2^shift, rounded once.  Once a mantissa passes 2^512,
+    every mantissa past 2^256 moves 256 into its exponent, so levels whose
+    ground value underflows still rise.  Where the shift is 0 the levels
+    are the unshifted ones bit for bit.
     """
     prev, cur = np.zeros_like(u), phi0
     if shift is not None:  # rescaled in place below
         cur, shift = phi0.copy(), shift.copy()
-        scale = _powers_of_two(shift)
     for k in itertools.count():
-        yield cur if shift is None else cur * scale
+        yield cur if shift is None else np.ldexp(cur, shift)
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1.0)) * prev
         if shift is not None and max(cur.max(initial=0.0), -cur.min(initial=0.0)) > 2.0**512:
             big = np.flatnonzero(np.abs(cur) > 2.0**256)
             cur[big] *= 2.0**-256
             prev[big] *= 2.0**-256
             shift[big] += 256
-            scale[big] = _powers_of_two(shift[big])
-
-
-def _powers_of_two(shift: np.ndarray) -> np.ndarray:
-    """2^shift where it is a normal double, else 0."""
-    return np.where(shift >= -1022, np.ldexp(1.0, np.maximum(shift, -1022)), 0.0)
 
 
 def _hermite_ground(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -313,12 +305,16 @@ def _hermite_ground(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     levels above it need not (phi_1500(55) = 0.0827): there phi0 holds
     pi^(-1/4) times a mantissa in (1/2, 1] and the shift its binary
     exponent.  Elsewhere phi0 is the ground level bit for bit, and the
-    shift is None when no point needs one.
+    shift is None when no point needs one.  The shift stops at -2^62 (|u|
+    past 2.5e9, where every level a ladder can reach is 0 in doubles), so
+    it stays an int64 for any finite u whose square is finite.
     """
-    half_sq = 0.5 * u * u
-    shift = -np.floor(np.where(half_sq > 700.0, half_sq, 0.0) / math.log(2.0)).astype(np.int64)
-    ground = math.pi ** -0.25 * np.exp(-half_sq - shift * math.log(2.0))
-    return ground, (shift if shift.any() else None)
+    exponent = -0.5 * u * u
+    far = exponent < -700.0
+    if not far.any():
+        return math.pi ** -0.25 * np.exp(exponent), None
+    shift = np.ceil(np.maximum(np.where(far, exponent, 0.0) / math.log(2.0), -2.0**62)).astype(np.int64)
+    return math.pi ** -0.25 * np.exp(exponent - shift * math.log(2.0)), shift
 
 
 def hermite_function(n: int, x: np.ndarray, length_scale: float = 1.0) -> np.ndarray:
@@ -327,8 +323,9 @@ def hermite_function(n: int, x: np.ndarray, length_scale: float = 1.0) -> np.nda
     check_positive(length_scale, "length_scale")
     with np.errstate(over="ignore"):  # past |u| = 1e150 every level is 0 in doubles
         u = np.clip(np.asarray(x, dtype=float) / length_scale, -1e150, 1e150)
-    ladder = _hermite_ladder(u, math.pi ** (-0.25) * np.exp(-0.5 * u * u))
-    return next(itertools.islice(ladder, n, None)) / math.sqrt(length_scale)
+    flat = np.reshape(u, -1)
+    ladder = _hermite_ladder(flat, *_hermite_ground(flat))  # shifted where e^(-u^2/2) underflows
+    return (next(itertools.islice(ladder, n, None)) / math.sqrt(length_scale)).reshape(np.shape(u))[()]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     ParameterRangeError,
     RepresentationError,
 )
-from .numerics import TWO_PI, Grid, Spline, check_count, check_hbar, check_positive
+from .numerics import TWO_PI, Grid, Spline, _repr_text, check_count, check_hbar, check_positive
 from .strategy import (
     GaussianForm,
     HermiteForm,
@@ -37,6 +37,7 @@ from .strategy import (
     Strategy,
     _SUPPORT_SIGMAS,
     _density_moments,
+    _hermite_ground,
     _hermite_ladder,
     _leaves,
     _sample_spacing,
@@ -59,6 +60,8 @@ _CLOSED_LEVEL_MAX = 31
 # _rotation's matrices by level, and (-i)^k by k mod 4
 _ROTATIONS: dict[int, np.ndarray] = {}
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
+# density values per block of CSV rows: their text stays in a core's L2 cache
+_CSV_BLOCK = 1 << 13
 # multiply-adds per matrix product call: at most 2^18 keeps OpenBLAS on one thread
 _BLAS_BLOCK = 2**18
 
@@ -151,13 +154,22 @@ class PhaseSpaceDensity:
         )
 
     def to_csv(self, path: str | Path) -> None:
-        """Write rows p,q,w in row-major order (p outer, q inner)."""
-        q_text = [repr(x) for x in self.q_grid.points.tolist()]
-        with open(path, "w", newline="\n") as fh:
-            fh.write("p,q,w\n")
-            for p, row in zip(self.p_grid.points.tolist(), self.values.tolist()):
-                lead = repr(p) + ","
-                fh.write("".join(f"{lead}{q},{w!r}\n" for q, w in zip(q_text, row)))
+        """Write rows p,q,w in row-major order (p outer, q inner), each number as repr writes it.
+
+        The text comes from ``numerics._repr_text``, a block of rows at a time.
+        """
+        n_p, n_q = self.values.shape
+        rows = min(n_p, max(1, _CSV_BLOCK // n_q))
+        p_text = np.array(_repr_text(self.p_grid.points, b",").tolist(), dtype=object)
+        cells = np.empty((rows, n_q, 3), dtype=object)
+        cells[:, :, 1] = np.array(_repr_text(self.q_grid.points, b",").tolist(), dtype=object)
+        with open(path, "wb") as fh:
+            fh.write(b"p,q,w\n")
+            for a in range(0, n_p, rows):
+                block = cells[:min(rows, n_p - a)]
+                block[:, :, 0] = p_text[a:a + rows, None]
+                block[:, :, 2] = _repr_text(self.values[a:a + rows], b"\n")
+                fh.write(b"".join(block.ravel().tolist()))
 
 
 def _trapezoid_weights(grid: Grid) -> np.ndarray:
@@ -423,7 +435,7 @@ def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
     """Rows h_0(u) .. h_{count-1}(u) of the orthonormal Hermite functions."""
     out = np.empty((count, len(u)))
     u = np.clip(u, -1e150, 1e150)  # past |u| = 1e150 every level is 0 in doubles, and u^2 stays finite
-    ladder = _hermite_ladder(u, math.pi**-0.25 * np.exp(-0.5 * u * u))
+    ladder = _hermite_ladder(u, *_hermite_ground(u))  # shifted where e^(-u^2/2) underflows
     for row, level in zip(out, ladder):
         row[:] = level
     return out
@@ -869,10 +881,10 @@ class DominantCurves:
     supply_normalized: bool
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("lnc,Fd,Fs\n")
-            for x, fd, fs in zip(self.lnc, self.demand, self.supply):
-                fh.write(f"{float(x)!r},{float(fd)!r},{float(fs)!r}\n")
+        """Write rows lnc,Fd,Fs, each number as repr writes it (``numerics._repr_text``)."""
+        cells = _repr_text(np.stack([self.lnc, self.demand, self.supply], axis=1), b",,\n")
+        with open(path, "wb") as fh:
+            fh.write(b"lnc,Fd,Fs\n" + b"".join(cells.ravel().tolist()))
 
 
 def _cumulative_slice(slice_vals: np.ndarray, grid: Grid) -> tuple[np.ndarray, bool, bool]:

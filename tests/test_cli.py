@@ -51,6 +51,9 @@ def check_manifest(out_dir):
     assert set(manifest["outputs"]) == on_disk  # no orphans either way
     for key in ("qmg", "numpy", "python"):
         assert key in manifest["versions"]
+    timings = manifest["timings"]
+    assert sorted(timings) == ["compute_s", "parse_s", "write_s"]
+    assert all(isinstance(v, float) and math.isfinite(v) and v >= 0.0 for v in timings.values())
     return manifest
 
 
@@ -87,6 +90,47 @@ def test_curves_scenario(tmp_path):
     assert all(0.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in fd)
     assert fd[0] < 0.01 and fd[-1] > 0.99  # demand curve rises left to right
     check_manifest(out)
+
+
+def _repr_density_csv(d) -> str:
+    # the reference writer: Python's repr for each number, row by row
+    q_text = [repr(q) for q in d.q_grid.points.tolist()]
+    lines = ["p,q,w"]
+    for p, row in zip(d.p_grid.points.tolist(), d.values.tolist()):
+        lines.extend(f"{p!r},{q},{w!r}" for q, w in zip(q_text, row))
+    return "\n".join(lines) + "\n"
+
+
+def _repr_curves_csv(c) -> str:
+    rows = zip(c.lnc.tolist(), c.demand.tolist(), c.supply.tolist())
+    return "\n".join(["lnc,Fd,Fs", *(f"{x!r},{fd!r},{fs!r}" for x, fd, fs in rows)]) + "\n"
+
+
+def _first_difference(path, want: str):
+    """None when the file holds ``want``, else the first line that differs, both ways."""
+    got = path.read_text()
+    if got == want:
+        return None
+    return next((i, a, b) for i, (a, b) in enumerate(zip(got.splitlines() + [""], want.splitlines() + [""]))
+                if a != b)
+
+
+_RIDGE_RISK = {"hbar_e": 0.7, "theta": 2.5, "m": 1.3, "theta_nc": 0.4}
+
+
+@pytest.mark.parametrize("params, density", [
+    ({"family": "coherent", "risk": _RIDGE_RISK, "r": -0.995, "eta": 0.8, "p0": 0.5, "q0": 0.3},
+     lambda risk: qmg.coherent_wigner(qmg.CoherentParams(-0.995, 0.8, 0.5, 0.3), hbar=risk.hbar_eff)),
+    ({"family": "thermal", "risk": _RIDGE_RISK, "beta": 0.8}, lambda risk: qmg.thermal_wigner(0.8, risk)),
+    ({"family": "excited", "risk": _RIDGE_RISK, "n": 5}, lambda risk: qmg.excited_wigner(5, risk)),
+    ({"family": "strategy", "strategy": "gaussian(0.3, 0.8, 1.5)"},
+     lambda risk: qmg.wigner_transform(qmg.Strategy.gaussian(0.3, 0.8, 1.5), hbar=risk.hbar_eff)),
+], ids=["coherent", "thermal", "excited", "strategy"])
+def test_curves_tables_are_written_as_repr_writes_them(tmp_path, params, density):
+    out = run_ok(tmp_path, {"kind": "curves", "parameters": params})
+    d = density(qmg.RiskParams(**params["risk"]) if "risk" in params else qmg.UNIT_RISK)
+    assert _first_difference(out / "density.csv", _repr_density_csv(d)) is None
+    assert _first_difference(out / "curves.csv", _repr_curves_csv(qmg.dominant_curves(d))) is None
 
 
 def test_auction_delta_fixture_first_price(tmp_path, capsys):

@@ -325,3 +325,86 @@ def test_exact_sum_across_blocks_and_chunks(monkeypatch):
     rng = np.random.default_rng(4)
     x = rng.normal(size=21_001) * np.exp2(rng.integers(-40, 40, 21_001).astype(float))
     assert _sum_outcome(exact_sum, x) == _sum_outcome(_fsum, x)
+
+
+# ---------------------------------------------------------------------------
+# repr's text for float arrays
+
+
+def _repr_mismatch(values):
+    """None when ``_repr_text`` writes every value as repr does, else the first value it does not, both texts."""
+    x = np.asarray(values, dtype=float).ravel()
+    got = b"".join(numerics._repr_text(x, b"\n").tolist())
+    if got == ("\n".join(map(repr, x.tolist())) + "\n").encode():
+        return None
+    return next((v, text) for v, text in zip(x.tolist(), got.decode().splitlines()) if text != repr(v))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([0.0, -0.0, NAN, -NAN, INF, -INF, 5e-324, -5e-324, 1.7976931348623157e308])
+@example([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-5, 1e22, 1e23, 0.1, 100.0])
+def test_repr_text_is_repr_for_every_double(xs):
+    assert _repr_mismatch(xs) is None
+
+
+def _subnormals():
+    # every subnormal mantissa below 2^22
+    for start in range(1, 1 << 22, 1 << 18):
+        yield np.arange(start, min(start + (1 << 18), 1 << 22), dtype=np.uint64).view(float)
+
+
+def _powers():
+    # 2^k and 10^k, one ulp either side, for every exponent
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             np.array([float(f"1e{k}") for k in range(-323, 309)])])
+    yield np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, INF), -powers])
+
+
+def _integers():
+    # integers around 2^53, where the ulp passes 1 and then 2, and small ones
+    near = np.arange(2**53 - 2**16, 2**53 + 2**16, dtype=np.int64).astype(float)
+    yield np.concatenate([near, -near, np.arange(-20000.0, 20000.0)])
+
+
+def _random_bits():
+    # 2^20 random bit patterns: every sign, exponent and special
+    bits = np.random.default_rng(20201013).integers(0, 2**64, 1 << 20, dtype=np.uint64)
+    yield from (block.view(float) for block in np.split(bits, 4))
+
+
+@pytest.mark.parametrize("blocks", [_subnormals, _powers, _integers, _random_bits],
+                         ids=["subnormals", "powers", "integers", "random-bits"])
+def test_repr_text_is_repr_over_the_sweep(blocks):
+    for values in blocks():
+        assert _repr_mismatch(values) is None
+
+
+def test_repr_text_keeps_the_shape_and_takes_an_end_byte_per_column():
+    x = np.array([[1.5, -0.0, 2e-310], [NAN, 123456789.0, -1e100]])
+    text = numerics._repr_text(x, b",;\n")
+    assert text.shape == (2, 3)
+    assert text.tolist() == [[b"1.5,", b"-0.0;", b"2e-310\n"], [b"nan,", b"123456789.0;", b"-1e+100\n"]]
+
+
+def test_the_power_table_brackets_each_power_of_ten():
+    tables = numerics._text_tables()
+    g = [(int(hi) << 63) + int(lo_hi) * 2**32 + int(lo_lo)
+         for hi, lo_hi, lo_lo in zip(tables.g1, tables.g0_hi, tables.g0_lo)]
+    assert [(int(hi) << 32) + int(lo) for hi, lo in zip(tables.g1_hi, tables.g1_lo)] == [v >> 63 for v in g]
+    for k, gk in zip(range(numerics._K_MIN, numerics._K_MAX + 1), g):
+        assert 2**125 <= gk < 2**126
+        # g - 1 <= 10^-k 2^(125 - floor(log2 10^-k)) < g
+        r = 125 - ((-k * 1741647) >> 19)
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+        num, den = (num << r, den) if r >= 0 else (num, den << -r)
+        assert (gk - 1) * den <= num < gk * den
+
+
+def test_the_text_tables_are_built_on_first_use():
+    import subprocess
+    import sys
+
+    code = "import qmg, qmg.numerics as n; print(n._text_tables.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"

@@ -815,8 +815,32 @@ def _loop_hermite_function(n, x, length_scale):
 
 @given(n=st.integers(0, 300), length_scale=st.floats(0.05, 20.0), reach=st.floats(1.0, 60.0))
 def test_hermite_ladder_is_the_loop_bit_for_bit(n, length_scale, reach):
+    # within |u| < 37.4 the ground level is a normal double and the ladder is the loop's
+    reach = min(reach, 37.4 * length_scale)
     x = np.linspace(-reach, 0.7 * reach, 301)
     assert hermite_function(n, x, length_scale).tobytes() == _loop_hermite_function(n, x, length_scale).tobytes()
+
+
+@pytest.mark.parametrize("n, u, expect", [
+    (1500, 55.0, 0.08274310768935218),
+    (1500, -41.3, 0.01944993174053707),
+    (300, 30.0, 1.2119075635438115e-28),
+    (800, -45.5, 9.157666890401721e-36),
+    (2000, 60.25, 0.17548197590655543),
+    (3000, -70.0, -0.12333239418815263),
+    (5, 38.0, 8.423514569568333e-307),
+    (40, -38.0, 2.8334999568439764e-269),
+])
+def test_hermite_levels_past_the_ground_level_underflow_match_mpmath(n, u, expect):
+    # reference values: mpmath at 50 digits, H_n(u) e^(-u^2/2) / sqrt(sqrt(pi) 2^n n!);
+    # e^(-u^2/2) leaves the normal doubles past |u| = 37.6, the levels above it need not
+    assert hermite_function(n, u) == pytest.approx(expect, rel=1e-10)
+    assert hermite_function(n, 2.0 * u, 2.0) == pytest.approx(expect / math.sqrt(2.0), rel=1e-10)
+
+
+def test_hermite_levels_of_a_huge_argument_are_zero():
+    x = np.array([1e150, -1e200, 3e9, -np.inf])
+    assert hermite_function(7, x).tolist() == [0.0] * 4
 
 
 @given(

@@ -4,11 +4,14 @@ Runs one fixed deck of scenarios, every kind once with analytic
 strategies and curves, zeno, clearing and auction once more with an
 off-centre sampled table (zeno's quadrature), zeno once more from one
 displaced, sloped Gaussian and once from a superposition of two
-Gaussians (both expanded by the Gaussian recurrence), and zeno, curves,
+Gaussians (both expanded by the Gaussian recurrence), zeno, curves,
 clearing and auction once more with oscillator levels
 under a non-unit risk record (zeno's exact path; clearing with a
 supply-side trader, so levels are transformed at that record's hbar),
-under each revision, then prints for every output file "identical" or the
+and curves of the thermal, excited and coherent families under that
+record (between them every kind of number the density writer lays
+out: negative values, zeros, subnormals, exponents of one to three
+digits), under each revision, then prints for every output file "identical" or the
 largest absolute difference between the two runs' numbers.
 
     python3 tools/drift.py [BASE] [HEAD] [--seed N] [--keep DIR]
@@ -49,6 +52,11 @@ DECK = {
     "curves": ("curves", {"family": "strategy", "strategy": "gaussian(0.3, 0.8, 1.5)"}),
     "curves-sampled": ("curves", {"family": "strategy", "strategy": SAMPLED}),
     "curves-levels": ("curves", {"family": "strategy", "risk": RISK, "strategy": "hermite(3)"}),
+    "curves-thermal": ("curves", {"family": "thermal", "risk": RISK, "beta": 0.8}),
+    # a grid over +-30: negative values and exponents down to e-293
+    "curves-excited": ("curves", {"family": "excited", "risk": RISK, "n": 5}),
+    # a ridge narrow across its grid: zeros, subnormals and three-digit exponents
+    "curves-coherent": ("curves", {"family": "coherent", "risk": RISK, "r": -0.995, "eta": 0.8, "p0": 0.5, "q0": 0.3}),
     "zeno": ("zeno", {"initial": ["hermite(0)", "hermite(1)"], "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
     "zeno-sampled": ("zeno", {"initial": SAMPLED, "total_time": 0.37, "n_values": [1, 2, 5, 10, 100]}),
     "zeno-coherent": ("zeno", {
